@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument(
         "--trace",
         action="store_true",
-        help="stream one JSON object per rewrite step before the output proof",
+        help="print one JSON object per rewrite step, once normalization "
+        "has ended, before the output proof",
     )
 
     common(sub.add_parser("denote", help="print the denotation as an exact matrix"))

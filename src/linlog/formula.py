@@ -132,6 +132,8 @@ def alpha_eq_under(
 
 
 def _alpha(a, b, enva, envb, depth):
+    if a is b and not enva and not envb:
+        return True
     if isinstance(a, Var) and isinstance(b, Var):
         return enva.get(a.name, a.name) == envb.get(b.name, b.name)
     if isinstance(a, One) and isinstance(b, One):
@@ -217,6 +219,13 @@ class Sequent:
 
     context: tuple[Formula, ...]
     conclusion: Formula
+
+    def __post_init__(self) -> None:
+        # hashed once: proof nodes hash their conclusion on construction
+        object.__setattr__(self, "_hash", hash((self.context, self.conclusion)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
         return format_sequent(self)

@@ -231,11 +231,6 @@ class Proof:
         return f"<{kw} proof of {format_sequent(self.conclusion)}; {self.size} nodes>"
 
 
-def conclusion(p: Proof) -> Sequent:
-    """The root sequent of a validated proof."""
-    return p.conclusion
-
-
 # ---------------------------------------------------------------------------
 # Rule schemas
 

@@ -19,9 +19,18 @@ order.  The strategy is leftmost-innermost: the first cut in preorder
 whose subtrees are cut-free.  With that strategy no cut ever meets
 another cut, so the catalog needs no cut-past-cut rules.
 
-After each step the kernel re-validates the whole proof and checks the
-conclusion is unchanged — a guard against catalog bugs, not a proof
-obligation for callers.
+After each step a kernel guard checks that the replacement keeps the
+redex's conclusion and that the new tree is valid.  It is a guard
+against catalog bugs, not a proof obligation for callers.  Validity is
+a property of each node alone: its rule, its cached conclusion and its
+premises' cached conclusions.  :func:`normalize` and :func:`replay`
+validate their input once, so after a step only two kinds of node can
+be invalid: the nodes the replacement newly built, and the ancestors
+that :func:`~linlog.proof.replace_at` rebuilt.  An ancestor can break
+only when the replacement's conclusion is an alpha-variant of the old
+one rather than equal to it; otherwise it sees the premise conclusions
+it saw before.  The guard (:func:`step_violations`) checks exactly
+these nodes, so it proves what validating the whole tree would.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .proof import (
     TensorL,
     TensorR,
     Weakening,
+    _node_violation,
     free_vars_proof,
     get_at,
     mk_ctr,
@@ -320,9 +330,49 @@ def find_redex(p: Proof) -> tuple[int, ...] | None:
     return None
 
 
+def step_violations(
+    before: Proof, path: tuple[int, ...], after: Proof
+) -> list[tuple[tuple[int, ...], str]]:
+    """Schema violations of ``after``, the valid tree ``before`` with the
+    cut at ``path`` replaced, as (path-from-root, message).
+
+    Checks the replacement's nodes down to those reused from the redex
+    (its premises and their premises, matched by identity), and the
+    ancestors on ``path`` when the replacement's conclusion is not
+    ``==`` to the redex's.  Given a valid ``before``, the result equals
+    ``validate(after)``, in the same (preorder) order.
+    """
+    redex = get_at(before, path)
+    replacement = get_at(after, path)
+    out: list[tuple[tuple[int, ...], str]] = []
+    if replacement.conclusion != redex.conclusion:
+        node = after
+        for depth, i in enumerate(path):
+            msg = _node_violation(node)
+            if msg is not None:
+                out.append((path[:depth], msg))
+            node = node.premises[i]
+    reused = {id(q) for prem in redex.premises for q in (prem, *prem.premises)}
+    stack = [(path, replacement)]
+    while stack:
+        at, node = stack.pop()
+        if id(node) in reused:
+            continue
+        msg = _node_violation(node)
+        if msg is not None:
+            out.append((at, msg))
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((at + (i,), node.premises[i]))
+    return out
+
+
 def apply_rule_at(p: Proof, path: tuple[int, ...]) -> tuple[Proof, StepInfo]:
     """Reduce the cut at ``path`` and splice the result back, with the
-    kernel guard (validity + conclusion preservation) applied."""
+    kernel guard (validity + conclusion preservation) applied.
+
+    ``p`` must be valid: the guard checks only the nodes the step
+    changed (see :func:`step_violations`).  :func:`normalize` and
+    :func:`replay` validate their input on entry."""
     node = get_at(p, path)
     rule_id, replacement = reduce_cut(node)
     if replacement.conclusion != node.conclusion and not sequent_alpha_eq(
@@ -330,22 +380,31 @@ def apply_rule_at(p: Proof, path: tuple[int, ...]) -> tuple[Proof, StepInfo]:
     ):
         raise RewriteError(f"{rule_id} changed the conclusion at {path}")
     out = replace_at(p, path, replacement)
-    bad = validate(out)
+    bad = step_violations(p, path, out)
     if bad:
         raise RewriteError(f"{rule_id} at {path} broke validity: {bad[:3]}")
     return out, StepInfo(rule_id, path, p.size, out.size)
 
 
 def step(p: Proof) -> tuple[Proof, StepInfo] | None:
-    """One strategy step; None when the proof is already cut-free."""
+    """One strategy step on a valid proof (see :func:`apply_rule_at`);
+    None when the proof is already cut-free."""
     path = find_redex(p)
     if path is None:
         return None
     return apply_rule_at(p, path)
 
 
+def _check_input(p: Proof) -> None:
+    bad = validate(p)
+    if bad:
+        raise RewriteError(f"input proof is invalid: {bad[:3]}")
+
+
 def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
-    """Run the strategy to a cut-free proof or to budget exhaustion."""
+    """Validate ``p``, then run the strategy to a cut-free proof or to
+    budget exhaustion."""
+    _check_input(p)
     steps: list[StepInfo] = []
     cur = p
     for _ in range(max_steps):
@@ -362,6 +421,7 @@ def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
 def replay(p: Proof, trace: Trace) -> Proof:
     """Re-apply a trace step by step; the result must equal the recorded
     terminal exactly."""
+    _check_input(p)
     cur = p
     for info in trace.steps:
         cur, got = apply_rule_at(cur, info.path)

@@ -6,22 +6,29 @@ from fractions import Fraction
 
 import pytest
 
+import linlog.rewrite as rewrite
 from linlog.encodings import (
     add_cut,
     church,
     church2,
     church_body,
     comp,
+    exp_cut,
     hypexp_cut,
     library,
     mult_cut,
     plain_body,
 )
-from linlog.formula import Bang, One, Sequent, Var, endo
+from linlog.formula import Bang, Lolli, One, Sequent, Var, endo
 from linlog.proof import (
+    Axiom,
+    Promotion,
+    Proof,
+    get_at,
     mk_axiom,
     mk_cut,
     mk_exchange,
+    mk_forall_r,
     mk_lolli_r,
     mk_one_l,
     mk_one_r,
@@ -29,16 +36,21 @@ from linlog.proof import (
     mk_tensor_l,
     mk_tensor_r,
     mk_weak,
+    replace_at,
     validate,
 )
 from linlog.rewrite import (
     RewriteError,
+    StepInfo,
+    Trace,
     exchange_normalize,
     find_redex,
     is_cut_free,
     normalize,
+    reduce_cut,
     replay,
     step,
+    step_violations,
 )
 from linlog.semantics import den_matrix
 
@@ -217,3 +229,112 @@ def test_step_counts_are_recorded_per_step():
     for (b, a), s in zip(sizes, res.trace.steps):
         assert b > 0 and a > 0 and s.path == tuple(s.path)
     assert sizes[-1][1] == res.proof.size
+
+
+# ---------------------------------------------------------------------------
+# The per-step kernel guard
+
+
+def _unguarded_steps(p):
+    """(before, path, after) for each strategy step, spliced without the
+    guard."""
+    cur = p
+    while (path := find_redex(cur)) is not None:
+        _rule_id, replacement = reduce_cut(get_at(cur, path))
+        out = replace_at(cur, path, replacement)
+        yield cur, path, out
+        cur = out
+
+
+def _broken_premise(rep):
+    """``rep`` with its first premise swapped for a bare axiom node that
+    caches the premise's conclusion, which is no axiom sequent: the root
+    still fits its schema, the new axiom does not."""
+    first = rep.premises[0]
+    bad = Proof(Axiom(), (), first.conclusion)
+    return Proof(rep.rule, (bad,) + rep.premises[1:], rep.conclusion)
+
+
+def test_guard_catches_a_bad_node_inside_a_replacement(monkeypatch):
+    real = rewrite.reduce_cut
+
+    def buggy(node):
+        rule_id, rep = real(node)
+        return rule_id, _broken_premise(rep)
+
+    monkeypatch.setattr(rewrite, "reduce_cut", buggy)
+    with pytest.raises(RewriteError, match="lolli-r-commute at \\(\\) broke validity"):
+        normalize(mult_cut(2, 2, A))
+
+
+def test_invalid_input_is_rejected_on_entry():
+    bad = Proof(Axiom(), (), Sequent((A,), B))  # A ⊢ B by "axiom"
+    p = mk_cut(bad, mk_axiom(B), 0)  # the cut itself fits its schema
+    assert [where for where, _msg in validate(p)] == [(0,)]
+    # the one step, ax-right, returns ``bad`` itself: only the entry
+    # check can see it
+    with pytest.raises(RewriteError, match="input proof is invalid"):
+        normalize(p)
+    with pytest.raises(RewriteError, match="input proof is invalid"):
+        normalize(bad)
+    trace = Trace((StepInfo("ax-right", (), p.size, bad.size),), bad)
+    with pytest.raises(RewriteError, match="input proof is invalid"):
+        replay(p, trace)
+
+
+def test_alpha_variant_replacement_rechecks_the_ancestors(monkeypatch):
+    x, y = Var("x"), Var("y")
+    left = mk_lolli_r(mk_weak(mk_axiom(y), 1, Bang(x)))  # !x ⊢ y ⊸ y
+    right = mk_forall_r(
+        mk_tensor_r(mk_axiom(Lolli(y, y)), mk_lolli_r(mk_axiom(x))), "x"
+    )  # y ⊸ y ⊢ ∀x. (y ⊸ y) ⊗ (x ⊸ x)
+    p = mk_prom(mk_cut(left, right, 0))
+    checked = []
+    real = rewrite._node_violation
+
+    def recording(node):
+        checked.append(node)
+        return real(node)
+
+    monkeypatch.setattr(rewrite, "_node_violation", recording)
+    res = normalize(p)
+    ids = [s.rule_id for s in res.trace.steps]
+    assert ids == ["forall-r-commute", "tensor-r-commute", "ax-right"]
+    # the binder was renamed away from the free x of !x
+    assert get_at(res.proof, (0,)).conclusion != get_at(p, (0,)).conclusion
+    # the promotion is never part of a replacement: only the ancestor
+    # re-check reaches it
+    assert any(isinstance(n.rule, Promotion) for n in checked)
+    assert validate(res.proof) == []
+    assert res.proof.conclusion == p.conclusion
+
+
+def test_guard_agrees_with_full_validation_on_every_step():
+    cases = [make(m, n, A) for make in (add_cut, mult_cut) for m in range(4) for n in range(4)]
+    cases += [exp_cut(2, n, A) for n in range(1, 5)]
+    cases += [hypexp_cut(n) for n in range(3)]
+    checked = 0
+    for p in cases:
+        for before, path, after in _unguarded_steps(p):
+            assert step_violations(before, path, after) == []
+            assert validate(after) == []
+            checked += 1
+    assert checked > 1000
+
+
+def test_guard_reports_a_corrupted_splice_like_validate():
+    p = mult_cut(2, 2, A)
+    path = find_redex(p)
+    _rule_id, rep = reduce_cut(get_at(p, path))
+    corrupted = replace_at(p, path, _broken_premise(rep))
+    bad = step_violations(p, path, corrupted)
+    assert [where for where, _msg in bad] == [path + (0,)]
+    assert bad == validate(corrupted)
+    # a replacement proving another sequent breaks its parent instead
+    before, path, _after = next(
+        (b, q, a) for b, q, a in _unguarded_steps(p) if q
+    )
+    foreign = replace_at(before, path, mk_axiom(B))
+    bad = step_violations(before, path, foreign)
+    assert [where for where, _msg in bad] == [path[:-1]]
+    assert bad == validate(foreign)
