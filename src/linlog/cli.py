@@ -4,8 +4,8 @@ Machine output (JSON values or a proof s-expression) goes to stdout;
 every diagnostic goes to stderr.  Exit codes: 0 on success, 1 on a
 domain error (unparseable or invalid input, failed evaluation, budget
 exhaustion), 2 on a usage error.  Identical inputs and flags produce
-byte-identical output: the rewrite strategy is fixed and every
-pseudorandom choice hangs off an explicit seed flag.
+byte-identical output: the rewrite strategy is fixed and nothing is
+drawn at random.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="assign a dimension to a base-type variable (repeatable)",
         )
         p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N")
-        p.add_argument("--probe-depth", type=int, default=2, metavar="D")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
 
     common(sub.add_parser("check", help="validate a proof and print its conclusion"))
 

@@ -187,24 +187,11 @@ BangKey = tuple[tuple[Fraction, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
-class KetTerm:
-    base: Vect
-    args: tuple[int, ...]
-    coeff: Fraction
-
-
-@dataclass(frozen=True)
 class BangElem:
     """A finite linear combination of basis kets over !space."""
 
     space: Space  # the underlying V, not !V
     terms: tuple[tuple[BangKey, Fraction], ...]  # sorted, no zero coeffs
-
-    def ket_terms(self) -> list[KetTerm]:
-        return [
-            KetTerm(Vect(self.space, base), args, c)
-            for (base, args), c in self.terms
-        ]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -368,22 +355,29 @@ def lift(
     Per ket term, sums over all set partitions of the argument multiset:
     a partition with blocks C₁…C_l contributes the ket whose arguments
     are the φ-images φ|ν_{C₁}⟩_P, …, φ|ν_{C_l}⟩_P, based at φ|o⟩_P.
+    φ is called once per distinct (base point, sub-multiset of the
+    arguments) within one call: a ket with s distinct arguments has
+    2^s − 1 distinct blocks across its B(s) partitions, plus its vacuum.
     ``out_space`` is only needed to type the result when x is zero.
     """
     acc: dict[BangKey, Fraction] = {}
     space = out_space
-    base_images: dict[tuple[Fraction, ...], Vect] = {}
+    # per base point: the φ-image of each sub-multiset met so far
+    images: dict[tuple[Fraction, ...], dict[tuple[int, ...], Vect]] = {}
     for (base, args), c in x.terms:
-        if base not in base_images:
-            base_images[base] = phi(_pure_ket(x.space, base, ()))
-        Q = base_images[base]
+        at_base = images.get(base)
+        if at_base is None:
+            at_base = images[base] = {(): phi(_pure_ket(x.space, base, ()))}
+        Q = at_base[()]
         space = Q.space
         for blocks in set_partitions(len(args)):
-            images = [
-                phi(_pure_ket(x.space, base, tuple(args[i] for i in block)))
-                for block in blocks
-            ]
-            for key, c2 in ket(Q, images).terms:
+            block_images = []
+            for block in blocks:
+                sub = tuple(args[i] for i in block)  # sorted, as args are
+                if sub not in at_base:
+                    at_base[sub] = phi(_pure_ket(x.space, base, sub))
+                block_images.append(at_base[sub])
+            for key, c2 in ket(Q, block_images).terms:
                 acc[key] = acc.get(key, Fraction(0)) + c * c2
     if space is None:
         raise ValueError("lifting the zero element needs an explicit target space")

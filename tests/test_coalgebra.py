@@ -278,6 +278,37 @@ def test_lift_on_vacuum_and_singleton_by_hand():
     assert two == ket(Q, [vect(V, [0, 1]), vect(V, [0, 1])])
 
 
+def test_lift_calls_phi_once_per_distinct_block():
+    rng = random.Random(31)
+    V, W = BaseSp("A", 2), BaseSp("B", 4)
+    inner = _rand_linear_phi(rng, W, V)
+    seen = []
+
+    def phi(x: BangElem):
+        seen.append(x)
+        return inner(x)
+
+    P = _rand_vec(rng, W)
+    x = BangElem(W, (((P.coords, (0, 1, 2, 3)), Fraction(1)),))
+    out = lift(phi, x, out_space=V)
+    # 15 non-empty sub-multisets of four distinct arguments, plus the vacuum
+    assert len(seen) == 16 and len(set(seen)) == 16
+    # the set-partition sum over its 15 partitions, spelled out without
+    # sharing any image
+    acc = {}
+    for blocks in set_partitions(4):
+        Q = inner(_pure(W, (P.coords, ())))
+        images = [inner(_pure(W, (P.coords, block))) for block in blocks]
+        for key, c in ket(Q, images).terms:
+            acc[key] = acc.get(key, Fraction(0)) + c
+    assert out == bang_from_terms(V, acc)
+    # a repeated argument has fewer distinct blocks: {0}, {1}, {2}, {0,0},
+    # {0,1}, {0,2}, {1,2}, {0,0,1}, {0,0,2}, {0,1,2}, {0,0,1,2}, vacuum
+    seen.clear()
+    lift(phi, BangElem(W, (((P.coords, (0, 0, 1, 2)), Fraction(1)),)), out_space=V)
+    assert len(seen) == 12
+
+
 # ---------------------------------------------------------------------------
 # Merge / split
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from linlog.coalgebra import (
+    BangElem,
     BangSp,
     BaseSp,
     HomSp,
@@ -22,7 +24,7 @@ from linlog.coalgebra import (
     tensor_from_terms,
     vacuum,
 )
-from linlog.encodings import church, church_body, comp
+from linlog.encodings import add, add_cut, church, church_body, comp, mult_cut
 from linlog.formula import Bang, Lolli, One, Tensor, Var, endo, int_type
 from linlog.proof import (
     mk_axiom,
@@ -39,12 +41,14 @@ from linlog.proof import (
     mk_tensor_r,
     mk_weak,
 )
+from linlog.rewrite import normalize
 from linlog.semantics import (
     BangVal,
     Matrix,
     Pair,
     Scalar,
     SemanticsError,
+    Suspended,
     UnsupportedSpace,
     Vector,
     apply_hom,
@@ -73,6 +77,46 @@ def _matmul(a, b):
         [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(n)
     ]
+
+
+def _mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _ket_coefficient(k, alpha, nus):
+    """Independent oracle for a numeral on a ket: the coefficient of
+    t₁…t_s in (α + Σ tᵢνᵢ)^k, expanded word by word with every tᵢ used
+    at most once (the key is the set of t's used so far)."""
+    n = len(alpha)
+    zero = [[Fraction(0)] * n for _ in range(n)]
+    poly = {0: [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]}
+    for _ in range(k):
+        nxt = {}
+        for used, m in poly.items():
+            nxt[used] = _mat_add(nxt.get(used, zero), _matmul(m, alpha))
+            for i, nu in enumerate(nus):
+                if not used >> i & 1:
+                    key = used | 1 << i
+                    nxt[key] = _mat_add(nxt.get(key, zero), _matmul(m, nu))
+        poly = nxt
+    return poly.get((1 << len(nus)) - 1, zero)
+
+
+def _unit_matrix(n, flat_index):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows[flat_index // n][flat_index % n] = Fraction(1)
+    return rows
+
+
+def _ket_table(p, base, arg_sets, asg=ASG):
+    """⟦p⟧ of a closed numeral on |e_args⟩_base for each argument multiset."""
+    h = den_apply(p, Scalar(Fraction(1)), asg)
+    space = den_formula(p.conclusion.conclusion.cons, asg)
+    out = []
+    for args in arg_sets:
+        x = BangElem(space, (((base, tuple(args)), Fraction(1)),))
+        out.append(force(apply_hom(h, BangVal(x)), space).rows)
+    return out
 
 
 def _rand_mat(rng, n=2):
@@ -284,6 +328,16 @@ def test_nl_shapes_agree_for_body_and_curried_numeral():
         assert _as_rows(r1) == _as_rows(r2) == _matmul(al, al)
 
 
+def test_nl_of_a_deep_numeral_is_the_matrix_power():
+    # church(128) is the normal form of exp_cut(2, 7), about 390 rule
+    # levels deep; its evaluation must not run out of recursion depth
+    al = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1, 2)]]
+    want = [[Fraction(1 if i == j else 0) for j in range(2)] for i in range(2)]
+    for _ in range(128):
+        want = _matmul(want, al)
+    assert _as_rows(nl(church(128, A), _mat_value(al), ASG)) == want
+
+
 def test_nl_rejects_other_shapes():
     with pytest.raises(SemanticsError):
         nl(mk_axiom(A), Scalar(Fraction(1)), ASG)
@@ -342,3 +396,89 @@ def test_value_literals_render_and_reparse():
             [Vect(BaseSp("A", 2), (Fraction(0), Fraction(1)))],
         ))
     )))
+
+
+# ---------------------------------------------------------------------------
+# The staged evaluator against independent oracles
+
+
+def test_numerals_on_every_ket_of_depth_three_match_the_polynomial_oracle():
+    rng = random.Random(41)
+    arg_sets = [
+        args for s in range(4) for args in itertools.combinations_with_replacement(range(4), s)
+    ]
+    assert len(arg_sets) == 35
+    for _ in range(2):
+        alpha = _rand_mat(rng)
+        base = tuple(c for row in alpha for c in row)
+        for k in range(9):
+            got = _ket_table(church(k, A), base, arg_sets)
+            for args, rows in zip(arg_sets, got):
+                nus = [_unit_matrix(2, i) for i in args]
+                assert [list(r) for r in rows] == _ket_coefficient(k, alpha, nus), (k, args)
+
+
+def test_unnormalized_mult_cuts_agree_with_their_normal_forms():
+    # promotion, and with it the set-partition sum of `lift`, runs only on
+    # the unnormalized cut
+    rng = random.Random(43)
+    arg_sets = [(0, 1, 2), (1, 1, 3), (0, 1, 2, 3), (0, 2, 2, 3)]
+    pairs = [(m, n) for m in range(7) for n in range(7) if m * n <= 6 and m + n <= 7]
+    for m, n in pairs:
+        cut = mult_cut(m, n, A)
+        res = normalize(cut)
+        assert not res.exhausted
+        base = tuple(c for row in _rand_mat(rng) for c in row)
+        assert _ket_table(cut, base, arg_sets) == _ket_table(res.proof, base, arg_sets), (m, n)
+
+
+def test_comp_matrix_and_add_on_kets_match_the_matrix_oracle():
+    for d in (1, 2):
+        asg = {"A": d}
+        cols = []
+        for i in range(d * d):  # α, the first hypothesis, varies slowest
+            for j in range(d * d):
+                prod = _matmul(_unit_matrix(d, j), _unit_matrix(d, i))  # β ∘ α
+                cols.append([c for row in prod for c in row])
+        assert den_matrix(comp(A), asg) == [list(r) for r in zip(*cols)]
+        # add lives in infinite spaces: no matrix, so it is checked on kets
+        with pytest.raises(UnsupportedSpace):
+            den_matrix(add(A), asg)
+        rng = random.Random(47 + d)
+        alpha = _rand_mat(rng, d)
+        nu = _rand_mat(rng, d)
+        base = tuple(c for row in alpha for c in row)
+        for m, n in ((0, 2), (1, 1), (2, 3)):
+            h = den_apply(add_cut(m, n, A), Scalar(Fraction(1)), asg)
+            space = den_formula(int_type(A).cons, asg)
+            for args in ((), (nu,)):
+                flat = [Vect(space, tuple(c for row in v for c in row)) for v in args]
+                x = ket(Vect(space, base), flat)
+                got = force(apply_hom(h, BangVal(x)), space).rows
+                assert [list(r) for r in got] == _ket_coefficient(m + n, alpha, list(args))
+
+
+def test_suspended_values_remember_their_assignment():
+    p = church(2, A)
+    one = den_apply(p, Scalar(Fraction(1)), {"A": 1})
+    two = den_apply(p, Scalar(Fraction(1)), {"A": 2})
+    assert isinstance(one, Suspended) and isinstance(two, Suspended)
+    assert one.node == two.node == p and one.env == two.env
+    assert one != two
+    assert one == den_apply(p, Scalar(Fraction(1)), {"A": 1})
+
+
+def test_zero_in_an_infinite_hom_space_is_a_map_to_zero():
+    e = endo(A)
+    p = mk_der(mk_lolli_r(mk_weak(mk_axiom(e), 0, Bang(e))), 0)  # !E ⊢ !E ⊸ E
+    P = _mat_vect([[1, 2], [3, 4]])
+    units = [_mat_vect(_unit_matrix(2, i)) for i in range(2)]
+    # dereliction kills a two-argument ket, so the result is the zero map
+    h = den_apply(p, BangVal(ket(P, units)), ASG)
+    got = apply_hom(h, BangVal(vacuum(P)))
+    assert _as_rows(got) == [[Fraction(0)] * 2 for _ in range(2)]
+    # one argument survives dereliction: the map sends the vacuum to e₀
+    h1 = den_apply(p, BangVal(ket(P, units[:1])), ASG)
+    assert _as_rows(apply_hom(h1, BangVal(vacuum(P)))) == _unit_matrix(2, 0)
+    assert values_agree(h, den_apply(p, BangVal(bang_scale(Fraction(0), vacuum(P))), ASG),
+                        den_formula(Lolli(Bang(e), e), ASG))
