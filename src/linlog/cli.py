@@ -3,7 +3,8 @@
 Machine output (JSON values or a proof s-expression) goes to stdout;
 every diagnostic goes to stderr.  Exit codes: 0 on success, 1 on a
 domain error (unparseable or invalid input, failed evaluation, budget
-exhaustion), 2 on a usage error.  Identical inputs and flags produce
+exhaustion, an engine guard failure, input nested too deeply to walk),
+2 on a usage error.  Identical inputs and flags produce
 byte-identical output: the rewrite strategy is fixed and nothing is
 drawn at random.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .encodings import library
 from .formula import format_sequent
 from .proof import Proof, ProofError, validate
-from .rewrite import DEFAULT_MAX_STEPS, normalize
+from .rewrite import DEFAULT_MAX_STEPS, RewriteError, normalize
 from .semantics import (
     SemanticsError,
     den_matrix,
@@ -206,8 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 1
-    except (ParseError, ProofError, SemanticsError) as e:
+    except (ParseError, ProofError, RewriteError, SemanticsError) as e:
         return _domain_error(str(e))
+    except RecursionError:
+        return _domain_error("input is nested too deeply (maximum recursion depth exceeded)")
 
 
 if __name__ == "__main__":

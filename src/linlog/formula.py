@@ -8,49 +8,104 @@ with ``*`` the multiplicative product, ``-o`` linear implication (right
 associative), ``!`` the exponential and ``all`` universal quantification
 over propositional variables.  Everything is immutable.
 
-Plain ``==`` is structural and distinguishes ``(all x. x -o x)`` from
+Formulas are hash-consed: the constructors look each (class, children)
+key up in a weak intern table, so structurally equal formulas are one
+object for as long as any of them is alive.  Plain ``==`` is therefore
+structural *by identity*, and ``==`` and ``hash`` cost O(1) whatever the
+size of the formula.  It still distinguishes ``(all x. x -o x)`` from
 ``(all y. y -o y)``; comparison up to renaming of bound variables goes
 through :func:`alpha_eq`, or equivalently through string equality of
-:func:`canonical_print`.
+:func:`canonical_print`.  Hashes are identity-based and differ between
+runs, so nothing that reaches output may iterate over a set or dict of
+formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+from weakref import WeakValueDictionary
+
+#: (class, *fields) -> the one live formula with those fields.  The key
+#: holds the children, which the formula holds anyway; the entry goes
+#: away with the formula.
+_INTERNED: WeakValueDictionary = WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Var:
+def _intern(cls, *fields):
+    key = (cls, *fields)
+    node = _INTERNED.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        _INTERNED[key] = node
+    return node
+
+
+class _Interned:
+    """Identity equality and hashing; copies and pickles re-intern."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Var(_Interned):
+    __slots__ = ("name",)
     name: str
 
-
-@dataclass(frozen=True)
-class One:
-    pass
+    def __new__(cls, name: str) -> Var:
+        return _intern(cls, name)
 
 
-@dataclass(frozen=True)
-class Tensor:
+@dataclass(frozen=True, eq=False, init=False)
+class One(_Interned):
+    __slots__ = ()
+
+    def __new__(cls) -> One:
+        return _intern(cls)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Tensor(_Interned):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> Tensor:
+        return _intern(cls, left, right)
 
-@dataclass(frozen=True)
-class Lolli:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Lolli(_Interned):
+    __slots__ = ("ante", "cons")
     ante: Formula
     cons: Formula
 
+    def __new__(cls, ante: Formula, cons: Formula) -> Lolli:
+        return _intern(cls, ante, cons)
 
-@dataclass(frozen=True)
-class Bang:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Bang(_Interned):
+    __slots__ = ("body",)
     body: Formula
 
+    def __new__(cls, body: Formula) -> Bang:
+        return _intern(cls, body)
 
-@dataclass(frozen=True)
-class Forall:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Forall(_Interned):
+    __slots__ = ("binder", "body")
     binder: str
     body: Formula
+
+    def __new__(cls, binder: str, body: Formula) -> Forall:
+        return _intern(cls, binder, body)
 
 
 Formula = Var | One | Tensor | Lolli | Bang | Forall
@@ -113,7 +168,7 @@ def substitute(a: Formula, x: str, b: Formula) -> Formula:
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
     """True iff ``a`` and ``b`` differ only by consistent binder renaming."""
-    return alpha_eq_under(a, b, {}, {}, 0)
+    return a is b or alpha_eq_under(a, b, {}, {}, 0)
 
 
 def alpha_eq_under(
@@ -238,7 +293,7 @@ def format_sequent(s: Sequent) -> str:
 
 
 def sequent_alpha_eq(s: Sequent, t: Sequent) -> bool:
-    return (
+    return s == t or (
         len(s.context) == len(t.context)
         and all(alpha_eq(a, b) for a, b in zip(s.context, t.context))
         and alpha_eq(s.conclusion, t.conclusion)

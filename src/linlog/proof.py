@@ -214,17 +214,23 @@ class Proof:
         return self._hash  # type: ignore[attr-defined]
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Proof):
             return NotImplemented
-        if self._hash != other._hash:  # type: ignore[attr-defined]
-            return False
-        return (
-            self.rule == other.rule
-            and self.premises == other.premises
-            and self.conclusion == other.conclusion
-        )
+        # an explicit stack of node pairs, so depth costs no recursion
+        stack = [(self, other)]
+        while stack:
+            p, q = stack.pop()
+            if p is q:
+                continue
+            if (
+                p._hash != q._hash  # type: ignore[attr-defined]
+                or p.rule != q.rule
+                or p.conclusion != q.conclusion
+                or len(p.premises) != len(q.premises)
+            ):
+                return False
+            stack.extend(zip(p.premises, q.premises))
+        return True
 
     def __repr__(self) -> str:
         kw = RULE_KEYWORDS[type(self.rule)]

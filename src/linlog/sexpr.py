@@ -207,84 +207,38 @@ class _Parser:
         return int(tok.text)
 
     def proof(self) -> Proof:
-        self.expect("(", "a proof '('")
-        tok = self.advance()
-        if tok.kind not in ("kw", "ident"):
-            raise ParseError(f"expected a rule keyword, found {_describe(tok)}", tok.span)
-        kw = tok.text
-        if kw == "ax":
-            node = mk_axiom(self.formula())  # total
-        elif kw == "ex":
-            i, p = self.index(), self.proof()
-            node = _lenient(lambda: mk_exchange(p, i), _proof.Exchange(i), (p,), _keep)
-        elif kw == "cut":
-            i, l, r = self.index(), self.proof(), self.proof()
-            node = _lenient(lambda: mk_cut(l, r, i), _proof.Cut(i), (l, r), _keep_right)
-        elif kw == "tensor-r":
-            l, r = self.proof(), self.proof()
-            node = mk_tensor_r(l, r)  # total
-        elif kw == "tensor-l":
-            i, p = self.index(), self.proof()
-            node = _lenient(lambda: mk_tensor_l(p, i), _proof.TensorL(i), (p,), _keep)
-        elif kw == "lolli-r":
-            p = self.proof()
-            node = _lenient(lambda: mk_lolli_r(p), _proof.LolliR(), (p,), _keep)
-        elif kw == "lolli-l":
-            i, l, r = self.index(), self.proof(), self.proof()
-            node = _lenient(
-                lambda: mk_lolli_l(l, r, i), _proof.LolliL(i), (l, r), _keep_right
-            )
-        elif kw == "prom":
-            p = self.proof()
-            node = _lenient(
-                lambda: mk_prom(p),
-                _proof.Promotion(),
-                (p,),
-                lambda ps: Sequent(ps[0].conclusion.context, Bang(ps[0].conclusion.conclusion)),
-            )
-        elif kw == "der":
-            i, p = self.index(), self.proof()
-            node = _lenient(lambda: mk_der(p, i), _proof.Dereliction(i), (p,), _keep)
-        elif kw == "ctr":
-            i, p = self.index(), self.proof()
-            node = _lenient(lambda: mk_ctr(p, i), _proof.Contraction(i), (p,), _keep)
-        elif kw == "weak":
-            i, f, p = self.index(), self.formula(), self.proof()
-            node = _lenient(
-                lambda: mk_weak(p, i, f), _proof.Weakening(i), (p,), _insert_fb(i, f)
-            )
-        elif kw == "one-l":
-            i, p = self.index(), self.proof()
-            node = _lenient(lambda: mk_one_l(p, i), _proof.OneL(i), (p,), _keep)
-        elif kw == "one-r":
-            node = mk_one_r()
-        elif kw == "all-r":
-            name = self.expect("ident", "a binder name")
-            p = self.proof()
-            node = _lenient(
-                lambda: mk_forall_r(p, name.text),
-                _proof.ForallR(),
-                (p,),
-                lambda ps: Sequent(
-                    ps[0].conclusion.context,
-                    Forall(name.text, ps[0].conclusion.conclusion),
-                ),
-            )
-        elif kw == "all-l":
-            i = self.index()
-            quantified = self.formula()
-            witness = self.formula()
-            p = self.proof()
-            node = _lenient(
-                lambda: mk_forall_l(p, i, quantified, witness),
-                _proof.ForallL(i, witness),
-                (p,),
-                _replace_fb(i, quantified),
-            )
-        else:
-            raise ParseError(f"unknown rule keyword '{kw}'", tok.span)
-        self.expect(")", "')'")
-        return node
+        """One proof s-expression.  Open nodes wait on an explicit stack
+        while their premises are read, so nesting depth costs no
+        recursion."""
+        open_nodes: list[tuple[str, list]] = []
+        while True:
+            self.expect("(", "a proof '('")
+            tok = self.advance()
+            if tok.kind not in ("kw", "ident"):
+                raise ParseError(f"expected a rule keyword, found {_describe(tok)}", tok.span)
+            if tok.text not in _RULES:
+                raise ParseError(f"unknown rule keyword '{tok.text}'", tok.span)
+            open_nodes.append((tok.text, []))
+            while True:
+                kw, args = open_nodes[-1]
+                shape, build = _RULES[kw]
+                while len(args) < len(shape) and shape[len(args)] != "p":
+                    args.append(self.argument(shape[len(args)]))
+                if len(args) < len(shape):
+                    break  # the next argument is a premise: open it
+                node = build(*args)
+                self.expect(")", "')'")
+                open_nodes.pop()
+                if not open_nodes:
+                    return node
+                open_nodes[-1][1].append(node)
+
+    def argument(self, kind: str) -> int | Formula | str:
+        if kind == "i":
+            return self.index()
+        if kind == "f":
+            return self.formula()
+        return self.expect("ident", "a binder name").text
 
 
 # Lenient fallbacks: when a rule application does not fit its schema we
@@ -326,6 +280,54 @@ def _replace_fb(at, f):
         return Sequent(new_ctx, premises[0].conclusion.conclusion)
 
     return fb
+
+
+# Each rule keyword's arguments, in order (i a context index, f a
+# formula, x a binder name, p a premise proof), and the function that
+# builds its node from them.  ax, tensor-r and one-r are total.
+_RULES = {
+    "ax": ("f", mk_axiom),
+    "ex": ("ip", lambda i, p: _lenient(
+        lambda: mk_exchange(p, i), _proof.Exchange(i), (p,), _keep)),
+    "cut": ("ipp", lambda i, l, r: _lenient(
+        lambda: mk_cut(l, r, i), _proof.Cut(i), (l, r), _keep_right)),
+    "tensor-r": ("pp", mk_tensor_r),
+    "tensor-l": ("ip", lambda i, p: _lenient(
+        lambda: mk_tensor_l(p, i), _proof.TensorL(i), (p,), _keep)),
+    "lolli-r": ("p", lambda p: _lenient(
+        lambda: mk_lolli_r(p), _proof.LolliR(), (p,), _keep)),
+    "lolli-l": ("ipp", lambda i, l, r: _lenient(
+        lambda: mk_lolli_l(l, r, i), _proof.LolliL(i), (l, r), _keep_right)),
+    "prom": ("p", lambda p: _lenient(
+        lambda: mk_prom(p),
+        _proof.Promotion(),
+        (p,),
+        lambda ps: Sequent(ps[0].conclusion.context, Bang(ps[0].conclusion.conclusion)),
+    )),
+    "der": ("ip", lambda i, p: _lenient(
+        lambda: mk_der(p, i), _proof.Dereliction(i), (p,), _keep)),
+    "ctr": ("ip", lambda i, p: _lenient(
+        lambda: mk_ctr(p, i), _proof.Contraction(i), (p,), _keep)),
+    "weak": ("ifp", lambda i, f, p: _lenient(
+        lambda: mk_weak(p, i, f), _proof.Weakening(i), (p,), _insert_fb(i, f))),
+    "one-l": ("ip", lambda i, p: _lenient(
+        lambda: mk_one_l(p, i), _proof.OneL(i), (p,), _keep)),
+    "one-r": ("", mk_one_r),
+    "all-r": ("xp", lambda name, p: _lenient(
+        lambda: mk_forall_r(p, name),
+        _proof.ForallR(),
+        (p,),
+        lambda ps: Sequent(
+            ps[0].conclusion.context, Forall(name, ps[0].conclusion.conclusion)
+        ),
+    )),
+    "all-l": ("iffp", lambda i, quantified, witness, p: _lenient(
+        lambda: mk_forall_l(p, i, quantified, witness),
+        _proof.ForallL(i, witness),
+        (p,),
+        _replace_fb(i, quantified),
+    )),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +382,57 @@ def _node_args(p: Proof) -> list[str]:
     return []
 
 
-def _inline(p: Proof) -> str:
-    parts = [RULE_KEYWORDS[type(p.rule)], *_node_args(p), *map(_inline, p.premises)]
-    return "(" + " ".join(parts) + ")"
-
-
-def _pp(p: Proof, indent: int) -> str:
-    inline = _inline(p)
-    if not p.premises or indent + len(inline) <= _WIDTH:
-        return inline
-    head = "(" + " ".join([RULE_KEYWORDS[type(p.rule)], *_node_args(p)])
-    pad = " " * (indent + 2)
-    lines = [head] + [pad + _pp(q, indent + 2) for q in p.premises]
-    return "\n".join(lines) + ")"
-
-
 def print_proof(p: Proof) -> str:
-    """Canonical text for a proof; `parse_proof` is its inverse."""
-    return _pp(p, 0)
+    """Canonical text for a proof; `parse_proof` is its inverse.
+
+    A node goes on one line when it has no premises or its one-line text
+    fits in ``_WIDTH`` columns at its indent; otherwise its head opens a
+    block and each premise follows on its own line, two columns deeper.
+    """
+    # Bottom-up over distinct nodes: each node's head, the width of its
+    # one-line text, and that text only where it is at most _WIDTH wide
+    # (or the node is a leaf), built from its premises' texts.
+    heads: dict[int, str] = {}
+    widths: dict[int, int] = {}
+    inline: dict[int, str] = {}
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        key = id(node)
+        if key in widths:
+            stack.pop()
+            continue
+        todo = [q for q in node.premises if id(q) not in widths]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        head = "(" + " ".join([RULE_KEYWORDS[type(node.rule)], *_node_args(node)])
+        width = len(head) + 1 + sum(1 + widths[id(q)] for q in node.premises)
+        heads[key] = head
+        widths[key] = width
+        if width <= _WIDTH or not node.premises:
+            inline[key] = " ".join([head, *(inline[id(q)] for q in node.premises)]) + ")"
+    # Top-down layout: a stack of (node, indent) pairs and literal text.
+    out: list[str] = []
+    layout: list = [(p, 0)]
+    while layout:
+        item = layout.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, indent = item
+        key = id(node)
+        if not node.premises or indent + widths[key] <= _WIDTH:
+            out.append(inline[key])
+            continue
+        out.append(heads[key])
+        layout.append(")")
+        pad = "\n" + " " * (indent + 2)
+        for q in reversed(node.premises):
+            layout.append((q, indent + 2))
+            layout.append(pad)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

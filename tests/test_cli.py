@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from linlog import cli
 from linlog.cli import main
 from linlog.encodings import church, library, mult_cut, plain_body
 from linlog.formula import Var
 from linlog.proof import proof_eq
-from linlog.rewrite import is_cut_free
+from linlog.rewrite import RewriteError, is_cut_free
 from linlog.sexpr import parse_proof, print_proof
 
 A = Var("A")
+
+
+def _run(argv, **env):
+    """`linlog ARGV` in a fresh interpreter; linlog comes from this tree."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-m", "linlog.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
 
 
 @pytest.fixture
@@ -151,13 +163,51 @@ def test_bad_assignment_is_a_usage_error(church2_file, capsys):
 
 
 def test_output_is_byte_deterministic(mult2x2_file):
-    runs = [
-        subprocess.run(
-            [sys.executable, "-m", "linlog.cli", "normalize", mult2x2_file, "--trace"],
-            capture_output=True,
-            check=True,
-        )
-        for _ in range(2)
-    ]
+    runs = [_run(["normalize", mult2x2_file, "--trace"]) for _ in range(2)]
+    assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stderr == b""
+
+
+def test_deep_numeral_checks_and_round_trips(tmp_path, capsys):
+    p = church(1200, A)
+    text = print_proof(p)
+    f = tmp_path / "church1200.llp"
+    f.write_text(text + "\n")
+    assert main(["check", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out) == "⊢ !(A -o A) -o (A -o A)"
+    assert parse_proof(text) == p
+
+
+def test_too_deep_formula_is_a_domain_error(tmp_path):
+    f = tmp_path / "bangs.llp"
+    f.write_text("(ax " + "!" * 5000 + "A)\n")
+    run = _run(["check", str(f)])
+    assert run.returncode == 1
+    assert run.stdout == b""
+    err = run.stderr.decode()
+    assert err.startswith("linlog: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_rewrite_errors_are_domain_errors(mult2x2_file, monkeypatch, capsys):
+    def broken(p, max_steps):
+        raise RewriteError("guard tripped")
+
+    monkeypatch.setattr(cli, "normalize", broken)
+    assert main(["normalize", mult2x2_file]) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == "linlog: guard tripped\n"
+
+
+def test_output_does_not_depend_on_the_hash_seed(mult2x2_file):
+    commands = (
+        ["normalize", mult2x2_file, "--trace"],
+        ["encode", "hypexp"],
+        ["encode", "church2-2"],
+    )
+    for argv in commands:
+        runs = [_run(argv, PYTHONHASHSEED=seed) for seed in ("0", "1", "4242")]
+        assert all(r.returncode == 0 and r.stderr == b"" for r in runs)
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout

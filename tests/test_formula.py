@@ -1,5 +1,11 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
+from linlog import formula
+from linlog.encodings import church
 from linlog.formula import (
     INT,
     Bang,
@@ -20,6 +26,8 @@ from linlog.formula import (
     sequent_alpha_eq,
     substitute,
 )
+from linlog.proof import validate
+from linlog.sexpr import parse_formula
 
 A = Var("A")
 X = Var("x")
@@ -150,3 +158,50 @@ def test_sequent_alpha_eq():
     t = Sequent((Forall("y", Lolli(Y, Y)),), One())
     assert sequent_alpha_eq(s, t)
     assert not sequent_alpha_eq(s, Sequent((), One()))
+
+
+def test_formulas_are_interned():
+    assert Var("A") is Var("A")
+    assert One() is One()
+    assert Lolli(Bang(endo(A)), endo(A)) is int_type(A)
+    assert hash(Tensor(X, Y)) == hash(Tensor(Var("x"), Var("y")))
+    # alpha-variants stay distinct objects: == is structural, not alpha
+    renamed = Forall("y", Lolli(Y, Y))
+    assert renamed != Forall("x", Lolli(X, X))
+    assert alpha_eq(renamed, Forall("x", Lolli(X, X)))
+    assert canonical_print(renamed) == canonical_print(Forall("x", Lolli(X, X)))
+
+
+def test_parsed_formulas_are_the_constructed_ones():
+    assert parse_formula("(all x. !(x -o x) -o (x -o x))") is INT
+    assert parse_formula("!A * 1 -o A") is Lolli(Tensor(Bang(A), One()), A)
+
+
+def test_intern_table_holds_formulas_weakly():
+    a = Lolli(Var("only_here"), Tensor(One(), Var("only_here")))
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+def test_copies_and_pickles_are_the_interned_formula():
+    assert copy.copy(INT) is INT
+    assert copy.deepcopy(INT) is INT
+    assert pickle.loads(pickle.dumps(INT)) is INT
+
+
+def test_validate_of_a_numeral_never_compares_structurally(monkeypatch):
+    calls = []
+    real = formula._alpha
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formula, "_alpha", counting)
+    assert alpha_eq(Forall("x", X), Forall("y", Y))
+    assert len(calls) > 0  # the patch sees the structural walk
+    calls.clear()
+    assert validate(church(300, A)) == []
+    assert calls == []

@@ -12,7 +12,17 @@ from linlog.formula import (
     Var,
     int_type,
 )
+from linlog.encodings import (
+    add_cut,
+    church,
+    church_body,
+    exp_cut,
+    hypexp_cut,
+    library,
+    mult_cut,
+)
 from linlog.proof import (
+    RULE_KEYWORDS,
     mk_axiom,
     mk_ctr,
     mk_cut,
@@ -44,6 +54,7 @@ from linlog.sexpr import (
     print_proof,
     step_json,
 )
+from linlog.sexpr import _node_args
 
 A = Var("A")
 
@@ -148,6 +159,16 @@ def test_parse_proof_is_lenient_validate_reports():
 def test_parse_proof_errors():
     with pytest.raises(ParseError):
         parse_proof("(frobnicate (ax A))")
+    with pytest.raises(ParseError) as err:
+        parse_proof("(ex 0 (der x (ax A)))")
+    assert (err.value.span.start, err.value.span.end) == (11, 12)
+    with pytest.raises(ParseError) as err:
+        parse_proof("(cut 0 (ax A) (frob 1))")
+    assert (err.value.span.start, err.value.span.end) == (15, 19)
+    with pytest.raises(ParseError) as err:
+        parse_proof("(lolli-r (ax A) (ax A))")
+    assert (err.value.span.start, err.value.span.end) == (16, 17)
+    assert err.value.message.endswith("found '('")
     with pytest.raises(ParseError):
         parse_proof("(ax A) (ax A)")
     with pytest.raises(ParseError):
@@ -199,3 +220,51 @@ def test_step_json():
         "path": [0, 1],
         "sizes": [10, 8],
     }
+
+
+# The printer as it was written before it became iterative: `_pp`
+# rebuilds the one-line text of every subtree at every level, so it is
+# quadratic and recurses with the depth of the proof.  It is kept here
+# as the reference for the layout.
+_REF_WIDTH = 72
+
+
+def _ref_inline(p):
+    parts = [RULE_KEYWORDS[type(p.rule)], *_node_args(p), *map(_ref_inline, p.premises)]
+    return "(" + " ".join(parts) + ")"
+
+
+def _ref_pp(p, indent=0):
+    inline = _ref_inline(p)
+    if not p.premises or indent + len(inline) <= _REF_WIDTH:
+        return inline
+    head = "(" + " ".join([RULE_KEYWORDS[type(p.rule)], *_node_args(p)])
+    pad = " " * (indent + 2)
+    lines = [head] + [pad + _ref_pp(q, indent + 2) for q in p.premises]
+    return "\n".join(lines) + ")"
+
+
+def test_printer_matches_the_recursive_reference():
+    proofs = [*library().values(), *_one_of_everything()]
+    proofs += [church(n, A) for n in range(61)]
+    proofs += [church_body(k, A) for k in range(13)]
+    proofs += [add_cut(m, n, A) for m in range(4) for n in range(4)]
+    proofs += [mult_cut(m, n, A) for m in range(4) for n in range(4)]
+    proofs += [exp_cut(2, n, A) for n in range(1, 4)]
+    proofs += [hypexp_cut(n) for n in range(3)]
+    # lenient trees: weakening indices out of range, quantifier-left
+    # instances that do not fit, inside and outside the context
+    proofs += [
+        parse_proof(text)
+        for text in (
+            "(weak 9 !A (ax A))",
+            "(weak 3 !B (one-r))",
+            "(weak 2 !B (lolli-r (ax A)))",
+            "(all-l 0 (all x. x -o x) B (ax A))",
+            "(all-l 4 (all x. x) A (ax A))",
+            "(lolli-r (weak 7 !(A -o A) (all-l 2 (all x. !(x -o x) -o (x -o x)) "
+            "(A -o A) (ax !(A -o A) -o (A -o A)))))",
+        )
+    ]
+    for p in proofs:
+        assert print_proof(p) == _ref_pp(p)
