@@ -16,8 +16,10 @@ The canonical form stores each term as an exact base point (a tuple of
 rationals, never expanded) plus a sorted multiset of *basis indices*
 (ket arguments are expanded multilinearly over the standard basis, so
 symmetry and linearity in the arguments hold by construction).  Two
-elements are equal iff their canonical term maps are equal — all
-arithmetic is `fractions.Fraction`, so equality is decidable and exact.
+elements are equal iff their canonical term maps are equal.  Numbers
+are exact rationals, an `int` when integral and else a `Fraction`,
+never a float: mixed arithmetic stays exact and an integral `Fraction`
+equals and hashes like its `int`, so equality is decidable and exact.
 
 The structure maps implemented here:
 
@@ -136,11 +138,19 @@ def space_label(s: Space) -> str:
 # ---------------------------------------------------------------------------
 # Vectors
 
+#: An exact rational: an `int` when integral, else a `Fraction`.
+Rational = int | Fraction
+
+
+def exact(q: Rational) -> Rational:
+    """``q`` as an `int` when it is integral, else as it is."""
+    return q.numerator if q.denominator == 1 else q
+
 
 @dataclass(frozen=True)
 class Vect:
     space: Space
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
     def __post_init__(self):
         d = space_dim(self.space)
@@ -171,7 +181,7 @@ def vec_add(a: Vect, b: Vect) -> Vect:
     return Vect(a.space, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
 
-def vec_scale(c: Fraction, a: Vect) -> Vect:
+def vec_scale(c: Rational, a: Vect) -> Vect:
     return Vect(a.space, tuple(c * x for x in a.coords))
 
 
@@ -182,8 +192,8 @@ def vec_is_zero(a: Vect) -> bool:
 # ---------------------------------------------------------------------------
 # Bang elements
 
-#: Canonical key of one ket term: (base point coords, sorted basis indices).
-BangKey = tuple[tuple[Fraction, ...], tuple[int, ...]]
+#: Canonical key of one ket term: (exact base point coords, sorted basis indices).
+BangKey = tuple[tuple[Rational, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -191,13 +201,13 @@ class BangElem:
     """A finite linear combination of basis kets over !space."""
 
     space: Space  # the underlying V, not !V
-    terms: tuple[tuple[BangKey, Fraction], ...]  # sorted, no zero coeffs
+    terms: tuple[tuple[BangKey, Rational], ...]  # sorted, no zero coeffs
 
     def is_zero(self) -> bool:
         return not self.terms
 
 
-def bang_from_terms(space: Space, acc: dict[BangKey, Fraction]) -> BangElem:
+def bang_from_terms(space: Space, acc: dict[BangKey, Rational]) -> BangElem:
     cleaned = {k: c for k, c in acc.items() if c != 0}
     return BangElem(space, tuple(sorted(cleaned.items())))
 
@@ -208,27 +218,27 @@ def zero_bang(space: Space) -> BangElem:
 
 def vacuum(base: Vect) -> BangElem:
     """|o⟩_P — the vacuum marking the point P."""
-    return BangElem(base.space, (((base.coords, ()), Fraction(1)),))
+    return BangElem(base.space, (((base.coords, ()), 1),))
 
 
-def _pure_ket(space: Space, base: tuple[Fraction, ...], args: tuple[int, ...]) -> BangElem:
-    return BangElem(space, (((base, tuple(sorted(args))), Fraction(1)),))
+def _pure_ket(space: Space, base: tuple[Rational, ...], args: tuple[int, ...]) -> BangElem:
+    return BangElem(space, (((base, tuple(sorted(args))), 1),))
 
 
 def ket(base: Vect, args: Sequence[Vect]) -> BangElem:
     """|ν₁, …, ν_s⟩_P expanded multilinearly over the standard basis."""
-    acc: dict[BangKey, Fraction] = {}
+    acc: dict[BangKey, Rational] = {}
     choices = []
     for v in args:
         if v.space != base.space:
             raise ValueError("ket arguments must live in the base point's space")
         choices.append([(i, c) for i, c in enumerate(v.coords) if c != 0])
     for combo in itertools.product(*choices):
-        coeff = Fraction(1)
+        coeff = 1
         for _, c in combo:
             coeff *= c
         key = (base.coords, tuple(sorted(i for i, _ in combo)))
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc.get(key, 0) + coeff
     return bang_from_terms(base.space, acc)
 
 
@@ -237,11 +247,11 @@ def bang_add(a: BangElem, b: BangElem) -> BangElem:
         raise ValueError("adding bang elements of different spaces")
     acc = dict(a.terms)
     for k, c in b.terms:
-        acc[k] = acc.get(k, Fraction(0)) + c
+        acc[k] = acc.get(k, 0) + c
     return bang_from_terms(a.space, acc)
 
 
-def bang_scale(c: Fraction, a: BangElem) -> BangElem:
+def bang_scale(c: Rational, a: BangElem) -> BangElem:
     if c == 0:
         return zero_bang(a.space)
     return BangElem(a.space, tuple((k, c * x) for k, x in a.terms))
@@ -268,14 +278,14 @@ def _term_sort_key(key: tuple[Descriptor, ...]):
 @dataclass(frozen=True)
 class TensorElem:
     factors: tuple[Space, ...]
-    terms: tuple[tuple[tuple[Descriptor, ...], Fraction], ...]
+    terms: tuple[tuple[tuple[Descriptor, ...], Rational], ...]
 
     def is_zero(self) -> bool:
         return not self.terms
 
 
 def tensor_from_terms(
-    factors: tuple[Space, ...], acc: dict[tuple[Descriptor, ...], Fraction]
+    factors: tuple[Space, ...], acc: dict[tuple[Descriptor, ...], Rational]
 ) -> TensorElem:
     cleaned = {k: c for k, c in acc.items() if c != 0}
     ordered = sorted(cleaned.items(), key=lambda kv: _term_sort_key(kv[0]))
@@ -286,9 +296,9 @@ def tensor_from_terms(
 # Structure maps
 
 
-def counit(x: BangElem) -> Fraction:
+def counit(x: BangElem) -> Rational:
     """1 on each vacuum, 0 on longer kets, extended linearly."""
-    total = Fraction(0)
+    total = 0
     for (_, args), c in x.terms:
         if not args:
             total += c
@@ -311,14 +321,14 @@ def dereliction(x: BangElem) -> Vect:
 def coproduct(x: BangElem) -> TensorElem:
     """Δ|ν₁…ν_s⟩_P = Σ over index subsets I of |ν_I⟩_P ⊗ |ν_{I^c}⟩_P."""
     V = x.space
-    acc: dict[tuple[Descriptor, ...], Fraction] = {}
+    acc: dict[tuple[Descriptor, ...], Rational] = {}
     for (base, args), c in x.terms:
         s = len(args)
         for mask in range(1 << s):
             left = tuple(args[i] for i in range(s) if mask >> i & 1)
             right = tuple(args[i] for i in range(s) if not mask >> i & 1)
             key = ((base, left), (base, right))
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc.get(key, 0) + c
     return tensor_from_terms((BangSp(V), BangSp(V)), acc)
 
 
@@ -360,10 +370,10 @@ def lift(
     2^s − 1 distinct blocks across its B(s) partitions, plus its vacuum.
     ``out_space`` is only needed to type the result when x is zero.
     """
-    acc: dict[BangKey, Fraction] = {}
+    acc: dict[BangKey, Rational] = {}
     space = out_space
     # per base point: the φ-image of each sub-multiset met so far
-    images: dict[tuple[Fraction, ...], dict[tuple[int, ...], Vect]] = {}
+    images: dict[tuple[Rational, ...], dict[tuple[int, ...], Vect]] = {}
     for (base, args), c in x.terms:
         at_base = images.get(base)
         if at_base is None:
@@ -378,7 +388,7 @@ def lift(
                     at_base[sub] = phi(_pure_ket(x.space, base, sub))
                 block_images.append(at_base[sub])
             for key, c2 in ket(Q, block_images).terms:
-                acc[key] = acc.get(key, Fraction(0)) + c * c2
+                acc[key] = acc.get(key, 0) + c * c2
     if space is None:
         raise ValueError("lifting the zero element needs an explicit target space")
     return bang_from_terms(space, acc)
@@ -408,16 +418,16 @@ def merge(xs: Sequence[BangElem]) -> BangElem:
     parts = tuple(x.space for x in xs)
     offsets = _sum_offsets(parts)
     total = SumSp(parts)
-    acc: dict[BangKey, Fraction] = {}
+    acc: dict[BangKey, Rational] = {}
     for combo in itertools.product(*[x.terms for x in xs]) if xs else [()]:
-        coeff = Fraction(1)
-        base: tuple[Fraction, ...] = ()
+        coeff = 1
+        base: tuple[Rational, ...] = ()
         args: tuple[int, ...] = ()
         for i, ((b, a), c) in enumerate(combo):
             coeff *= c
             base += b
             args += tuple(offsets[i] + j for j in a)
-        acc[(base, args)] = acc.get((base, args), Fraction(0)) + coeff
+        acc[(base, args)] = acc.get((base, args), 0) + coeff
     return bang_from_terms(total, acc)
 
 
@@ -451,13 +461,13 @@ def split(x: BangElem) -> tuple[BangElem, ...]:
     pivot = min(terms)
     c_pivot = terms[pivot]
     pivot_parts = _split_key(pivot, parts)
-    factors: list[dict[BangKey, Fraction]] = []
+    factors: list[dict[BangKey, Rational]] = []
     for i in range(g):
-        fi: dict[BangKey, Fraction] = {}
+        fi: dict[BangKey, Rational] = {}
         for key, c in terms.items():
             kp = _split_key(key, parts)
             if all(kp[j] == pivot_parts[j] for j in range(g) if j != i):
-                fi[kp[i]] = c if i == 0 else c / c_pivot
+                fi[kp[i]] = c if i == 0 else exact(Fraction(c, c_pivot))
         factors.append(fi)
     candidates = tuple(
         bang_from_terms(parts[i], factors[i]) for i in range(g)

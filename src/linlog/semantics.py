@@ -20,10 +20,11 @@ value makes the result zero, so those branches are pruned.
 
 Inside plans a value's representation is fixed by its static space:
 
-  tuple[Fraction, ...]  element of a finite space (the unit, a base or
+  tuple[Rational, ...]  element of a finite space (the unit, a base or
                         tensor space, a materialized hom), flat over
                         the standard basis; a hom is rows first, rows
-                        indexed by the codomain
+                        indexed by the codomain.  A Rational is exact:
+                        an `int` when integral, else a `Fraction`
   BangElem              element of !V, V finite (canonical kets)
   Suspended             element of a hom space as an unapplied
                         abstraction: the ⊸R node, its captured context,
@@ -34,7 +35,8 @@ Inside plans a value's representation is fixed by its static space:
 
 The public functions (`den_apply`, `apply_hom`, `force`, `flatten`,
 `den_matrix`, `nl`, `tangent`, `probe_equal`) take and return
-`SemValue`s, checking each input against its slot's space:
+`SemValue`s, checking each input against its slot's space.  Numbers
+come in as any exact rationals and go out as `Fraction`s:
 
   Scalar     element of the ground field
   Vector     element of a finite base/tensor space (explicit coords)
@@ -43,7 +45,7 @@ The public functions (`den_apply`, `apply_hom`, `force`, `flatten`,
   Pair       element of a product of context slots (sum of pure terms)
   Suspended, ZeroMap  as above
 
-Everything is `fractions.Fraction`; there are no tolerances anywhere.
+There are no floats and no tolerances anywhere.
 
 Limits, enforced honestly with `UnsupportedSpace`: quantified formulas
 denote nothing here (second-order proofs are syntax/rewriting only),
@@ -58,7 +60,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .coalgebra import (
@@ -66,6 +68,7 @@ from .coalgebra import (
     BangSp,
     BaseSp,
     HomSp,
+    Rational,
     Space,
     TensorSp,
     UnitSp,
@@ -74,6 +77,7 @@ from .coalgebra import (
     bang_scale,
     coproduct,
     counit,
+    exact,
     is_finite,
     ket,
     lift,
@@ -121,9 +125,6 @@ class UnsupportedSpace(SemanticsError):
 #: A dimension assignment in sorted, hashable form.
 AsgKey = tuple[tuple[str, int], ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _asg_key(asg: Mapping[str, int]) -> AsgKey:
     return tuple(sorted(asg.items()))
@@ -166,10 +167,10 @@ def _require_finite(space: Space, what: str) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _basis(space: Space) -> tuple[tuple[Fraction, ...], ...]:
+def _basis(space: Space) -> tuple[tuple[int, ...], ...]:
     """The standard basis of a finite space, as flat coordinate tuples."""
     d = _require_finite(space, "basis enumeration")
-    return tuple(tuple(_ONE if i == k else _ZERO for i in range(d)) for k in range(d))
+    return tuple(tuple(int(i == k) for i in range(d)) for k in range(d))
 
 
 @lru_cache(maxsize=1024)
@@ -178,7 +179,7 @@ def _zero(space: Space) -> Value:
         return zero_bang(space.inner)
     d = space_dim(space)
     if d is not None:
-        return (_ZERO,) * d
+        return (0,) * d
     if isinstance(space, HomSp):
         return ZeroMap(space)
     raise UnsupportedSpace(f"zero value needs a finite space, got {space_label(space)}")
@@ -259,24 +260,10 @@ def unflatten(coords: Sequence[Fraction], space: Space) -> SemValue:
 # Arithmetic on plan values
 
 
-def _matvec(m: tuple[Fraction, ...], x: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _matvec(m: tuple[Rational, ...], x: tuple[Rational, ...]) -> tuple[Rational, ...]:
     """m·x for a hom value m (flat, rows first) and coordinates x."""
-    xs = [(c.numerator, c.denominator) for c in x]
-    dd = len(xs)
-    out = []
-    for i in range(0, len(m), dd):
-        # running integer numerator/denominator; one normalization per entry
-        num, den = 0, 1
-        for r, (xn, xd) in zip(m[i : i + dd], xs):
-            rn = r.numerator * xn
-            if rn:
-                rd = r.denominator * xd
-                if rd == den:
-                    num += rn
-                else:
-                    num, den = num * rd + rn * den, den * rd
-        out.append(_ZERO if not num else Fraction(num) if den == 1 else Fraction(num, den))
-    return tuple(out)
+    dd = len(x)
+    return tuple([sum(map(mul, m[i : i + dd], x)) for i in range(0, len(m), dd)])
 
 
 def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
@@ -289,7 +276,7 @@ def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
     return _matvec(psi, a if type(a) is tuple else _flat(a, dom_of()))
 
 
-def _materialize(v: Suspended, space: Space) -> tuple[Fraction, ...]:
+def _materialize(v: Suspended, space: Space) -> tuple[Rational, ...]:
     if not isinstance(space, HomSp):
         raise SemanticsError("abstraction value in a non-hom space")
     _require_finite(space.dom, "materializing an abstraction")
@@ -298,7 +285,7 @@ def _materialize(v: Suspended, space: Space) -> tuple[Fraction, ...]:
     return tuple(itertools.chain.from_iterable(zip(*cols)))
 
 
-def _flat(v: Value, space: Space) -> tuple[Fraction, ...]:
+def _flat(v: Value, space: Space) -> tuple[Rational, ...]:
     """Coordinates of a plan value over the standard basis of ``space``."""
     if type(v) is tuple:
         return v
@@ -307,7 +294,7 @@ def _flat(v: Value, space: Space) -> tuple[Fraction, ...]:
     raise UnsupportedSpace(f"no coordinates over {space_label(space)}")
 
 
-def _scale(c: Fraction, v: Value, space: Space) -> Value:
+def _scale(c: Rational, v: Value, space: Space) -> Value:
     if c == 0:
         return _zero(space)
     if type(v) is BangElem:
@@ -327,7 +314,7 @@ def _add(a: Value, b: Value, space: Space) -> Value:
     return tuple(map(add, _flat(a, space), _flat(b, space)))
 
 
-def _acc(out: Value | None, c: Fraction, r: Value, space_of: Callable[[], Space]) -> Value:
+def _acc(out: Value | None, c: Rational, r: Value, space_of: Callable[[], Space]) -> Value:
     """out + c·r, where out is None before the first term; the space is
     resolved only when a sum or a scaling needs it."""
     if c != 1:
@@ -412,7 +399,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
     if kind is Axiom:
         return _first
     if kind is OneR:
-        return lambda env: (_ONE,)
+        return lambda env: (1,)
     if kind in (ForallR, ForallL):
         return _second_order
     if kind is LolliR:
@@ -457,7 +444,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
             head, tail = env[:at], env[at + 1 :]
             out = None
             for (kl, kr), c in coproduct(x).terms:
-                pair = (BangElem(x.space, ((kl, _ONE),)), BangElem(x.space, ((kr, _ONE),)))
+                pair = (BangElem(x.space, ((kl, 1),)), BangElem(x.space, ((kr, 1),)))
                 out = _acc(out, c, body(head + pair + tail), cs)
             return zero() if out is None else out
 
@@ -508,7 +495,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
         def phi(x: BangElem) -> Vect:
             out = None
             for key, c in x.terms:
-                out = _acc(out, c, body(split(BangElem(x.space, ((key, _ONE),)))), inner)
+                out = _acc(out, c, body(split(BangElem(x.space, ((key, 1),)))), inner)
             return Vect(inner(), _zero(inner()) if out is None else _flat(out, inner()))
 
         return lambda env: lift(phi, merge(env), out_space=inner())
@@ -525,6 +512,11 @@ def _den_env(p: Proof, env: tuple, asg: AsgKey) -> Value:
 # The public boundary
 
 
+def _bang_terms(x: BangElem, num: Callable) -> tuple:
+    """x's terms, with ``num`` applied to each base coordinate and coefficient."""
+    return tuple(((tuple(map(num, base)), args), num(c)) for (base, args), c in x.terms)
+
+
 def _bang_in(x: BangElem, inner: Space) -> BangElem:
     d = space_dim(inner)
     for (base, args), _c in x.terms:
@@ -532,7 +524,7 @@ def _bang_in(x: BangElem, inner: Space) -> BangElem:
             raise UnsupportedSpace(f"no ket may be based in {space_label(inner)}")
         if len(base) != d or any(not 0 <= i < d for i in args):
             raise SemanticsError(f"ket does not live over {space_label(inner)}")
-    return x if x.space == inner else BangElem(inner, x.terms)
+    return BangElem(inner, _bang_terms(x, exact))
 
 
 def _internal(v: SemValue, space: Space) -> Value:
@@ -554,14 +546,14 @@ def _internal(v: SemValue, space: Space) -> Value:
         raise SemanticsError(
             f"value has {len(coords)} coordinates but {space_label(space)} has dimension {d}"
         )
-    return coords
+    return tuple(map(exact, coords))
 
 
 def _public(v: Value, space_of: Callable[[], Space]) -> SemValue:
     if type(v) is tuple:
-        return unflatten(v, space_of())
+        return unflatten(tuple(map(Fraction, v)), space_of())
     if type(v) is BangElem:
-        return BangVal(v)
+        return BangVal(BangElem(v.space, _bang_terms(v, Fraction)))
     return v
 
 
@@ -569,7 +561,7 @@ def _desc_value(desc, space: Space) -> Value:
     """The slot value a `Pair` term descriptor names: a basis vector, or
     a ket on a ! slot."""
     if isinstance(space, BangSp):
-        return _bang_in(BangElem(space.inner, ((desc, _ONE),)), space.inner)
+        return _bang_in(BangElem(space.inner, ((desc, 1),)), space.inner)
     basis = _basis(space)
     if not 0 <= desc < len(basis):
         raise SemanticsError(f"basis index {desc} out of range for dimension {len(basis)}")
@@ -599,7 +591,7 @@ def force(v: SemValue, space: Space) -> SemValue:
 
 def flatten(v: SemValue, space: Space) -> tuple[Fraction, ...]:
     """Coordinates of a value over the standard basis of a finite space."""
-    return _flat(_internal(v, space), space)
+    return tuple(map(Fraction, _flat(_internal(v, space), space)))
 
 
 def apply_hom(psi: SemValue, a: SemValue) -> SemValue:
@@ -621,21 +613,21 @@ def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
     """
     key = _asg_key(asg)
     ctx = p.conclusion.context
-    branches: list[tuple[Fraction, tuple]]
+    branches: list[tuple[Rational, tuple]]
     if len(ctx) == 0:
         if type(input) is not Scalar:
             raise SemanticsError("empty context takes a Scalar input")
-        branches = [(input.value, ())]
+        branches = [(exact(input.value), ())]
     elif type(input) is Pair:
         spaces = _ctx_spaces(p.conclusion, key)
         if len(input.elem.factors) != len(ctx):
             raise SemanticsError("input arity does not match the context")
         branches = [
-            (c, tuple(_desc_value(d, s) for d, s in zip(k, spaces)))
+            (exact(c), tuple(_desc_value(d, s) for d, s in zip(k, spaces)))
             for k, c in input.elem.terms
         ]
     elif len(ctx) == 1:
-        branches = [(_ONE, (_internal(input, _den_formula(ctx[0], key)),))]
+        branches = [(1, (_internal(input, _den_formula(ctx[0], key)),))]
     else:
         raise SemanticsError("multi-hypothesis contexts take a Pair input")
     cs = _once(lambda: _den_formula(p.conclusion.conclusion, key))
@@ -665,7 +657,7 @@ def den_matrix(p: Proof, asg: Mapping[str, int]) -> list[list[Fraction]]:
         _flat(_den_env(p, env, key), cspace)
         for env in itertools.product(*[_basis(s) for s in spaces])
     ]
-    return [list(row) for row in zip(*cols)]
+    return [list(map(Fraction, row)) for row in zip(*cols)]
 
 
 def _bang_hypothesis_space(p: Proof, asg: Mapping[str, int]) -> tuple[Space, bool]:
@@ -701,16 +693,12 @@ def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
     raw rational / sequence / matrix of rationals."""
     if isinstance(point, (Scalar, Vector, Matrix, BangVal, Pair, Suspended, ZeroMap)):
         return flatten(point, space)
-    if isinstance(point, (int, Fraction)):
-        coords: tuple[Fraction, ...] = (Fraction(point),)
-    else:
-        flat: list[Fraction] = []
-        for row in point:  # type: ignore[union-attr]
-            if isinstance(row, (int, Fraction)):
-                flat.append(Fraction(row))
-            else:
-                flat.extend(Fraction(x) for x in row)
-        coords = tuple(flat)
+    rows = [point] if isinstance(point, (int, Fraction)) else point
+    coords = tuple(
+        Fraction(x)
+        for row in rows  # type: ignore[union-attr]
+        for x in ((row,) if isinstance(row, (int, Fraction)) else row)
+    )
     if len(coords) != _require_finite(space, "a point"):
         raise SemanticsError(
             f"point has {len(coords)} coordinates but {space_label(space)} "

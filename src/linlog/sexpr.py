@@ -364,12 +364,8 @@ def _node_args(p: Proof) -> list[str]:
         return [str(rule.at)]
     if isinstance(rule, _proof.Weakening):
         ctx = p.conclusion.context
-        if 0 <= rule.at < len(ctx):
-            f = ctx[rule.at]
-        elif ctx:  # lenient tree: formula was clamped into range
-            f = ctx[min(max(rule.at, 0), len(ctx) - 1)]
-        else:
-            f = One()
+        # a lenient tree's formula was clamped into range
+        f = ctx[min(max(rule.at, 0), len(ctx) - 1)] if ctx else One()
         return [str(rule.at), format_formula(f)]
     if isinstance(rule, _proof.ForallR):
         f = p.conclusion.conclusion
@@ -377,7 +373,8 @@ def _node_args(p: Proof) -> list[str]:
         return [binder]
     if isinstance(rule, _proof.ForallL):
         ctx = p.conclusion.context
-        q = ctx[rule.at] if 0 <= rule.at < len(ctx) else One()
+        # a lenient tree's quantified formula was appended to the context
+        q = ctx[rule.at] if 0 <= rule.at < len(ctx) else ctx[-1] if ctx else One()
         return [str(rule.at), format_formula(q), format_formula(rule.witness)]
     return []
 

@@ -5,11 +5,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from linlog.coalgebra import (
     BangElem,
     BangSp,
     BaseSp,
     SumSp,
+    Vect,
     bang_add,
     bang_from_terms,
     basis_vec,
@@ -155,21 +159,36 @@ def test_coproduct_of_repeated_argument_by_hand():
     assert lhs == tensor_from_terms(lhs.factors, expected)
 
 
+def _assert_counit_laws(x: BangElem) -> None:
+    left = {}
+    right = {}
+    for (kl, kr), c in coproduct(x).terms:
+        if not kl[1]:
+            left[kr] = left.get(kr, 0) + c
+        if not kr[1]:
+            right[kl] = right.get(kl, 0) + c
+    assert bang_from_terms(x.space, left) == x
+    assert bang_from_terms(x.space, right) == x
+
+
+def _assert_coassociative(x: BangElem) -> None:
+    lhs = {}
+    rhs = {}
+    for (kl, kr), c in coproduct(x).terms:
+        for (k1, k2), c2 in coproduct(_pure(x.space, kl)).terms:
+            key = (k1, k2, kr)
+            lhs[key] = lhs.get(key, 0) + c * c2
+        for (k2, k3), c2 in coproduct(_pure(x.space, kr)).terms:
+            key = (kl, k2, k3)
+            rhs[key] = rhs.get(key, 0) + c * c2
+    assert {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
+
+
 def test_counit_laws_on_random_elements():
     rng = random.Random(11)
     V = BaseSp("A", 2)
     for _ in range(30):
-        x = _rand_elem(rng, V)
-        t = coproduct(x)
-        left = {}
-        right = {}
-        for (kl, kr), c in t.terms:
-            if not kl[1]:
-                left[kr] = left.get(kr, Fraction(0)) + c
-            if not kr[1]:
-                right[kl] = right.get(kl, Fraction(0)) + c
-        assert bang_from_terms(V, left) == x
-        assert bang_from_terms(V, right) == x
+        _assert_counit_laws(_rand_elem(rng, V))
 
 
 def test_coproduct_is_cocommutative():
@@ -186,20 +205,27 @@ def test_coproduct_is_coassociative():
     rng = random.Random(17)
     V = BaseSp("A", 2)
     for _ in range(20):
-        x = _rand_elem(rng, V)
-        t = coproduct(x)
-        lhs = {}
-        rhs = {}
-        for (kl, kr), c in t.terms:
-            for (k1, k2), c2 in coproduct(_pure(V, kl)).terms:
-                key = (k1, k2, kr)
-                lhs[key] = lhs.get(key, Fraction(0)) + c * c2
-            for (k2, k3), c2 in coproduct(_pure(V, kr)).terms:
-                key = (kl, k2, k3)
-                rhs[key] = rhs.get(key, Fraction(0)) + c * c2
-        assert {k: v for k, v in lhs.items() if v} == {
-            k: v for k, v in rhs.items() if v
-        }
+        _assert_coassociative(_rand_elem(rng, V))
+
+
+# Exact rationals as the evaluator carries them: an int, an integral
+# Fraction, or a Fraction with a denominator up to 7.
+_rationals = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+)
+_V2 = BaseSp("A", 2)
+_vects = st.lists(_rationals, min_size=2, max_size=2).map(lambda cs: Vect(_V2, tuple(cs)))
+_kets = st.builds(ket, _vects, st.lists(_vects, max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_kets, _kets)
+def test_counit_and_coassociativity_on_rational_kets(x, y):
+    for elem in (x, bang_add(x, y)):
+        _assert_counit_laws(elem)
+        _assert_coassociative(elem)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +374,35 @@ def test_split_of_single_term_puts_coefficient_on_first_factor():
     sx, sy = split(m)
     assert sx.terms[0][1] == Fraction(6)
     assert sy.terms[0][1] == Fraction(1)
+
+
+def _has_float(x: BangElem) -> bool:
+    return any(
+        isinstance(v, float) for (base, _), c in x.terms for v in (*base, c)
+    )
+
+
+def test_split_is_exact_for_int_and_fraction_coefficients():
+    U, W = BaseSp("A", 1), BaseSp("B", 1)
+    # two one-term factors with int coefficients: the second factor's
+    # coefficient is c / c_pivot = 1, not 1.0
+    one = merge([vacuum(Vect(U, (1,))), vacuum(Vect(W, (2,)))])
+    cases = [BangElem(one.space, tuple((k, int(c)) for k, c in one.terms))]
+    # two-term factors whose merge has pivot coefficient 2, 2/1 or 2/3
+    for cx, cy in (
+        ((2, 3), (1, 4)),
+        ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(4))),
+        ((Fraction(2, 3), Fraction(1, 2)), (1, Fraction(5, 7))),
+    ):
+        x = BangElem(U, (((((1,), ()), cx[0]), (((3,), ()), cx[1]))))
+        y = BangElem(W, (((((2,), ()), cy[0]), (((5,), (0,)), cy[1]))))
+        cases.append(merge([x, y]))
+    assert [m.terms[0][1] for m in cases] == [1, 2, 2, Fraction(2, 3)]
+    for m in cases:
+        assert not _has_float(m)
+        parts = split(m)
+        assert not any(_has_float(p) for p in parts)
+        assert merge(parts) == m
 
 
 def test_merge_of_nothing_is_the_empty_vacuum():

@@ -254,7 +254,7 @@ def test_printer_matches_the_recursive_reference():
     proofs += [hypexp_cut(n) for n in range(3)]
     # lenient trees: weakening indices out of range, quantifier-left
     # instances that do not fit, inside and outside the context
-    proofs += [
+    lenient = [
         parse_proof(text)
         for text in (
             "(weak 9 !A (ax A))",
@@ -266,5 +266,10 @@ def test_printer_matches_the_recursive_reference():
             "(A -o A) (ax !(A -o A) -o (A -o A)))))",
         )
     ]
-    for p in proofs:
+    for p in proofs + lenient:
         assert print_proof(p) == _ref_pp(p)
+    # an out-of-range all-l prints the quantified formula its parse
+    # appended to the context, so lenient trees round-trip too
+    assert print_proof(lenient[4]) == "(all-l 4 (all x. x) A (ax A))"
+    for t in lenient:
+        assert parse_proof(print_proof(t)) == t

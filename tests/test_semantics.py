@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linlog.coalgebra import (
     BangElem,
@@ -482,3 +485,103 @@ def test_zero_in_an_infinite_hom_space_is_a_map_to_zero():
     assert _as_rows(apply_hom(h1, BangVal(vacuum(P)))) == _unit_matrix(2, 0)
     assert values_agree(h, den_apply(p, BangVal(bang_scale(Fraction(0), vacuum(P))), ASG),
                         den_formula(Lolli(Bang(e), e), ASG))
+
+
+# ---------------------------------------------------------------------------
+# Non-integral rationals.  Every benchmark input is integral, so only these
+# tests reach the evaluator's Fraction path; entries are drawn as ints,
+# integral Fractions and Fractions with denominators up to 7, mixed.
+
+_rationals = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+)
+_mats = st.lists(st.lists(_rationals, min_size=2, max_size=2), min_size=2, max_size=2)
+_small_mults = [(m, n) for m in range(5) for n in range(5) if m * n <= 4]
+
+
+def _rational_ket_value(p, alpha, nus):
+    """⟦p⟧ of a closed numeral on |ν₁…ν_s⟩_α, as rows."""
+    h = den_apply(p, Scalar(Fraction(1)), ASG)
+    x = ket(_mat_vect(alpha), [_mat_vect(nu) for nu in nus])
+    return [list(r) for r in force(apply_hom(h, BangVal(x)), E_SPACE).rows]
+
+
+@functools.cache
+def _mult_normal_form(m, n):
+    res = normalize(mult_cut(m, n, A))
+    assert not res.exhausted
+    return res.proof
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 6), _mats, st.lists(_mats, max_size=3))
+def test_numerals_on_rational_kets_match_the_polynomial_oracle(k, alpha, nus):
+    assert _rational_ket_value(church(k, A), alpha, nus) == _ket_coefficient(k, alpha, nus)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.sampled_from(_small_mults), _mats, st.lists(_mats, max_size=3))
+def test_unnormalized_mult_cuts_agree_with_their_normal_forms_on_rational_kets(mn, alpha, nus):
+    cut, normal = mult_cut(*mn, A), _mult_normal_form(*mn)
+    assert _rational_ket_value(cut, alpha, nus) == _rational_ket_value(normal, alpha, nus)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 6), _mats, _mats)
+def test_nl_and_tangent_at_rational_points_match_matrix_powers(k, alpha, nu):
+    powers = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]]
+    for _ in range(k):
+        powers.append(_matmul(powers[-1], alpha))
+    assert _as_rows(nl(church_body(k, A), alpha, ASG)) == powers[k]
+    # d/dt (α + tν)^k at t = 0 is the sum of α^i ν α^(k−1−i)
+    slope = [[Fraction(0)] * 2 for _ in range(2)]
+    for i in range(k):
+        slope = _mat_add(slope, _matmul(_matmul(powers[i], nu), powers[k - 1 - i]))
+    assert _as_rows(tangent(church(k, A), alpha, nu, ASG)) == slope
+
+
+def _numbers(v):
+    """Every number a public value holds: its coordinates, or the base
+    points and coefficients of its kets."""
+    if isinstance(v, Scalar):
+        return [v.value]
+    if isinstance(v, Vector):
+        return list(v.vec.coords)
+    if isinstance(v, Matrix):
+        return [c for row in v.rows for c in row]
+    if isinstance(v, BangVal):
+        return [n for (base, _), c in v.elem.terms for n in (*base, c)]
+    return [n for item in v for n in (_numbers(item) if isinstance(item, list) else [item])]
+
+
+@pytest.mark.parametrize("num", [int, Fraction])
+def test_public_outputs_hold_only_fractions(num):
+    V = BaseSp("A", 2)
+    P = [[num(1), num(2)], [num(0), num(3)]]
+    nu = [[num(0), num(1)], [num(-2), num(0)]]
+    x = BangVal(ket(_mat_vect(P), [_mat_vect(nu)]))
+    m = Matrix(E_SPACE, ((num(1), num(2)), (num(3), num(4))))
+    h = den_apply(church(2, A), Scalar(num(1)), ASG)
+    pair = Pair(tensor_from_terms((E_SPACE, E_SPACE), {(0, 1): num(3), (2, 2): num(1)}))
+    outputs = [
+        den_apply(mk_one_r(), Scalar(num(2)), ASG),
+        den_apply(mk_axiom(A), Vector(Vect(V, (num(1), num(2)))), ASG),
+        den_apply(mk_axiom(Bang(endo(A))), x, ASG),
+        den_apply(mk_prom(church_body(2, A)), x, ASG),
+        den_apply(comp(A), pair, ASG),
+        apply_hom(h, x),
+        apply_hom(m, Vector(Vect(V, (num(1), num(-1))))),
+        force(m, E_SPACE),
+        force(den_apply(mk_lolli_r(mk_axiom(A)), Scalar(num(1)), ASG), E_SPACE),
+        force(x, BangSp(E_SPACE)),
+        flatten(m, E_SPACE),
+        den_matrix(comp(A), ASG),
+        nl(church(2, A), [[num(1), num(2)], [num(0), num(1)]], ASG),
+        tangent(church(3, A), P, Matrix(E_SPACE, tuple(map(tuple, nu))), ASG),
+    ]
+    assert {type(v).__name__ for v in outputs[:10]} == {"Scalar", "Vector", "BangVal", "Matrix"}
+    for out in outputs:
+        numbers = _numbers(out)
+        assert numbers and all(type(c) is Fraction for c in numbers), out
