@@ -592,15 +592,27 @@ def get_at(p: Proof, path: tuple[int, ...]) -> Proof:
     return p
 
 
+def _with_premise(parent: Proof, i: int, sub: Proof) -> Proof:
+    """``parent`` with premise ``i`` replaced by ``sub``, keeping its
+    cached conclusion; ``parent`` itself if that premise is ``sub``."""
+    prems = parent.premises
+    if prems[i] is sub:
+        return parent
+    return Proof(parent.rule, prems[:i] + (sub,) + prems[i + 1 :], parent.conclusion)
+
+
 def replace_at(p: Proof, path: tuple[int, ...], sub: Proof) -> Proof:
     """Splice ``sub`` in at ``path``, keeping every ancestor's cached
-    conclusion (callers must only splice conclusion-preserving subtrees)."""
-    if not path:
-        return sub
-    i = path[0]
-    prems = list(p.premises)
-    prems[i] = replace_at(prems[i], path[1:], sub)
-    return Proof(p.rule, tuple(prems), p.conclusion)
+    conclusion (callers must only splice conclusion-preserving subtrees).
+    Walks down to collect the spine, then rebuilds it bottom-up, so the
+    depth of ``path`` costs no recursion."""
+    spine = []
+    for i in path:
+        spine.append(p)
+        p = p.premises[i]
+    for parent, i in zip(reversed(spine), reversed(path)):
+        sub = _with_premise(parent, i, sub)
+    return sub
 
 
 def proof_eq(p: Proof, q: Proof) -> bool:

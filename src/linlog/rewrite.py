@@ -26,11 +26,16 @@ a property of each node alone: its rule, its cached conclusion and its
 premises' cached conclusions.  :func:`normalize` and :func:`replay`
 validate their input once, so after a step only two kinds of node can
 be invalid: the nodes the replacement newly built, and the ancestors
-that :func:`~linlog.proof.replace_at` rebuilt.  An ancestor can break
-only when the replacement's conclusion is an alpha-variant of the old
-one rather than equal to it; otherwise it sees the premise conclusions
-it saw before.  The guard (:func:`step_violations`) checks exactly
-these nodes, so it proves what validating the whole tree would.
+rebuilt around it.  An ancestor can break only when the replacement's
+conclusion is an alpha-variant of the old one rather than equal to it;
+otherwise it sees the premise conclusions it saw before.  The guard
+(:func:`_guard`) checks the built nodes after every step, and all the
+ancestors after a step whose conclusion came back only alpha-equal, so
+it proves what validating the whole tree would.
+
+:func:`normalize` keeps its place as a zipper and rebuilds an ancestor
+only when it climbs past it; :func:`apply_rule_at`, which splices each
+step back into the root, is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .proof import (
     TensorR,
     Weakening,
     _node_violation,
+    _with_premise,
     free_vars_proof,
     get_at,
     mk_ctr,
@@ -336,33 +342,45 @@ def step_violations(
     """Schema violations of ``after``, the valid tree ``before`` with the
     cut at ``path`` replaced, as (path-from-root, message).
 
-    Checks the replacement's nodes down to those reused from the redex
-    (its premises and their premises, matched by identity), and the
-    ancestors on ``path`` when the replacement's conclusion is not
-    ``==`` to the redex's.  Given a valid ``before``, the result equals
-    ``validate(after)``, in the same (preorder) order.
+    Runs :func:`_guard`, passing it the ancestors on ``path`` when the
+    replacement's conclusion is not ``==`` to the redex's.  Given a valid
+    ``before``, the result equals ``validate(after)``, in the same
+    (preorder) order.
     """
     redex = get_at(before, path)
     replacement = get_at(after, path)
-    out: list[tuple[tuple[int, ...], str]] = []
+    ancestors = []
     if replacement.conclusion != redex.conclusion:
         node = after
-        for depth, i in enumerate(path):
-            msg = _node_violation(node)
-            if msg is not None:
-                out.append((path[:depth], msg))
+        for i in path:
+            ancestors.append(node)
             node = node.premises[i]
+    return _guard(ancestors, path, redex, replacement)
+
+
+def _guard(
+    ancestors: list[Proof], path: tuple[int, ...], redex: Proof, replacement: Proof
+) -> list[tuple[tuple[int, ...], str]]:
+    """Violations, in preorder, among ``ancestors`` (the nodes above
+    ``path``, root first) and the nodes ``replacement`` built for the
+    cut ``redex`` at ``path``: its walk stops at the nodes reused from
+    the redex (its premises and their premises, matched by identity)."""
+    out = []
+    for depth, node in enumerate(ancestors):
+        msg = _node_violation(node)
+        if msg is not None:
+            out.append((path[:depth], msg))
     reused = {id(q) for prem in redex.premises for q in (prem, *prem.premises)}
-    stack = [(path, replacement)]
+    stack: list[tuple[tuple[int, ...], Proof]] = [((), replacement)]
     while stack:
-        at, node = stack.pop()
+        rel, node = stack.pop()
         if id(node) in reused:
             continue
         msg = _node_violation(node)
         if msg is not None:
-            out.append((at, msg))
+            out.append((path + rel, msg))
         for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((at + (i,), node.premises[i]))
+            stack.append((rel + (i,), node.premises[i]))
     return out
 
 
@@ -403,19 +421,57 @@ def _check_input(p: Proof) -> None:
 
 def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
     """Validate ``p``, then run the strategy to a cut-free proof or to
-    budget exhaustion."""
+    budget exhaustion.  Takes the steps :func:`step` would, guarded as
+    in :func:`apply_rule_at`, from a zipper (Huet, "The Zipper", 1997):
+    a cursor on the redex below a stack of (parent, premise index)
+    frames, which seeks the next redex from where it is (:func:`_seek`).
+    """
     _check_input(p)
     steps: list[StepInfo] = []
-    cur = p
-    for _ in range(max_steps):
-        nxt = step(cur)
-        if nxt is None:
-            return NormalizeResult(cur, Trace(tuple(steps), cur), False)
-        cur, info = nxt
-        steps.append(info)
-    if find_redex(cur) is None:
-        return NormalizeResult(cur, Trace(tuple(steps), cur), False)
-    return NormalizeResult(cur, Trace(tuple(steps), cur), True)
+    parents: list[Proof] = []
+    path: list[int] = []  # path[k] is the premise of parents[k] the cursor is in
+    size = p.size
+    cur = _seek(p, parents, path)
+    while cur.cut_count and len(steps) < max_steps:
+        rule_id, replacement = reduce_cut(cur)
+        where = tuple(path)
+        ancestors: list[Proof] = []
+        if replacement.conclusion != cur.conclusion:
+            if not sequent_alpha_eq(replacement.conclusion, cur.conclusion):
+                raise RewriteError(f"{rule_id} changed the conclusion at {where}")
+            # the ancestors see a new premise conclusion: rebuild them now
+            node = replacement
+            for k in range(len(parents) - 1, -1, -1):
+                node = parents[k] = _with_premise(parents[k], path[k], node)
+            ancestors = parents
+        bad = _guard(ancestors, where, cur, replacement)
+        if bad:
+            raise RewriteError(f"{rule_id} at {where} broke validity: {bad[:3]}")
+        after = size - cur.size + replacement.size
+        steps.append(StepInfo(rule_id, where, size, after))
+        size = after
+        cur = _seek(replacement, parents, path)
+    exhausted = cur.cut_count > 0
+    while parents:
+        cur = _with_premise(parents.pop(), path.pop(), cur)
+    return NormalizeResult(cur, Trace(tuple(steps), cur), exhausted)
+
+
+def _seek(cur: Proof, parents: list[Proof], path: list[int]) -> Proof:
+    """Move the cursor from ``cur`` to the cut :func:`find_redex` would
+    pick from the root, rebuilding the ancestors it climbs past; return
+    that cut, or the cut-free root.  Subtrees left of the path are
+    cut-free, so that cut is in ``cur`` or else in the nearest ancestor
+    with cuts: the ancestor itself, or its first premise with cuts,
+    which lies right of the path."""
+    while not cur.cut_count and parents:
+        cur = _with_premise(parents.pop(), path.pop(), cur)
+    while cur.cut_count and not (isinstance(cur.rule, Cut) and cur.cut_count == 1):
+        i = next(j for j, q in enumerate(cur.premises) if q.cut_count)
+        parents.append(cur)
+        path.append(i)
+        cur = cur.premises[i]
+    return cur
 
 
 def replay(p: Proof, trace: Trace) -> Proof:

@@ -36,7 +36,8 @@ Inside plans a value's representation is fixed by its static space:
 The public functions (`den_apply`, `apply_hom`, `force`, `flatten`,
 `den_matrix`, `nl`, `tangent`, `probe_equal`) take and return
 `SemValue`s, checking each input against its slot's space.  Numbers
-come in as any exact rationals and go out as `Fraction`s:
+come in as `int`s or `Fraction`s (anything else, a float say, is a
+`SemanticsError`) and go out as `Fraction`s:
 
   Scalar     element of the ground field
   Vector     element of a finite base/tensor space (explicit coords)
@@ -517,6 +518,14 @@ def _bang_terms(x: BangElem, num: Callable) -> tuple:
     return tuple(((tuple(map(num, base)), args), num(c)) for (base, args), c in x.terms)
 
 
+def _exact_in(q: object) -> Rational:
+    """An input number in plan form; anything but an `int` or a
+    `Fraction` (a float, say) is a SemanticsError."""
+    if not isinstance(q, (int, Fraction)):
+        raise SemanticsError(f"{q!r} is not an exact rational (an int or a Fraction)")
+    return exact(q)
+
+
 def _bang_in(x: BangElem, inner: Space) -> BangElem:
     d = space_dim(inner)
     for (base, args), _c in x.terms:
@@ -524,7 +533,7 @@ def _bang_in(x: BangElem, inner: Space) -> BangElem:
             raise UnsupportedSpace(f"no ket may be based in {space_label(inner)}")
         if len(base) != d or any(not 0 <= i < d for i in args):
             raise SemanticsError(f"ket does not live over {space_label(inner)}")
-    return BangElem(inner, _bang_terms(x, exact))
+    return BangElem(inner, _bang_terms(x, _exact_in))
 
 
 def _internal(v: SemValue, space: Space) -> Value:
@@ -546,7 +555,7 @@ def _internal(v: SemValue, space: Space) -> Value:
         raise SemanticsError(
             f"value has {len(coords)} coordinates but {space_label(space)} has dimension {d}"
         )
-    return tuple(map(exact, coords))
+    return tuple(map(_exact_in, coords))
 
 
 def _public(v: Value, space_of: Callable[[], Space]) -> SemValue:
@@ -617,13 +626,13 @@ def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
     if len(ctx) == 0:
         if type(input) is not Scalar:
             raise SemanticsError("empty context takes a Scalar input")
-        branches = [(exact(input.value), ())]
+        branches = [(_exact_in(input.value), ())]
     elif type(input) is Pair:
         spaces = _ctx_spaces(p.conclusion, key)
         if len(input.elem.factors) != len(ctx):
             raise SemanticsError("input arity does not match the context")
         branches = [
-            (exact(c), tuple(_desc_value(d, s) for d, s in zip(k, spaces)))
+            (_exact_in(c), tuple(_desc_value(d, s) for d, s in zip(k, spaces)))
             for k, c in input.elem.terms
         ]
     elif len(ctx) == 1:
@@ -695,7 +704,7 @@ def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
         return flatten(point, space)
     rows = [point] if isinstance(point, (int, Fraction)) else point
     coords = tuple(
-        Fraction(x)
+        Fraction(_exact_in(x))
         for row in rows  # type: ignore[union-attr]
         for x in ((row,) if isinstance(row, (int, Fraction)) else row)
     )

@@ -11,7 +11,7 @@ import pytest
 
 from linlog import cli
 from linlog.cli import main
-from linlog.encodings import church, library, mult_cut, plain_body
+from linlog.encodings import add_cut, church, library, mult_cut, plain_body
 from linlog.formula import Var
 from linlog.proof import proof_eq
 from linlog.rewrite import RewriteError, is_cut_free
@@ -177,6 +177,18 @@ def test_deep_numeral_checks_and_round_trips(tmp_path, capsys):
     assert main(["check", str(f)]) == 0
     assert json.loads(capsys.readouterr().out) == "⊢ !(A -o A) -o (A -o A)"
     assert parse_proof(text) == p
+
+
+def test_normalize_runs_a_deep_cut(tmp_path, capsys):
+    # the cut commutes about 1,800 rules deep, past the default recursion limit
+    p = add_cut(1, 600, A)
+    f = tmp_path / "add-1-600.llp"
+    f.write_text(print_proof(p) + "\n")
+    assert main(["normalize", str(f)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    q = parse_proof(out.out)
+    assert is_cut_free(q) and q.conclusion == p.conclusion
 
 
 def test_too_deep_formula_is_a_domain_error(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from linlog.encodings import church
 from linlog.formula import (
     INT,
     Bang,
@@ -33,6 +34,7 @@ from linlog.proof import (
     mk_tensor_l,
     mk_tensor_r,
     mk_weak,
+    preorder,
     proof_eq,
     replace_at,
     subst_proof,
@@ -221,3 +223,18 @@ def test_replace_and_get_at():
     assert get_at(p, (0,)) == mk_axiom(A)
     swapped = replace_at(p, (1,), mk_axiom(B))
     assert swapped == p
+
+
+def test_replace_at_splices_deep_paths_without_recursion():
+    # the default recursion limit is about 1000 frames
+    p = church(1500, A)
+    path, leaf = max(preorder(p), key=lambda pn: len(pn[0]))
+    assert len(path) > 1500
+    fresh = Proof(leaf.rule, leaf.premises, leaf.conclusion)
+    out = replace_at(p, path, fresh)
+    assert get_at(out, path) is fresh
+    assert out == p and out is not p
+    # the spine is rebuilt; the subtrees beside it are shared
+    parent, old = get_at(out, path[:-1]), get_at(p, path[:-1])
+    assert parent is not old and path[-1] == 0
+    assert parent.premises[1] is old.premises[1]

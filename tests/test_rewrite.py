@@ -16,6 +16,7 @@ from linlog.encodings import (
     exp_cut,
     hypexp_cut,
     library,
+    mult,
     mult_cut,
     plain_body,
 )
@@ -43,6 +44,7 @@ from linlog.rewrite import (
     RewriteError,
     StepInfo,
     Trace,
+    apply_rule_at,
     exchange_normalize,
     find_redex,
     is_cut_free,
@@ -338,3 +340,78 @@ def test_guard_reports_a_corrupted_splice_like_validate():
     bad = step_violations(before, path, foreign)
     assert [where for where, _msg in bad] == [path[:-1]]
     assert bad == validate(foreign)
+
+
+# ---------------------------------------------------------------------------
+# The zipper loop against the reference loop
+
+
+def _reference(p, max_steps=None):
+    """(steps, tree) of ``find_redex`` + ``apply_rule_at`` from the root,
+    for at most ``max_steps`` steps."""
+    steps, cur = [], p
+    while len(steps) != max_steps and (path := find_redex(cur)) is not None:
+        cur, info = apply_rule_at(cur, path)
+        steps.append(info)
+    return tuple(steps), cur
+
+
+def test_normalize_matches_the_reference_loop():
+    cases = [make(m, n, A) for make in (add_cut, mult_cut) for m in range(4) for n in range(4)]
+    cases += [exp_cut(2, n, A) for n in range(1, 7)]
+    cases += [hypexp_cut(n) for n in range(4)]
+    # nodes with cuts in two premises: the left one goes first
+    cases += [
+        mk_tensor_r(mult_cut(2, 2, A), add_cut(1, 2, A)),
+        mk_cut(add_cut(1, 1, A), mk_cut(mult(2, A), mult(3, A), 0), 0),
+    ]
+    for p in cases:
+        res = normalize(p)
+        steps, terminal = _reference(p)
+        assert res.trace.steps == steps
+        assert res.proof == terminal and res.trace.terminal is res.proof
+        assert not res.exhausted and is_cut_free(res.proof)
+        assert replay(p, res.trace) == res.proof
+
+
+def test_an_exhausted_budget_stops_where_the_reference_loop_does():
+    p = exp_cut(2, 2, A)
+    total = len(normalize(p).trace.steps)
+    for budget in (0, 1, 7, total // 2, total - 1, total):
+        res = normalize(p, max_steps=budget)
+        steps, tree = _reference(p, budget)
+        assert res.trace.steps == steps
+        assert res.proof == tree and res.exhausted == (budget < total)
+        assert validate(res.proof) == []
+
+
+def test_normalize_does_no_work_from_the_root(monkeypatch):
+    want = normalize(exp_cut(2, 4, A))
+    rebuilt = []
+    real = rewrite._with_premise
+
+    def forbidden(*args):
+        raise AssertionError("normalize went back to the root")
+
+    def counted(*args):
+        rebuilt.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "replace_at", forbidden)
+    monkeypatch.setattr(rewrite, "find_redex", forbidden)
+    monkeypatch.setattr(rewrite, "_with_premise", counted)
+    res = normalize(exp_cut(2, 4, A))
+    assert res.trace == want.trace and len(res.trace.steps) == 219
+    # each ancestor is rebuilt as the cursor climbs past it, not each
+    # step: climbing to the root after every step would rebuild thousands
+    assert len(rebuilt) < len(res.trace.steps)
+
+
+def test_a_deep_cut_normalizes_under_the_default_recursion_limit():
+    # the cut commutes about 1,800 rules deep into the numeral
+    p = add_cut(1, 600, A)
+    res = normalize(p)
+    assert len(res.trace.steps) == 3617
+    assert max(len(s.path) for s in res.trace.steps) > 1800
+    assert is_cut_free(res.proof) and not res.exhausted
+    assert res.proof.conclusion == p.conclusion

@@ -346,6 +346,23 @@ def test_nl_rejects_other_shapes():
         nl(mk_axiom(A), Scalar(Fraction(1)), ASG)
 
 
+def test_float_inputs_are_refused_at_the_boundary():
+    V = BaseSp("A", 2)
+    base = _mat_vect([[1, 0.5], [0, 1]]).coords
+    float_ket = BangVal(BangElem(E_SPACE, (((base, ()), 1),)))
+    float_coeff = Pair(tensor_from_terms((E_SPACE, E_SPACE), {(0, 1): 0.5}))
+    calls = [
+        lambda: den_apply(mk_axiom(A), Vector(Vect(V, (1.5, 2))), ASG),  # a coordinate
+        lambda: den_apply(mk_axiom(Bang(endo(A))), float_ket, ASG),  # a ket's base point
+        lambda: den_apply(mk_one_r(), Scalar(0.5), ASG),  # a Scalar input
+        lambda: den_apply(comp(A), float_coeff, ASG),  # a Pair coefficient
+        lambda: nl(church(2, A), [[1, 0.5], [0, 1]], ASG),  # a raw point
+    ]
+    for call in calls:
+        with pytest.raises(SemanticsError, match="is not an exact rational"):
+            call()
+
+
 def test_tangent_of_identity_numeral_is_identity():
     rng = random.Random(23)
     al, nu = _rand_mat(rng), _rand_mat(rng)
