@@ -50,22 +50,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_file: bool = True) -> None:
-        if with_file:
-            p.add_argument("file", help="proof file (.llp s-expression)")
-        p.add_argument(
-            "--assign",
-            action="append",
-            default=[],
-            metavar="VAR=DIM",
-            help="assign a dimension to a base-type variable (repeatable)",
-        )
-        p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N")
+    def command(name: str, summary: str, assign: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file", help="proof file (.llp s-expression)")
+        if assign:
+            p.add_argument(
+                "--assign",
+                action="append",
+                default=[],
+                metavar="VAR=DIM",
+                help="assign a dimension to a base-type variable (repeatable)",
+            )
+        return p
 
-    common(sub.add_parser("check", help="validate a proof and print its conclusion"))
+    command("check", "validate a proof and print its conclusion", assign=False)
 
-    p_norm = sub.add_parser("normalize", help="run cut elimination to a normal form")
-    common(p_norm)
+    p_norm = command("normalize", "run cut elimination to a normal form", assign=False)
+    p_norm.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, metavar="N")
     p_norm.add_argument(
         "--trace",
         action="store_true",
@@ -73,14 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "has ended, before the output proof",
     )
 
-    common(sub.add_parser("denote", help="print the denotation as an exact matrix"))
+    command("denote", "print the denotation as an exact matrix")
 
-    p_nl = sub.add_parser("nl", help="evaluate the nonlinear denotation at a point")
-    common(p_nl)
+    p_nl = command("nl", "evaluate the nonlinear denotation at a point")
     p_nl.add_argument("--point", required=True, help='e.g. "[[1/1,1/1],[0/1,1/1]]"')
 
-    p_tan = sub.add_parser("tangent", help="evaluate the differential at a point")
-    common(p_tan)
+    p_tan = command("tangent", "evaluate the differential at a point")
     p_tan.add_argument("--point", required=True, help="base point matrix")
     p_tan.add_argument("--direction", required=True, help="tangent direction matrix")
 
@@ -92,10 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_assignment(pairs: list[str]) -> dict[str, int]:
     asg: dict[str, int] = {}
     for item in pairs:
-        name, eq, dim = item.partition("=")
-        if not eq or not name or not dim.isdigit() or int(dim) <= 0:
+        name, _, dim = item.partition("=")
+        try:
+            n = int(dim) if name and dim.isdigit() else 0
+        except ValueError:  # a digit int() does not read ("²"), or too many
+            n = 0
+        if n <= 0:
             raise UsageError(f"bad --assign (want VAR=DIM with DIM >= 1): {item!r}")
-        asg[name] = int(dim)
+        asg[name] = n
     return asg
 
 
@@ -105,6 +108,8 @@ def _load_proof(path: str) -> Proof:
             text = fh.read()
     except OSError as e:
         raise SystemExit(_domain_error(f"cannot read {path}: {e.strerror}"))
+    except UnicodeDecodeError as e:
+        raise SystemExit(_domain_error(f"cannot read {path}: not UTF-8 ({e.reason})"))
     p = parse_proof(text)
     problems = validate(p)
     if problems:
@@ -189,11 +194,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "encode":
             return _cmd_encode(args)
-        asg = _parse_assignment(args.assign)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "normalize":
             return _cmd_normalize(args)
+        asg = _parse_assignment(args.assign)
         if args.command == "denote":
             return _cmd_denote(args, asg)
         if args.command == "nl":

@@ -7,6 +7,13 @@ not match.  The ``mk_*`` constructors are the strict face of the same
 schemas: they raise :class:`ProofError` instead of building an invalid
 node, so a tree assembled purely from constructors always validates.
 
+A rule tag carries the rule's parameters in ``.llp`` argument order
+(see ``sexpr``): the ``at`` index, and for ``weak`` and ``all-l`` the
+formulas the premise does not determine (the weakened formula; the
+quantified formula and the witness).  Only the axiom's formula and the
+all-r binder are read from the cached conclusion.  :func:`_make` builds
+any node from its tag and premises through the one schema function.
+
 Hypothesis positions are explicit.  Every rule that touches the context
 carries the index ``at`` of the formula it touches, counting from zero
 at the left end.  For the two-premise rules ``cut`` and ``lolli_l`` the
@@ -27,7 +34,7 @@ so validity is stable under renaming of bound type variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .formula import (
@@ -112,6 +119,7 @@ class Contraction:
 @dataclass(frozen=True)
 class Weakening:
     at: int
+    formula: Formula
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,7 @@ class ForallR:
 @dataclass(frozen=True)
 class ForallL:
     at: int
+    quantified: Formula
     witness: Formula
 
 
@@ -245,15 +254,13 @@ def _rule_conclusion(
     premises: tuple[Sequent, ...],
     *,
     axiom_formula: Formula | None = None,
-    weakened: Formula | None = None,
     binder: str | None = None,
-    quantified: Formula | None = None,
 ) -> Sequent:
     """Apply ``rule`` to premise sequents, raising ProofError on misuse.
 
     The keyword arguments supply the data that lives in the conclusion
-    rather than in the premises (the axiom's formula, the weakened
-    formula, the quantifier binder, the quantified formula).
+    rather than in the premises or the tag (the axiom's formula, the
+    all-r binder).
     """
     want = rule_arity(rule)
     if len(premises) != want:
@@ -372,8 +379,7 @@ def _rule_conclusion(
 
     if isinstance(rule, Weakening):
         (s,) = premises
-        if weakened is None:
-            raise ProofError("weakening needs the formula to insert")
+        weakened = rule.formula
         if not isinstance(weakened, Bang):
             raise ProofError(
                 f"weakening of {format_formula(weakened)}: not banged"
@@ -410,8 +416,7 @@ def _rule_conclusion(
 
     if isinstance(rule, ForallL):
         (s,) = premises
-        if quantified is None:
-            raise ProofError("all-l needs the quantified formula")
+        quantified = rule.quantified
         if not isinstance(quantified, Forall):
             raise ProofError(
                 f"all-l principal formula {format_formula(quantified)} is not quantified"
@@ -438,91 +443,71 @@ def _rule_conclusion(
 # Strict constructors
 
 
-def _premise_sequents(premises: tuple[Proof, ...]) -> tuple[Sequent, ...]:
-    return tuple(p.conclusion for p in premises)
+def _make(rule: RuleTag, *premises: Proof, **hints: Formula | str) -> Proof:
+    """The node ``rule`` over ``premises``, its conclusion from the schema;
+    ``hints`` are :func:`_rule_conclusion`'s keywords."""
+    sequents = tuple([p.conclusion for p in premises])
+    return Proof(rule, premises, _rule_conclusion(rule, sequents, **hints))
 
 
 def mk_axiom(a: Formula) -> Proof:
-    rule = Axiom()
-    return Proof(rule, (), _rule_conclusion(rule, (), axiom_formula=a))
+    return _make(Axiom(), axiom_formula=a)
 
 
 def mk_exchange(p: Proof, at: int) -> Proof:
-    rule = Exchange(at)
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(Exchange(at), p)
 
 
 def mk_cut(left: Proof, right: Proof, at: int) -> Proof:
-    rule = Cut(at)
-    return Proof(
-        rule, (left, right), _rule_conclusion(rule, (left.conclusion, right.conclusion))
-    )
+    return _make(Cut(at), left, right)
 
 
 def mk_tensor_r(left: Proof, right: Proof) -> Proof:
-    rule = TensorR()
-    return Proof(
-        rule, (left, right), _rule_conclusion(rule, (left.conclusion, right.conclusion))
-    )
+    return _make(TensorR(), left, right)
 
 
 def mk_tensor_l(p: Proof, at: int) -> Proof:
-    rule = TensorL(at)
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(TensorL(at), p)
 
 
 def mk_lolli_r(p: Proof) -> Proof:
-    rule = LolliR()
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(LolliR(), p)
 
 
 def mk_lolli_l(left: Proof, right: Proof, at: int) -> Proof:
-    rule = LolliL(at)
-    return Proof(
-        rule, (left, right), _rule_conclusion(rule, (left.conclusion, right.conclusion))
-    )
+    return _make(LolliL(at), left, right)
 
 
 def mk_prom(p: Proof) -> Proof:
-    rule = Promotion()
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(Promotion(), p)
 
 
 def mk_der(p: Proof, at: int) -> Proof:
-    rule = Dereliction(at)
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(Dereliction(at), p)
 
 
 def mk_ctr(p: Proof, at: int) -> Proof:
-    rule = Contraction(at)
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(Contraction(at), p)
 
 
 def mk_weak(p: Proof, at: int, banged: Formula) -> Proof:
-    rule = Weakening(at)
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,), weakened=banged))
+    return _make(Weakening(at, banged), p)
 
 
 def mk_one_l(p: Proof, at: int) -> Proof:
-    rule = OneL(at)
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,)))
+    return _make(OneL(at), p)
 
 
 def mk_one_r() -> Proof:
-    rule = OneR()
-    return Proof(rule, (), _rule_conclusion(rule, ()))
+    return _make(OneR())
 
 
 def mk_forall_r(p: Proof, binder: str) -> Proof:
-    rule = ForallR()
-    return Proof(rule, (p,), _rule_conclusion(rule, (p.conclusion,), binder=binder))
+    return _make(ForallR(), p, binder=binder)
 
 
 def mk_forall_l(p: Proof, at: int, quantified: Formula, witness: Formula) -> Proof:
-    rule = ForallL(at, witness)
-    return Proof(
-        rule, (p,), _rule_conclusion(rule, (p.conclusion,), quantified=quantified)
-    )
+    return _make(ForallL(at, quantified, witness), p)
 
 
 # ---------------------------------------------------------------------------
@@ -535,23 +520,13 @@ def _node_violation(p: Proof) -> str | None:
     hints: dict = {}
     if isinstance(rule, Axiom):
         hints["axiom_formula"] = p.conclusion.conclusion
-    elif isinstance(rule, Weakening):
-        ctx = p.conclusion.context
-        if not 0 <= rule.at < len(ctx):
-            return f"weakening index {rule.at} outside conclusion context of length {len(ctx)}"
-        hints["weakened"] = ctx[rule.at]
     elif isinstance(rule, ForallR):
         f = p.conclusion.conclusion
         if not isinstance(f, Forall):
             return "all-r conclusion is not a quantified formula"
         hints["binder"] = f.binder
-    elif isinstance(rule, ForallL):
-        ctx = p.conclusion.context
-        if not 0 <= rule.at < len(ctx):
-            return f"all-l index {rule.at} outside conclusion context of length {len(ctx)}"
-        hints["quantified"] = ctx[rule.at]
     try:
-        expected = _rule_conclusion(rule, _premise_sequents(p.premises), **hints)
+        expected = _rule_conclusion(rule, tuple([q.conclusion for q in p.premises]), **hints)
     except ProofError as err:
         return str(err)
     if not sequent_alpha_eq(expected, p.conclusion):
@@ -629,13 +604,11 @@ def proof_eq(p: Proof, q: Proof) -> bool:
 def _proof_alpha(p, q, envp, envq, depth):
     if type(p.rule) is not type(q.rule) or len(p.premises) != len(q.premises):
         return False
-    if isinstance(p.rule, ForallL):
-        if p.rule.at != q.rule.at or not alpha_eq_under(
-            p.rule.witness, q.rule.witness, envp, envq, depth
+    for u, v in zip(vars(p.rule).values(), vars(q.rule).values()):
+        if not (
+            alpha_eq_under(u, v, envp, envq, depth) if isinstance(u, Formula) else u == v
         ):
             return False
-    elif p.rule != q.rule:
-        return False
     if not _sequent_alpha_under(p.conclusion, q.conclusion, envp, envq, depth):
         return False
     if isinstance(p.rule, ForallR):
@@ -682,42 +655,14 @@ def free_vars_proof(p: Proof) -> frozenset[str]:
 def subst_proof(p: Proof, x: str, b: Formula) -> Proof:
     """Substitute ``b`` for the type variable ``x`` throughout a proof.
 
-    Rebuilds the tree through the strict constructors, so the result
-    validates whenever ``p`` does.  Quantifier nodes that bind ``x``
-    shadow the substitution; binders that would capture a free variable
-    of ``b`` are renamed first.
+    Substitutes in each tag's formulas and rebuilds every node through
+    :func:`_make`, so the result validates whenever ``p`` does.
+    Quantifier nodes that bind ``x`` shadow the substitution; binders
+    that would capture a free variable of ``b`` are renamed first.
     """
     rule = p.rule
-    prems = p.premises
     if isinstance(rule, Axiom):
         return mk_axiom(substitute(p.conclusion.conclusion, x, b))
-    if isinstance(rule, Exchange):
-        return mk_exchange(subst_proof(prems[0], x, b), rule.at)
-    if isinstance(rule, Cut):
-        return mk_cut(subst_proof(prems[0], x, b), subst_proof(prems[1], x, b), rule.at)
-    if isinstance(rule, TensorR):
-        return mk_tensor_r(subst_proof(prems[0], x, b), subst_proof(prems[1], x, b))
-    if isinstance(rule, TensorL):
-        return mk_tensor_l(subst_proof(prems[0], x, b), rule.at)
-    if isinstance(rule, LolliR):
-        return mk_lolli_r(subst_proof(prems[0], x, b))
-    if isinstance(rule, LolliL):
-        return mk_lolli_l(
-            subst_proof(prems[0], x, b), subst_proof(prems[1], x, b), rule.at
-        )
-    if isinstance(rule, Promotion):
-        return mk_prom(subst_proof(prems[0], x, b))
-    if isinstance(rule, Dereliction):
-        return mk_der(subst_proof(prems[0], x, b), rule.at)
-    if isinstance(rule, Contraction):
-        return mk_ctr(subst_proof(prems[0], x, b), rule.at)
-    if isinstance(rule, Weakening):
-        inserted = substitute(p.conclusion.context[rule.at], x, b)
-        return mk_weak(subst_proof(prems[0], x, b), rule.at, inserted)
-    if isinstance(rule, OneL):
-        return mk_one_l(subst_proof(prems[0], x, b), rule.at)
-    if isinstance(rule, OneR):
-        return p
     if isinstance(rule, ForallR):
         binder = p.conclusion.conclusion.binder
         if binder == x:
@@ -725,15 +670,10 @@ def subst_proof(p: Proof, x: str, b: Formula) -> Proof:
         if binder in free_vars(b):
             avoid = free_vars_proof(p) | free_vars(b) | {x}
             fresh = fresh_name(binder, avoid)
-            renamed = mk_forall_r(subst_proof(prems[0], binder, Var(fresh)), fresh)
+            renamed = mk_forall_r(subst_proof(p.premises[0], binder, Var(fresh)), fresh)
             return subst_proof(renamed, x, b)
-        return mk_forall_r(subst_proof(prems[0], x, b), binder)
-    if isinstance(rule, ForallL):
-        quantified = p.conclusion.context[rule.at]
-        return mk_forall_l(
-            subst_proof(prems[0], x, b),
-            rule.at,
-            substitute(quantified, x, b),
-            substitute(rule.witness, x, b),
-        )
-    raise ProofError(f"unknown rule {rule!r}")
+        return mk_forall_r(subst_proof(p.premises[0], x, b), binder)
+    formulas = {
+        k: substitute(v, x, b) for k, v in vars(rule).items() if isinstance(v, Formula)
+    }
+    return _make(replace(rule, **formulas), *[subst_proof(q, x, b) for q in p.premises])

@@ -40,7 +40,7 @@ step back into the root, is the reference it is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .formula import Var, free_vars, fresh_name, sequent_alpha_eq
 from .proof import (
@@ -60,21 +60,18 @@ from .proof import (
     TensorL,
     TensorR,
     Weakening,
+    _make,
     _node_violation,
     _with_premise,
     free_vars_proof,
     get_at,
     mk_ctr,
     mk_cut,
-    mk_der,
     mk_exchange,
-    mk_forall_l,
     mk_forall_r,
     mk_lolli_l,
     mk_lolli_r,
-    mk_one_l,
     mk_prom,
-    mk_tensor_l,
     mk_tensor_r,
     mk_weak,
     replace_at,
@@ -118,7 +115,17 @@ def is_cut_free(p: Proof) -> bool:
 # ---------------------------------------------------------------------------
 # The catalog: reduce one cut node
 
-_LEFTISH = (Exchange, Dereliction, Contraction, Weakening, OneL, TensorL, ForallL, LolliL)
+# The one-premise left rules (and exchange), by the name their commuting
+# steps' rule ids carry.
+_COMMUTING = {
+    Exchange: "ex",
+    Dereliction: "der",
+    Contraction: "ctr",
+    Weakening: "weak",
+    OneL: "one-l",
+    TensorL: "tensor-l",
+    ForallL: "forall-l",
+}
 
 
 def reduce_cut(node: Proof) -> tuple[str, Proof]:
@@ -137,51 +144,29 @@ def reduce_cut(node: Proof) -> tuple[str, Proof]:
     if isinstance(right.rule, Axiom):
         return "ax-right", left
 
-    if isinstance(left.rule, _LEFTISH):
-        return _commute_left(node, left, right, at)
+    if type(left.rule) in _COMMUTING or isinstance(left.rule, LolliL):
+        return _commute_left(left, right, at)
 
-    principal = _principal(node, left, right, at, ng)
+    principal = _principal(left, right, at, ng)
     if principal is not None:
         return principal
 
-    return _commute_right(node, left, right, at, ng)
+    return _commute_right(left, right, at, ng)
 
 
-def _commute_left(node: Proof, left: Proof, right: Proof, at: int) -> tuple[str, Proof]:
+def _commute_left(left: Proof, right: Proof, at: int) -> tuple[str, Proof]:
+    """The cut slides into L's premise; L's rule moves below it, its
+    index shifted by the cut's slot."""
     r = left.rule
-    if isinstance(r, Exchange):
-        inner = mk_cut(left.premises[0], right, at)
-        return "ex-commute-left", mk_exchange(inner, at + r.at)
-    if isinstance(r, Dereliction):
-        inner = mk_cut(left.premises[0], right, at)
-        return "der-commute-left", mk_der(inner, at + r.at)
-    if isinstance(r, Contraction):
-        inner = mk_cut(left.premises[0], right, at)
-        return "ctr-commute-left", mk_ctr(inner, at + r.at)
-    if isinstance(r, Weakening):
-        inner = mk_cut(left.premises[0], right, at)
-        banged = left.conclusion.context[r.at]
-        return "weak-commute-left", mk_weak(inner, at + r.at, banged)
-    if isinstance(r, OneL):
-        inner = mk_cut(left.premises[0], right, at)
-        return "one-l-commute-left", mk_one_l(inner, at + r.at)
-    if isinstance(r, TensorL):
-        inner = mk_cut(left.premises[0], right, at)
-        return "tensor-l-commute-left", mk_tensor_l(inner, at + r.at)
-    if isinstance(r, ForallL):
-        inner = mk_cut(left.premises[0], right, at)
-        quantified = left.conclusion.context[r.at]
-        return "forall-l-commute-left", mk_forall_l(inner, at + r.at, quantified, r.witness)
     if isinstance(r, LolliL):
         sub_l, sub_r = left.premises
         inner = mk_cut(sub_r, right, at)
         return "lolli-l-commute-left", mk_lolli_l(sub_l, inner, at + r.at)
-    raise RewriteError(f"unhandled left rule {r!r}")
+    inner = mk_cut(left.premises[0], right, at)
+    return f"{_COMMUTING[type(r)]}-commute-left", _make(replace(r, at=at + r.at), inner)
 
 
-def _principal(
-    node: Proof, left: Proof, right: Proof, at: int, ng: int
-) -> tuple[str, Proof] | None:
+def _principal(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Proof] | None:
     lr, rr = left.rule, right.rule
     if isinstance(lr, TensorR) and isinstance(rr, TensorL) and rr.at == at:
         l1, l2 = left.premises
@@ -229,56 +214,31 @@ def _prom_ctr(left: Proof, right: Proof, at: int, ng: int) -> Proof:
     return cur
 
 
-def _commute_right(
-    node: Proof, left: Proof, right: Proof, at: int, ng: int
-) -> tuple[str, Proof]:
+def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Proof]:
     r = right.rule
     shift = ng - 1  # context growth when the cut replaces one slot by Γ
 
-    if isinstance(r, Exchange):
+    if isinstance(r, Exchange) and at in (r.at, r.at + 1):
+        # the cut formula is one of the two swapped: move Γ past the other
         j = r.at
         if at == j:
-            inner = mk_cut(left, right.premises[0], j + 1)
-            cur = inner
+            cur = mk_cut(left, right.premises[0], j + 1)
             for pos in range(j, j + ng):
                 cur = mk_exchange(cur, pos)
-            return "ex-commute", cur
-        if at == j + 1:
-            inner = mk_cut(left, right.premises[0], j)
-            cur = inner
+        else:
+            cur = mk_cut(left, right.premises[0], j)
             for pos in range(j + ng - 1, j - 1, -1):
                 cur = mk_exchange(cur, pos)
-            return "ex-commute", cur
-        inner = mk_cut(left, right.premises[0], at)
-        return "ex-commute", mk_exchange(inner, j + shift if at < j else j)
-    if isinstance(r, Dereliction):
+        return "ex-commute", cur
+    if type(r) in _COMMUTING:
+        # the cut slides into R's premise, where a slot right of the
+        # rule's moves by the context length the rule adds or removes
         j = r.at
-        inner = mk_cut(left, right.premises[0], at)
-        return "der-commute", mk_der(inner, j + shift if at < j else j)
-    if isinstance(r, Contraction):
-        j = r.at
-        inner = mk_cut(left, right.premises[0], at if at < j else at + 1)
-        return "ctr-commute", mk_ctr(inner, j + shift if at < j else j)
-    if isinstance(r, Weakening):
-        j = r.at
-        inner = mk_cut(left, right.premises[0], at if at < j else at - 1)
-        banged = right.conclusion.context[j]
-        return "weak-commute", mk_weak(inner, j + shift if at < j else j, banged)
-    if isinstance(r, OneL):
-        j = r.at
-        inner = mk_cut(left, right.premises[0], at if at < j else at - 1)
-        return "one-l-commute", mk_one_l(inner, j + shift if at < j else j)
-    if isinstance(r, TensorL):
-        j = r.at
-        inner = mk_cut(left, right.premises[0], at if at < j else at + 1)
-        return "tensor-l-commute", mk_tensor_l(inner, j + shift if at < j else j)
-    if isinstance(r, ForallL):
-        j = r.at
-        inner = mk_cut(left, right.premises[0], at)
-        quantified = right.conclusion.context[j]
-        return "forall-l-commute", mk_forall_l(
-            inner, j + shift if at < j else j, quantified, r.witness
-        )
+        premise = right.premises[0]
+        growth = len(premise.conclusion.context) - len(right.conclusion.context)
+        inner = mk_cut(left, premise, at if at < j else at + growth)
+        outer = replace(r, at=j + shift if at < j else j)
+        return f"{_COMMUTING[type(r)]}-commute", _make(outer, inner)
     if isinstance(r, LolliR):
         inner = mk_cut(left, right.premises[0], at + 1)
         return "lolli-r-commute", mk_lolli_r(inner)

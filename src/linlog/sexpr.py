@@ -15,9 +15,10 @@ Proof grammar: s-expressions with one keyword per deduction rule::
     (one-r)      (all-r X P)    (all-l I F W P)
 
 where ``I`` is a context index, ``F`` a formula, ``W`` a witness
-formula and ``X`` an identifier.  ``weak`` spells out the inserted
-formula and ``all-l`` spells out both the quantified formula and the
-witness, since neither is recoverable from the premise alone.
+formula and ``X`` an identifier.  The arguments before the premises are
+the fields of the rule's tag, in order (``weak`` carries the inserted
+formula, ``all-l`` the quantified formula and the witness), except for
+``ax`` and ``all-r``, whose argument is part of the conclusion.
 
 `parse_proof` never runs the rule checker: the tree comes back as
 written, with best-effort cached conclusions where a schema does not
@@ -28,7 +29,7 @@ All spans are byte offsets into the input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .formula import (
@@ -46,21 +47,11 @@ from .proof import (
     Proof,
     ProofError,
     RULE_KEYWORDS,
+    _make,
     mk_axiom,
-    mk_ctr,
-    mk_cut,
-    mk_der,
-    mk_exchange,
-    mk_forall_l,
     mk_forall_r,
-    mk_lolli_l,
-    mk_lolli_r,
-    mk_one_l,
     mk_one_r,
-    mk_prom,
-    mk_tensor_l,
     mk_tensor_r,
-    mk_weak,
 )
 from . import proof as _proof
 
@@ -204,7 +195,10 @@ class _Parser:
 
     def index(self) -> int:
         tok = self.expect("num", "a context index")
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("context index too long", tok.span) from None
 
     def proof(self) -> Proof:
         """One proof s-expression.  Open nodes wait on an explicit stack
@@ -246,40 +240,50 @@ class _Parser:
 # validate can point at the offending node instead of parsing dying.
 
 
-def _lenient(build, rule, premises, fallback):
+def _lenient(tag, fallback):
+    """The builder for a rule whose arguments are its tag's fields, then
+    its premises; ``fallback(rule, premises)`` gives the conclusion of a
+    node that does not fit the schema."""
+    n = len(fields(tag))
+
+    def build(*args):
+        rule, premises = tag(*args[:n]), args[n:]
+        try:
+            return _make(rule, *premises)
+        except ProofError:
+            return Proof(rule, premises, fallback(rule, premises))
+
+    return build
+
+
+def _keep(rule, premises):
+    return premises[-1].conclusion
+
+
+def _promote(rule, premises):
+    s = premises[0].conclusion
+    return Sequent(s.context, Bang(s.conclusion))
+
+
+def _insert(rule, premises):
+    s = premises[0].conclusion
+    ins = min(max(rule.at, 0), len(s.context))
+    return Sequent(s.context[:ins] + (rule.formula,) + s.context[ins:], s.conclusion)
+
+
+def _replace(rule, premises):
+    s, at = premises[0].conclusion, rule.at
+    if 0 <= at < len(s.context):
+        return Sequent(s.context[:at] + (rule.quantified,) + s.context[at + 1 :], s.conclusion)
+    return Sequent(s.context + (rule.quantified,), s.conclusion)
+
+
+def _all_r(name, p):
     try:
-        return build()
+        return mk_forall_r(p, name)
     except ProofError:
-        return Proof(rule, premises, fallback(premises))
-
-
-def _keep(premises):
-    return premises[0].conclusion
-
-
-def _keep_right(premises):
-    return premises[1].conclusion
-
-
-def _insert_fb(at, f):
-    def fb(premises):
-        ctx = premises[0].conclusion.context
-        ins = min(max(at, 0), len(ctx))
-        return Sequent(ctx[:ins] + (f,) + ctx[ins:], premises[0].conclusion.conclusion)
-
-    return fb
-
-
-def _replace_fb(at, f):
-    def fb(premises):
-        ctx = premises[0].conclusion.context
-        if 0 <= at < len(ctx):
-            new_ctx = ctx[:at] + (f,) + ctx[at + 1 :]
-        else:
-            new_ctx = ctx + (f,)
-        return Sequent(new_ctx, premises[0].conclusion.conclusion)
-
-    return fb
+        s = p.conclusion
+        return Proof(_proof.ForallR(), (p,), Sequent(s.context, Forall(name, s.conclusion)))
 
 
 # Each rule keyword's arguments, in order (i a context index, f a
@@ -287,46 +291,20 @@ def _replace_fb(at, f):
 # builds its node from them.  ax, tensor-r and one-r are total.
 _RULES = {
     "ax": ("f", mk_axiom),
-    "ex": ("ip", lambda i, p: _lenient(
-        lambda: mk_exchange(p, i), _proof.Exchange(i), (p,), _keep)),
-    "cut": ("ipp", lambda i, l, r: _lenient(
-        lambda: mk_cut(l, r, i), _proof.Cut(i), (l, r), _keep_right)),
+    "ex": ("ip", _lenient(_proof.Exchange, _keep)),
+    "cut": ("ipp", _lenient(_proof.Cut, _keep)),
     "tensor-r": ("pp", mk_tensor_r),
-    "tensor-l": ("ip", lambda i, p: _lenient(
-        lambda: mk_tensor_l(p, i), _proof.TensorL(i), (p,), _keep)),
-    "lolli-r": ("p", lambda p: _lenient(
-        lambda: mk_lolli_r(p), _proof.LolliR(), (p,), _keep)),
-    "lolli-l": ("ipp", lambda i, l, r: _lenient(
-        lambda: mk_lolli_l(l, r, i), _proof.LolliL(i), (l, r), _keep_right)),
-    "prom": ("p", lambda p: _lenient(
-        lambda: mk_prom(p),
-        _proof.Promotion(),
-        (p,),
-        lambda ps: Sequent(ps[0].conclusion.context, Bang(ps[0].conclusion.conclusion)),
-    )),
-    "der": ("ip", lambda i, p: _lenient(
-        lambda: mk_der(p, i), _proof.Dereliction(i), (p,), _keep)),
-    "ctr": ("ip", lambda i, p: _lenient(
-        lambda: mk_ctr(p, i), _proof.Contraction(i), (p,), _keep)),
-    "weak": ("ifp", lambda i, f, p: _lenient(
-        lambda: mk_weak(p, i, f), _proof.Weakening(i), (p,), _insert_fb(i, f))),
-    "one-l": ("ip", lambda i, p: _lenient(
-        lambda: mk_one_l(p, i), _proof.OneL(i), (p,), _keep)),
+    "tensor-l": ("ip", _lenient(_proof.TensorL, _keep)),
+    "lolli-r": ("p", _lenient(_proof.LolliR, _keep)),
+    "lolli-l": ("ipp", _lenient(_proof.LolliL, _keep)),
+    "prom": ("p", _lenient(_proof.Promotion, _promote)),
+    "der": ("ip", _lenient(_proof.Dereliction, _keep)),
+    "ctr": ("ip", _lenient(_proof.Contraction, _keep)),
+    "weak": ("ifp", _lenient(_proof.Weakening, _insert)),
+    "one-l": ("ip", _lenient(_proof.OneL, _keep)),
     "one-r": ("", mk_one_r),
-    "all-r": ("xp", lambda name, p: _lenient(
-        lambda: mk_forall_r(p, name),
-        _proof.ForallR(),
-        (p,),
-        lambda ps: Sequent(
-            ps[0].conclusion.context, Forall(name, ps[0].conclusion.conclusion)
-        ),
-    )),
-    "all-l": ("iffp", lambda i, quantified, witness, p: _lenient(
-        lambda: mk_forall_l(p, i, quantified, witness),
-        _proof.ForallL(i, witness),
-        (p,),
-        _replace_fb(i, quantified),
-    )),
+    "all-r": ("xp", _all_r),
+    "all-l": ("iffp", _lenient(_proof.ForallL, _replace)),
 }
 
 
@@ -359,24 +337,12 @@ def _node_args(p: Proof) -> list[str]:
     rule = p.rule
     if isinstance(rule, _proof.Axiom):
         return [format_formula(p.conclusion.conclusion)]
-    if isinstance(rule, (_proof.Exchange, _proof.Cut, _proof.TensorL, _proof.LolliL,
-                         _proof.Dereliction, _proof.Contraction, _proof.OneL)):
-        return [str(rule.at)]
-    if isinstance(rule, _proof.Weakening):
-        ctx = p.conclusion.context
-        # a lenient tree's formula was clamped into range
-        f = ctx[min(max(rule.at, 0), len(ctx) - 1)] if ctx else One()
-        return [str(rule.at), format_formula(f)]
     if isinstance(rule, _proof.ForallR):
         f = p.conclusion.conclusion
-        binder = f.binder if isinstance(f, Forall) else "_"
-        return [binder]
-    if isinstance(rule, _proof.ForallL):
-        ctx = p.conclusion.context
-        # a lenient tree's quantified formula was appended to the context
-        q = ctx[rule.at] if 0 <= rule.at < len(ctx) else ctx[-1] if ctx else One()
-        return [str(rule.at), format_formula(q), format_formula(rule.witness)]
-    return []
+        return [f.binder if isinstance(f, Forall) else "_"]
+    return [
+        format_formula(v) if isinstance(v, Formula) else str(v) for v in vars(rule).values()
+    ]
 
 
 def print_proof(p: Proof) -> str:
@@ -483,7 +449,7 @@ class _ValueLexer:
                 f"expected a rational at offset {self.pos} in {self.text!r}"
             )
         self.pos += m.end()
-        return Fraction(m.group())
+        return parse_rational(m.group())
 
 
 @dataclass(frozen=True)

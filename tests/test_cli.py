@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linlog import cli
 from linlog.cli import main
-from linlog.encodings import add_cut, church, library, mult_cut, plain_body
+from linlog.encodings import add_cut, church, comp, library, mult_cut, plain_body
 from linlog.formula import Var
 from linlog.proof import proof_eq
 from linlog.rewrite import RewriteError, is_cut_free
@@ -61,9 +65,13 @@ def test_check_rejects_an_invalid_proof(tmp_path, capsys):
 
 def test_check_reports_parse_errors(tmp_path, capsys):
     f = tmp_path / "trunc.llp"
-    f.write_text("(ax A")
-    assert main(["check", str(f)]) == 1
-    assert "found end of input" in capsys.readouterr().err
+    for text, message in (
+        ("(ax A", "found end of input"),
+        ("(ex " + "9" * 5000 + " (ax A))", "context index too long"),
+    ):
+        f.write_text(text)
+        assert main(["check", str(f)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_check_reports_missing_files(tmp_path, capsys):
@@ -157,9 +165,85 @@ def test_encode_rejects_unknown_names(capsys):
 
 def test_bad_assignment_is_a_usage_error(church2_file, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["check", church2_file, "--assign", "A=zero"])
+        main(["denote", church2_file, "--assign", "A=zero"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_a_digit_int_does_not_read_is_a_bad_assignment(tmp_path, capsys):
+    f = tmp_path / "comp.llp"
+    f.write_text(print_proof(comp(A)) + "\n")
+    for dim in ("²", "9" * 5000):
+        with pytest.raises(SystemExit) as exc:
+            main(["denote", str(f), "--assign", f"A={dim}"])
+        assert exc.value.code == 2
+        assert "bad --assign" in capsys.readouterr().err
+
+
+def test_a_zero_denominator_is_a_bad_point(church2_file, capsys):
+    for argv in (
+        ["nl", church2_file, "--assign", "A=2", "--point", "[[1/0,1],[0,1]]"],
+        ["tangent", church2_file, "--assign", "A=2", "--point", "[[1,1],[0,1]]",
+         "--direction", "[[0,0],[1/0,0]]"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "bad point literal" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
+    f = tmp_path / "latin1.llp"
+    f.write_bytes("(ax \u00c5)".encode("latin-1"))
+    assert main(["check", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"linlog: cannot read {f}: not UTF-8") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--max-steps", "3"],
+        ["check", "--assign", "A=2"],
+        ["normalize", "--assign", "A=2"],
+        ["denote", "--max-steps", "3"],
+        ["nl", "--point", "[[1]]", "--max-steps", "3"],
+        ["tangent", "--point", "[[1]]", "--direction", "[[1]]", "--max-steps", "3"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, church2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], church2_file, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["check", "normalize", "denote", "nl", "tangent"]),
+    data=st.one_of(st.none(), st.binary(max_size=64)),
+    assign=st.one_of(st.just("A=2"), st.text(max_size=8)),
+    point=st.one_of(st.text(max_size=16), st.text("[]0123456789/,- ", max_size=16)),
+)
+def test_no_input_escapes_the_exit_codes(tmp_path_factory, command, data, assign, point):
+    # data None stands for a valid proof, and "A=2" for a valid
+    # assignment, so the later arguments are parsed too
+    f = tmp_path_factory.getbasetemp() / "fuzz.llp"
+    f.write_bytes(print_proof(church(2, A)).encode() if data is None else data)
+    argv = [command, str(f)]
+    if command not in ("check", "normalize"):
+        argv.append(f"--assign={assign}")
+    if command in ("nl", "tangent"):
+        argv.append(f"--point={point}")
+    if command == "tangent":
+        argv.append(f"--direction={point}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_output_is_byte_deterministic(mult2x2_file):

@@ -16,8 +16,10 @@ from linlog.formula import (
 )
 from linlog.proof import (
     Axiom,
+    ForallL,
     Proof,
     ProofError,
+    Weakening,
     get_at,
     mk_axiom,
     mk_ctr,
@@ -193,6 +195,33 @@ def test_proof_eq_up_to_binder_renaming():
     assert proof_eq(p, q)
     assert p != q
     assert not proof_eq(p, mk_lolli_r(mk_axiom(X)))
+
+
+def test_proof_eq_compares_rule_formulas_up_to_renaming():
+    bx, by = Bang(Forall("x", X)), Bang(Forall("y", Var("y")))
+    p, q = mk_weak(mk_axiom(A), 0, bx), mk_weak(mk_axiom(A), 0, by)
+    assert p.rule != q.rule and proof_eq(p, q)
+    assert not proof_eq(p, mk_weak(mk_axiom(A), 0, Bang(Forall("x", A))))
+    ident = Lolli(A, A)
+    fx, fy = Forall("x", Lolli(X, X)), Forall("y", Lolli(Var("y"), Var("y")))
+    p, q = mk_forall_l(mk_axiom(ident), 0, fx, A), mk_forall_l(mk_axiom(ident), 0, fy, A)
+    assert p.rule != q.rule and proof_eq(p, q)
+    other = mk_forall_l(mk_axiom(Lolli(B, B)), 0, fx, B)
+    assert not proof_eq(p, other)
+
+
+def test_validate_flags_a_rule_formula_that_disagrees_with_the_conclusion():
+    # the weakened formula is the tag's, not read back from the conclusion
+    good = mk_weak(mk_axiom(A), 0, Bang(A))
+    bad = Proof(Weakening(0, Bang(B)), good.premises, good.conclusion)
+    assert validate(good) == []
+    [(path, msg)] = validate(bad)
+    assert path == () and msg.startswith("cached conclusion")
+    wrapped = mk_lolli_r(bad)
+    assert [path for path, _ in validate(wrapped)] == [(0,)]
+    inst = mk_forall_l(mk_axiom(Lolli(A, A)), 0, Forall("x", Lolli(X, X)), A)
+    other = Proof(ForallL(0, Forall("x", Lolli(X, A)), A), inst.premises, inst.conclusion)
+    assert [path for path, _ in validate(other)] == [()]
 
 
 def test_subst_proof_instantiates_type_variables():

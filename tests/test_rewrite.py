@@ -20,16 +20,25 @@ from linlog.encodings import (
     mult_cut,
     plain_body,
 )
-from linlog.formula import Bang, Lolli, One, Sequent, Var, endo
+from linlog.formula import Bang, Forall, Lolli, One, Sequent, Tensor, Var, endo
 from linlog.proof import (
     Axiom,
+    Contraction,
+    Cut,
+    Exchange,
+    ForallL,
+    LolliL,
     Promotion,
     Proof,
     get_at,
     mk_axiom,
+    mk_ctr,
     mk_cut,
+    mk_der,
     mk_exchange,
+    mk_forall_l,
     mk_forall_r,
+    mk_lolli_l,
     mk_lolli_r,
     mk_one_l,
     mk_one_r,
@@ -37,6 +46,7 @@ from linlog.proof import (
     mk_tensor_l,
     mk_tensor_r,
     mk_weak,
+    preorder,
     replace_at,
     validate,
 )
@@ -54,7 +64,7 @@ from linlog.rewrite import (
     step,
     step_violations,
 )
-from linlog.semantics import den_matrix
+from linlog.semantics import den_matrix, probe_equal
 
 A = Var("A")
 B = Var("B")
@@ -180,6 +190,70 @@ def test_exchange_commute_case():
     res = normalize(p)
     assert "ex-commute" in {s.rule_id for s in res.trace.steps}
     assert den_matrix(res.proof, ASG) == before
+
+
+def _one_step(p):
+    """The first step on the cut ``p`` (guarded), and its normal form."""
+    out, info = apply_rule_at(p, ())
+    assert out.conclusion == p.conclusion and validate(out) == []
+    nf = normalize(p).proof
+    assert is_cut_free(nf) and nf.conclusion == p.conclusion
+    return info.rule_id, out, nf
+
+
+def test_forall_l_commute_case():
+    # ⊢ A ⊸ A cut into a ∀L of another slot: the ∀L moves below the cut,
+    # one slot left when the cut was left of it (the cut's context is
+    # empty), in place when it was right of it
+    ident = mk_lolli_r(mk_axiom(A))
+    prem = mk_tensor_r(mk_axiom(endo(A)), mk_axiom(endo(B)))  # A⊸A, B⊸B ⊢ …
+    quantified = Forall("x", endo(Var("x")))
+    right = mk_forall_l(prem, 1, quantified, B)  # A⊸A, ∀x.x⊸x ⊢ …
+    p = mk_cut(ident, right, 0)
+    rule_id, out, _ = _one_step(p)
+    assert rule_id == "forall-l-commute"
+    assert out.rule == ForallL(0, quantified, B)
+    assert out.premises[0] == mk_cut(ident, prem, 0)
+    right = mk_forall_l(prem, 0, quantified, A)  # ∀x.x⊸x, B⊸B ⊢ …
+    p = mk_cut(mk_lolli_r(mk_axiom(B)), right, 1)
+    rule_id, out, _ = _one_step(p)
+    assert rule_id == "forall-l-commute"
+    assert out.rule == ForallL(0, quantified, A)
+    assert out.premises[0] == mk_cut(mk_lolli_r(mk_axiom(B)), prem, 1)
+
+
+def test_lolli_l_commute_left_of_the_principal_slot():
+    left = mk_tensor_r(mk_axiom(A), mk_axiom(B))  # A, B ⊢ A⊗B
+    r2 = mk_tensor_r(mk_axiom(Tensor(A, B)), mk_axiom(B))  # A⊗B, B ⊢ (A⊗B)⊗B
+    right = mk_lolli_l(mk_axiom(B), r2, 1)  # A⊗B, B, B⊸B ⊢ (A⊗B)⊗B
+    p = mk_cut(left, right, 0)  # A, B, B, B⊸B ⊢ (A⊗B)⊗B
+    rule_id, out, nf = _one_step(p)
+    assert rule_id == "lolli-l-commute"
+    assert out.rule == LolliL(2) and out.premises[1] == mk_cut(left, r2, 0)
+    assert p.conclusion == Sequent((A, B, B, endo(B)), Tensor(Tensor(A, B), B))
+    assert probe_equal(p, nf, ASG) and probe_equal(out, nf, ASG)
+
+
+def test_promotion_contraction_interleaves_a_wide_box():
+    # !A, !B ⊢ !(A⊗B) against a contraction: the two copies of the box's
+    # context are interleaved to !A, !A, !B, !B and contracted pairwise
+    box = mk_tensor_r(mk_der(mk_axiom(A), 0), mk_der(mk_axiom(B), 0))
+    left = mk_prom(box)
+    ab = Tensor(A, B)
+    uses = mk_tensor_r(mk_der(mk_axiom(ab), 0), mk_der(mk_axiom(ab), 0))
+    right = mk_ctr(uses, 0)  # !(A⊗B) ⊢ (A⊗B)⊗(A⊗B)
+    p = mk_cut(left, right, 0)
+    rule_id, out, nf = _one_step(p)
+    assert rule_id == "prom-ctr"
+    assert p.conclusion == Sequent((Bang(A), Bang(B)), Tensor(ab, ab))
+    assert [type(q.rule) for _, q in preorder(out)][:4] == [
+        Contraction, Contraction, Exchange, Cut
+    ]
+    swap = out.premises[0].premises[0]
+    assert swap.premises[0].conclusion.context == (Bang(A), Bang(B), Bang(A), Bang(B))
+    assert swap.conclusion.context == (Bang(A), Bang(A), Bang(B), Bang(B))
+    # depth 1 probes: depth 2 costs seconds on the two boxes under cuts
+    assert probe_equal(p, nf, ASG, depth=1) and probe_equal(out, nf, ASG, depth=1)
 
 
 def test_budget_exhaustion_reports_partial_trace():
