@@ -3,16 +3,17 @@
 Machine output (JSON values or a proof s-expression) goes to stdout;
 every diagnostic goes to stderr.  Exit codes: 0 on success, 1 on a
 domain error (unparseable or invalid input, failed evaluation, budget
-exhaustion, an engine guard failure, input nested too deeply to walk),
-2 on a usage error.  Identical inputs and flags produce
-byte-identical output: the rewrite strategy is fixed and nothing is
-drawn at random.
+exhaustion, an engine guard failure, input nested too deeply to walk,
+a stdout closed by its reader), 2 on a usage error.  Identical inputs
+and flags produce byte-identical output: the rewrite strategy is fixed
+and nothing is drawn at random.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from .semantics import (
     value_literal,
 )
 from .sexpr import (
-    CoordsLit,
     ParseError,
     format_fraction,
     parse_proof,
@@ -125,12 +125,9 @@ def _domain_error(msg: str) -> int:
 
 def _parse_point(text: str) -> object:
     try:
-        lit = parse_value_literal(text)
-    except (ValueError, ParseError) as e:
+        return parse_value_literal(text).rows
+    except ValueError as e:
         raise UsageError(f"bad point literal {text!r}: {e}") from None
-    if not isinstance(lit, CoordsLit):
-        raise UsageError(f"expected a vector or matrix of rationals: {text!r}")
-    return lit.rows
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -140,6 +137,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    if args.max_steps < 0:
+        raise UsageError(f"--max-steps must be at least 0, got {args.max_steps}")
     p = _load_proof(args.file)
     res = normalize(p, max_steps=args.max_steps)
     if args.trace:
@@ -153,7 +152,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_denote(args: argparse.Namespace, asg: dict[str, int]) -> int:
+def _cmd_denote(args: argparse.Namespace) -> int:
+    asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     rows = den_matrix(p, asg)
     text = "[" + ",".join(
@@ -163,14 +163,16 @@ def _cmd_denote(args: argparse.Namespace, asg: dict[str, int]) -> int:
     return 0
 
 
-def _cmd_nl(args: argparse.Namespace, asg: dict[str, int]) -> int:
+def _cmd_nl(args: argparse.Namespace) -> int:
+    asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     point = _parse_point(args.point)
     print(json.dumps(value_literal(nl(p, point, asg))))
     return 0
 
 
-def _cmd_tangent(args: argparse.Namespace, asg: dict[str, int]) -> int:
+def _cmd_tangent(args: argparse.Namespace) -> int:
+    asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     base = _parse_point(args.point)
     direction = _parse_point(args.direction)
@@ -188,30 +190,33 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "check": _cmd_check,
+    "normalize": _cmd_normalize,
+    "denote": _cmd_denote,
+    "nl": _cmd_nl,
+    "tangent": _cmd_tangent,
+    "encode": _cmd_encode,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "encode":
-            return _cmd_encode(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "normalize":
-            return _cmd_normalize(args)
-        asg = _parse_assignment(args.assign)
-        if args.command == "denote":
-            return _cmd_denote(args, asg)
-        if args.command == "nl":
-            return _cmd_nl(args, asg)
-        if args.command == "tangent":
-            return _cmd_tangent(args, asg)
-        raise AssertionError(f"unroutable command {args.command}")
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except UsageError as e:
         parser.error(str(e))  # exits 2
         return 2
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 1
+    except BrokenPipeError:
+        # the reader is gone: drop what is still buffered, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ProofError, RewriteError, SemanticsError) as e:
         return _domain_error(str(e))
     except RecursionError:

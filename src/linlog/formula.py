@@ -168,25 +168,17 @@ def substitute(a: Formula, x: str, b: Formula) -> Formula:
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
     """True iff ``a`` and ``b`` differ only by consistent binder renaming."""
-    return a is b or alpha_eq_under(a, b, {}, {}, 0)
+    return a is b or _alpha(a, b, {}, {}, 0)
 
 
-def alpha_eq_under(
-    a: Formula,
-    b: Formula,
-    env_a: dict[str, int],
-    env_b: dict[str, int],
-    depth: int,
+def _alpha(
+    a: Formula, b: Formula, enva: dict[str, int], envb: dict[str, int], depth: int
 ) -> bool:
     """Alpha-equality with names pre-bound to levels below ``depth``.
 
     Used by clients that bind variables outside the formulas themselves
     (quantifier rules bind a name across a whole proof subtree).
     """
-    return _alpha(a, b, env_a, env_b, depth)
-
-
-def _alpha(a, b, enva, envb, depth):
     if a is b and not enva and not envb:
         return True
     if isinstance(a, Var) and isinstance(b, Var):
@@ -298,13 +290,6 @@ def sequent_alpha_eq(s: Sequent, t: Sequent) -> bool:
         and all(alpha_eq(a, b) for a, b in zip(s.context, t.context))
         and alpha_eq(s.conclusion, t.conclusion)
     )
-
-
-def sequent_free_vars(s: Sequent) -> frozenset[str]:
-    out = free_vars(s.conclusion)
-    for a in s.context:
-        out |= free_vars(a)
-    return out
 
 
 def endo(a: Formula) -> Formula:

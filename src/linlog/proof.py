@@ -13,6 +13,9 @@ formulas the premise does not determine (the weakened formula; the
 quantified formula and the witness).  Only the axiom's formula and the
 all-r binder are read from the cached conclusion.  :func:`_make` builds
 any node from its tag and premises through the one schema function.
+:func:`fold` is the one bottom-up walk over a proof; the walkers that
+map or summarize a tree (here, in ``rewrite``, ``sexpr`` and
+``semantics``) are node functions over it.
 
 Hypothesis positions are explicit.  Every rule that touches the context
 carries the index ``at`` of the formula it touches, counting from zero
@@ -35,7 +38,8 @@ so validity is stable under renaming of bound type variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from operator import attrgetter
+from typing import Callable, Iterator, TypeVar
 
 from .formula import (
     Bang,
@@ -46,16 +50,17 @@ from .formula import (
     Sequent,
     Tensor,
     Var,
+    _alpha,
     alpha_eq,
-    alpha_eq_under,
     format_formula,
     format_sequent,
     free_vars,
     fresh_name,
     sequent_alpha_eq,
-    sequent_free_vars,
     substitute,
 )
+
+T = TypeVar("T")
 
 
 class ProofError(Exception):
@@ -590,62 +595,83 @@ def replace_at(p: Proof, path: tuple[int, ...], sub: Proof) -> Proof:
     return sub
 
 
+def fold(
+    p: Proof,
+    f: Callable[[Proof, list[T]], T],
+    premises: Callable[[Proof], tuple[Proof, ...]] = attrgetter("premises"),
+) -> T:
+    """The catamorphism over proofs: ``f(node, results)`` on each
+    distinct node object of ``p``, where ``results`` holds what ``f``
+    gave for each of ``premises(node)``, premises first; returns the
+    root's result.  Nodes wait on an explicit stack, so depth costs no
+    recursion, and a subtree shared by identity is visited once.
+    ``premises`` may return fewer premises than a node has, to keep the
+    walk out of a subtree that ``f`` handles itself."""
+    done: dict[int, T] = {}
+    stack: list[Proof | None] = [p]
+    waiting: list[Proof] = []  # None on the stack: waiting[-1]'s premises are done
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = waiting.pop()
+            done[id(node)] = f(node, [done[id(q)] for q in premises(node)])
+        elif id(node) not in done:
+            waiting.append(node)
+            stack.append(None)
+            stack.extend(premises(node))
+    return done[id(p)]
+
+
 def proof_eq(p: Proof, q: Proof) -> bool:
     """Structural equality up to renaming of bound type variables.
 
     A quantifier-right node binds its variable across the whole subtree
     above it (the generic variable occurs free in premise sequents), so
     the comparison threads binding environments through the tree rather
-    than comparing node conclusions in isolation.
+    than comparing node conclusions in isolation.  Node pairs wait on an
+    explicit stack with their environments, as in ``Proof.__eq__``.
     """
-    return _proof_alpha(p, q, {}, {}, 0)
-
-
-def _proof_alpha(p, q, envp, envq, depth):
-    if type(p.rule) is not type(q.rule) or len(p.premises) != len(q.premises):
-        return False
-    for u, v in zip(vars(p.rule).values(), vars(q.rule).values()):
-        if not (
-            alpha_eq_under(u, v, envp, envq, depth) if isinstance(u, Formula) else u == v
+    stack = [(p, q, {}, {}, 0)]
+    while stack:
+        p, q, envp, envq, depth = stack.pop()
+        if type(p.rule) is not type(q.rule) or len(p.premises) != len(q.premises):
+            return False
+        for u, v in zip(vars(p.rule).values(), vars(q.rule).values()):
+            if not (
+                _alpha(u, v, envp, envq, depth) if isinstance(u, Formula) else u == v
+            ):
+                return False
+        s, t = p.conclusion, q.conclusion
+        if not (envp == envq and s == t) and not (
+            len(s.context) == len(t.context)
+            and all(
+                _alpha(a, b, envp, envq, depth) for a, b in zip(s.context, t.context)
+            )
+            and _alpha(s.conclusion, t.conclusion, envp, envq, depth)
         ):
             return False
-    if not _sequent_alpha_under(p.conclusion, q.conclusion, envp, envq, depth):
-        return False
-    if isinstance(p.rule, ForallR):
-        bp = p.conclusion.conclusion.binder
-        bq = q.conclusion.conclusion.binder
-        return _proof_alpha(
-            p.premises[0],
-            q.premises[0],
-            {**envp, bp: depth},
-            {**envq, bq: depth},
-            depth + 1,
-        )
-    return all(
-        _proof_alpha(a, b, envp, envq, depth)
-        for a, b in zip(p.premises, q.premises)
-    )
-
-
-def _sequent_alpha_under(s, t, envs, envt, depth):
-    return (
-        len(s.context) == len(t.context)
-        and all(
-            alpha_eq_under(a, b, envs, envt, depth)
-            for a, b in zip(s.context, t.context)
-        )
-        and alpha_eq_under(s.conclusion, t.conclusion, envs, envt, depth)
-    )
+        if isinstance(p.rule, ForallR):
+            envp = {**envp, s.conclusion.binder: depth}
+            envq = {**envq, t.conclusion.binder: depth}
+            depth += 1
+        stack.extend((a, b, envp, envq, depth) for a, b in zip(p.premises, q.premises))
+    return True
 
 
 def free_vars_proof(p: Proof) -> frozenset[str]:
-    """Type variables occurring free anywhere in the tree."""
-    out = sequent_free_vars(p.conclusion)
-    for _, node in preorder(p):
-        out |= sequent_free_vars(node.conclusion)
+    """Type variables occurring free anywhere in the tree: in a node's
+    conclusion or an all-l witness.  Formulas are interned, so each
+    distinct one is collected once and its free variables found once."""
+    formulas: set[Formula] = set()
+
+    def collect(node: Proof, _: list) -> None:
+        formulas.update(node.conclusion.context)
+        formulas.add(node.conclusion.conclusion)
         if isinstance(node.rule, ForallL):
-            out |= free_vars(node.rule.witness)
-    return out
+            formulas.add(node.rule.witness)
+
+    fold(p, collect)
+    return frozenset().union(*map(free_vars, formulas))
 
 
 # ---------------------------------------------------------------------------
@@ -658,22 +684,35 @@ def subst_proof(p: Proof, x: str, b: Formula) -> Proof:
     Substitutes in each tag's formulas and rebuilds every node through
     :func:`_make`, so the result validates whenever ``p`` does.
     Quantifier nodes that bind ``x`` shadow the substitution; binders
-    that would capture a free variable of ``b`` are renamed first.
+    that would capture a free variable of ``b`` are renamed first.  The
+    fold does not enter either kind of quantifier node: a shadowing one
+    is kept, and a capturing one folds its renamed premise itself.
     """
-    rule = p.rule
-    if isinstance(rule, Axiom):
-        return mk_axiom(substitute(p.conclusion.conclusion, x, b))
-    if isinstance(rule, ForallR):
-        binder = p.conclusion.conclusion.binder
-        if binder == x:
-            return p
-        if binder in free_vars(b):
-            avoid = free_vars_proof(p) | free_vars(b) | {x}
-            fresh = fresh_name(binder, avoid)
-            renamed = mk_forall_r(subst_proof(p.premises[0], binder, Var(fresh)), fresh)
-            return subst_proof(renamed, x, b)
-        return mk_forall_r(subst_proof(p.premises[0], x, b), binder)
-    formulas = {
-        k: substitute(v, x, b) for k, v in vars(rule).items() if isinstance(v, Formula)
-    }
-    return _make(replace(rule, **formulas), *[subst_proof(q, x, b) for q in p.premises])
+    fv_b = free_vars(b)
+
+    def premises(node: Proof) -> tuple[Proof, ...]:
+        if isinstance(node.rule, ForallR):
+            binder = node.conclusion.conclusion.binder
+            if binder == x or binder in fv_b:
+                return ()
+        return node.premises
+
+    def node(q: Proof, subs: list[Proof]) -> Proof:
+        rule = q.rule
+        if isinstance(rule, Axiom):
+            return mk_axiom(substitute(q.conclusion.conclusion, x, b))
+        if isinstance(rule, ForallR):
+            binder = q.conclusion.conclusion.binder
+            if binder == x:
+                return q
+            if binder in fv_b:
+                fresh = fresh_name(binder, free_vars_proof(q) | fv_b | {x})
+                renamed = subst_proof(q.premises[0], binder, Var(fresh))
+                return mk_forall_r(fold(renamed, node, premises), fresh)
+            return mk_forall_r(subs[0], binder)
+        formulas = {
+            k: substitute(v, x, b) for k, v in vars(rule).items() if isinstance(v, Formula)
+        }
+        return _make(replace(rule, **formulas), *subs)
+
+    return fold(p, node, premises)

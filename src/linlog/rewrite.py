@@ -63,6 +63,7 @@ from .proof import (
     _make,
     _node_violation,
     _with_premise,
+    fold,
     free_vars_proof,
     get_at,
     mk_ctr,
@@ -458,13 +459,18 @@ def exchange_normalize(p: Proof) -> Proof:
     """Collapse exchange chains to a canonical word (dropping identity
     permutations), bottom-up.  Cut-elimination's golden normal forms
     carry no exchanges at all, so structural comparisons are made after
-    this pass."""
-    premises = tuple(exchange_normalize(q) for q in p.premises)
-    node = _rebuild(p, premises)
-    if not isinstance(node.rule, Exchange):
-        return node
+    this pass.  A subtree that changes nothing comes back as itself."""
+    return fold(p, _exchange_node)
+
+
+def _exchange_node(p: Proof, premises: list[Proof]) -> Proof:
+    """One node of :func:`exchange_normalize`, given its premises' results."""
+    if tuple(premises) != p.premises:
+        p = Proof(p.rule, tuple(premises), p.conclusion)
+    if not isinstance(p.rule, Exchange):
+        return p
     swaps: list[int] = []
-    cur = node
+    cur = p
     while isinstance(cur.rule, Exchange):
         swaps.append(cur.rule.at)
         cur = cur.premises[0]
@@ -490,9 +496,3 @@ def _canonical_word(perm: list[int]) -> list[int]:
             work[k], work[k + 1] = work[k + 1], work[k]
             word.append(k)
     return word
-
-
-def _rebuild(p: Proof, premises: tuple[Proof, ...]) -> Proof:
-    if premises == p.premises:
-        return p
-    return Proof(p.rule, premises, p.conclusion)

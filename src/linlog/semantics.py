@@ -110,6 +110,7 @@ from .proof import (
     TensorL,
     TensorR,
     Weakening,
+    fold,
 )
 from .sexpr import format_fraction
 
@@ -366,23 +367,10 @@ def _second_order(env: tuple) -> Value:
 @lru_cache(maxsize=256)
 def _plan(p: Proof, asg: AsgKey) -> Plan:
     """The plan of a proof under one assignment (see the module
-    docstring).  Nodes are compiled bottom-up from an explicit stack, so
-    compiling takes no recursion however deep the proof is; an equal
-    subproof is compiled once."""
-    plans: dict[Proof, Plan] = {}
-    stack = [p]
-    while stack:
-        q = stack[-1]
-        if q in plans:
-            stack.pop()
-            continue
-        todo = [r for r in q.premises if r not in plans]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        plans[q] = _compile(q, asg, [plans[r] for r in q.premises])
-    return plans[p]
+    docstring), compiled by :func:`fold`, so compiling takes no
+    recursion however deep the proof is; a shared subproof is compiled
+    once."""
+    return fold(p, lambda q, subs: _compile(q, asg, subs))
 
 
 def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
@@ -787,9 +775,7 @@ def values_agree(
 ) -> bool:
     """Exact equality of two values; elements of an infinite hom space
     are compared by applying both to the standard probe kets."""
-    if is_finite(space):
-        return force(a, space) == force(b, space)
-    if isinstance(space, BangSp):
+    if is_finite(space) or isinstance(space, BangSp):
         return force(a, space) == force(b, space)
     if isinstance(space, HomSp) and isinstance(space.dom, BangSp):
         for e in standard_probes(space.dom.inner, depth, seed, points):
@@ -823,7 +809,8 @@ def probe_equal(
 
 
 # ---------------------------------------------------------------------------
-# Rendering (the value-literal syntax accepted back by the parser)
+# Rendering: vectors and matrices in the literal syntax the parser reads
+# back; kets as ket(base; args), for output only
 
 
 def value_literal(v: SemValue) -> str:

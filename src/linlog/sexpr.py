@@ -48,6 +48,7 @@ from .proof import (
     ProofError,
     RULE_KEYWORDS,
     _make,
+    fold,
     mk_axiom,
     mk_forall_r,
     mk_one_r,
@@ -326,10 +327,6 @@ def parse_proof(text: str) -> Proof:
     return out
 
 
-def print_formula(a: Formula) -> str:
-    return format_formula(a)
-
-
 _WIDTH = 72
 
 
@@ -352,54 +349,41 @@ def print_proof(p: Proof) -> str:
     fits in ``_WIDTH`` columns at its indent; otherwise its head opens a
     block and each premise follows on its own line, two columns deeper.
     """
-    # Bottom-up over distinct nodes: each node's head, the width of its
-    # one-line text, and that text only where it is at most _WIDTH wide
-    # (or the node is a leaf), built from its premises' texts.
-    heads: dict[int, str] = {}
-    widths: dict[int, int] = {}
-    inline: dict[int, str] = {}
-    stack = [p]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in widths:
-            stack.pop()
-            continue
-        todo = [q for q in node.premises if id(q) not in widths]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        head = "(" + " ".join([RULE_KEYWORDS[type(node.rule)], *_node_args(node)])
-        width = len(head) + 1 + sum(1 + widths[id(q)] for q in node.premises)
-        heads[key] = head
-        widths[key] = width
-        if width <= _WIDTH or not node.premises:
-            inline[key] = " ".join([head, *(inline[id(q)] for q in node.premises)]) + ")"
-    # Top-down layout: a stack of (node, indent) pairs and literal text.
+    # Top-down layout: a stack of (measure, indent) pairs and literal text.
     out: list[str] = []
-    layout: list = [(p, 0)]
+    layout: list = [(fold(p, _measure), 0)]
     while layout:
         item = layout.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        node, indent = item
-        key = id(node)
-        if not node.premises or indent + widths[key] <= _WIDTH:
-            out.append(inline[key])
+        (head, width, inline, premises), indent = item
+        if not premises or indent + width <= _WIDTH:
+            out.append(inline)
             continue
-        out.append(heads[key])
+        out.append(head)
         layout.append(")")
         pad = "\n" + " " * (indent + 2)
-        for q in reversed(node.premises):
+        for q in reversed(premises):
             layout.append((q, indent + 2))
             layout.append(pad)
     return "".join(out)
 
 
+def _measure(node: Proof, premises: list[tuple]) -> tuple:
+    """``print_proof``'s bottom-up pass: a node's head, the width of its
+    one-line text, that text only where it is at most ``_WIDTH`` wide
+    (or the node is a leaf), and its premises' measures."""
+    head = "(" + " ".join([RULE_KEYWORDS[type(node.rule)], *_node_args(node)])
+    width = len(head) + 1 + sum([1 + m[1] for m in premises])
+    inline = None
+    if width <= _WIDTH or not premises:
+        inline = " ".join([head, *[m[2] for m in premises]]) + ")"
+    return head, width, inline, premises
+
+
 # ---------------------------------------------------------------------------
-# Rational and value literals, JSON interchange
+# Rationals, vector and matrix literals, JSON interchange
 
 
 def format_fraction(q: Fraction) -> str:
@@ -416,10 +400,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _ValueLexer:
-    """Shared scanner for the small value-literal language used by the
-    command line: coordinate lists ``[1/2, 3]``, matrices ``[[..],[..]]``,
-    kets ``ket(P; v1, v2)``, sums with ``+`` and rational scaling with
-    ``*``."""
+    """Scanner for the value literals of the command line: coordinate
+    lists ``[1/2, 3]`` and matrices ``[[..],[..]]``."""
 
     def __init__(self, text: str):
         self.text = text
@@ -460,99 +442,27 @@ class CoordsLit:
     is_matrix: bool
 
 
-@dataclass(frozen=True)
-class KetLit:
-    base: CoordsLit
-    args: tuple[CoordsLit, ...]
-
-
-@dataclass(frozen=True)
-class ScalarLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ScaledLit:
-    coeff: Fraction
-    value: "ValueLit"
-
-
-@dataclass(frozen=True)
-class SumLit:
-    terms: tuple["ValueLit", ...]
-
-
-ValueLit = CoordsLit | KetLit | ScalarLit | ScaledLit | SumLit
-
-
-def parse_value_literal(text: str) -> ValueLit:
+def parse_value_literal(text: str) -> CoordsLit:
+    """A vector or matrix literal; anything else is a ValueError."""
     lexer = _ValueLexer(text)
-    out = _value_sum(lexer)
+    out = _coords(lexer)
     lexer.skip_ws()
     if lexer.pos != len(lexer.text):
         raise ValueError(f"trailing input in value literal {text!r}")
     return out
 
 
-def _value_sum(lexer: _ValueLexer) -> ValueLit:
-    terms = [_value_term(lexer)]
-    while lexer.peek() == "+":
-        lexer.eat("+")
-        terms.append(_value_term(lexer))
-    return terms[0] if len(terms) == 1 else SumLit(tuple(terms))
-
-
-def _value_term(lexer: _ValueLexer) -> ValueLit:
-    ch = lexer.peek()
-    if ch == "[":
-        return _coords(lexer)
-    if ch == "k" and lexer.text[lexer.pos :].lstrip().startswith("ket"):
-        lexer.skip_ws()
-        lexer.pos += 3
-        lexer.eat("(")
-        base = _coords(lexer)
-        args = []
-        while lexer.peek() == ";":
-            lexer.eat(";")
-            args.append(_coords(lexer))
-            while lexer.peek() == ",":
-                lexer.eat(",")
-                args.append(_coords(lexer))
-        lexer.eat(")")
-        return KetLit(base, tuple(args))
-    coeff = lexer.rational()
-    if lexer.peek() == "*":
-        lexer.eat("*")
-        return ScaledLit(coeff, _value_term(lexer))
-    return ScalarLit(coeff)
-
-
-def _coords(lexer: _ValueLexer) -> CoordsLit:
+def _coords(lexer: _ValueLexer, nested: bool = True) -> CoordsLit:
+    """A vector, or (when ``nested``) a matrix given as a list of rows."""
     lexer.eat("[")
-    if lexer.peek() == "[":
-        rows = []
-        rows.append(_row(lexer))
-        while lexer.peek() == ",":
-            lexer.eat(",")
-            rows.append(_row(lexer))
-        lexer.eat("]")
-        return CoordsLit(tuple(rows), True)
-    entries = [lexer.rational()]
+    is_matrix = nested and lexer.peek() == "["
+    item = (lambda: _coords(lexer, False).rows) if is_matrix else lexer.rational
+    entries = [item()]
     while lexer.peek() == ",":
         lexer.eat(",")
-        entries.append(lexer.rational())
+        entries.append(item())
     lexer.eat("]")
-    return CoordsLit(tuple(entries), False)
-
-
-def _row(lexer: _ValueLexer) -> tuple[Fraction, ...]:
-    lexer.eat("[")
-    entries = [lexer.rational()]
-    while lexer.peek() == ",":
-        lexer.eat(",")
-        entries.append(lexer.rational())
-    lexer.eat("]")
-    return tuple(entries)
+    return CoordsLit(tuple(entries), is_matrix)
 
 
 def step_json(rule_id: str, path: tuple[int, ...], size_before: int, size_after: int) -> dict:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from linlog import cli
 from linlog.cli import main
-from linlog.encodings import add_cut, church, comp, library, mult_cut, plain_body
-from linlog.formula import Var
-from linlog.proof import proof_eq
+from linlog.encodings import add_cut, church, church2, comp, library, mult_cut, plain_body
+from linlog.formula import INT, Var, int_type
+from linlog.proof import mk_axiom, mk_cut, mk_forall_l, proof_eq
 from linlog.rewrite import RewriteError, is_cut_free
 from linlog.sexpr import parse_proof, print_proof
 
@@ -192,6 +192,45 @@ def test_a_zero_denominator_is_a_bad_point(church2_file, capsys):
         assert "bad point literal" in capsys.readouterr().err
 
 
+def test_a_point_that_is_not_a_vector_or_matrix_is_a_bad_point(church2_file, capsys):
+    for point in ("ket([1])", "2", "2 * [1] + [3]"):
+        with pytest.raises(SystemExit) as exc:
+            main(["nl", church2_file, "--assign", "A=2", "--point", point])
+        assert exc.value.code == 2
+        assert "bad point literal" in capsys.readouterr().err
+
+
+def test_a_negative_budget_is_a_usage_error(mult2x2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", mult2x2_file, "--max-steps", "-3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--max-steps" in out.err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the reading end is closed before linlog starts, so every write fails
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "linlog.cli", "encode", "church-2"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert run.stderr == b""
+
+
 def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
     f = tmp_path / "latin1.llp"
     f.write_bytes("(ax \u00c5)".encode("latin-1"))
@@ -273,6 +312,18 @@ def test_normalize_runs_a_deep_cut(tmp_path, capsys):
     assert out.err == ""
     q = parse_proof(out.out)
     assert is_cut_free(q) and q.conclusion == p.conclusion
+
+
+def test_normalize_instantiates_a_deep_generalized_numeral(tmp_path, capsys):
+    # the all-principal step substitutes into church(400), whose depth is
+    # past the default recursion limit
+    cut = mk_cut(church2(400), mk_forall_l(mk_axiom(int_type(A)), 0, INT, A), 0)
+    f = tmp_path / "inst-400.llp"
+    f.write_text(print_proof(cut) + "\n")
+    assert main(["normalize", str(f)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == print_proof(church(400, A)) + "\n"
 
 
 def test_too_deep_formula_is_a_domain_error(tmp_path):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from linlog.encodings import church
@@ -11,8 +13,11 @@ from linlog.formula import (
     Tensor,
     Var,
     endo,
+    alpha_eq,
+    free_vars,
     int_type,
     sequent_alpha_eq,
+    substitute,
 )
 from linlog.proof import (
     Axiom,
@@ -20,6 +25,7 @@ from linlog.proof import (
     Proof,
     ProofError,
     Weakening,
+    fold,
     get_at,
     mk_axiom,
     mk_ctr,
@@ -245,6 +251,43 @@ def test_subst_proof_renames_capturing_binder():
     assert validate(q) == []
     assert q.conclusion.conclusion == Lolli(X, X)
     assert sequent_alpha_eq(q.premises[0].conclusion, Sequent((Lolli(X, X),), Lolli(X, X)))
+
+
+def test_subst_proof_skips_the_subtrees_it_would_throw_away():
+    # sixteen nested binders that each capture the substituted variable:
+    # substituting under one before renaming it would double the work
+    p = mk_lolli_r(mk_axiom(X))
+    for _ in range(16):
+        p = mk_forall_r(p, "y")
+    start = time.perf_counter()
+    q = subst_proof(p, "x", Var("y"))
+    assert time.perf_counter() - start < 0.05
+    assert validate(q) == []
+    want = substitute(p.conclusion.conclusion, "x", Var("y"))
+    assert alpha_eq(q.conclusion.conclusion, want) and free_vars(want) == {"y"}
+
+
+def test_deep_walkers_take_no_recursion():
+    # church(2000) is about 4,000 rules deep, past the default recursion limit
+    p = church(2000, A)
+    q = subst_proof(p, "A", B)
+    assert validate(q) == []
+    assert q.conclusion == Sequent((), int_type(B))
+    assert proof_eq(p, church(2000, A))
+    assert not proof_eq(church(1500, A), church(1501, A))
+
+
+def test_fold_visits_a_shared_subtree_once():
+    shared = mk_axiom(A)
+    p = mk_tensor_r(shared, shared)
+    seen = []
+
+    def count(node, results):
+        seen.append(node)
+        return 1 + sum(results)
+
+    assert fold(p, count) == 3
+    assert len(seen) == 2 and seen[0] is shared
 
 
 def test_replace_and_get_at():

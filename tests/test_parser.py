@@ -42,10 +42,7 @@ from linlog.proof import (
 )
 from linlog.sexpr import (
     CoordsLit,
-    KetLit,
     ParseError,
-    ScaledLit,
-    SumLit,
     format_fraction,
     parse_formula,
     parse_proof,
@@ -204,10 +201,6 @@ def test_value_literals():
     assert v == CoordsLit((Fraction(1, 2), Fraction(3)), False)
     m = parse_value_literal("[[1,0],[0,1]]")
     assert m.is_matrix and m.rows[1] == (Fraction(0), Fraction(1))
-    k = parse_value_literal("ket([[1,1],[0,1]]; [[0,1],[0,0]], [[1,0],[0,0]])")
-    assert isinstance(k, KetLit) and len(k.args) == 2
-    s = parse_value_literal("2 * ket([1]; [2]) + [3]")
-    assert isinstance(s, SumLit) and isinstance(s.terms[0], ScaledLit)
     with pytest.raises(ValueError):
         parse_value_literal("[1, oops]")
     with pytest.raises(ValueError):

@@ -287,6 +287,11 @@ def test_exchange_normalize_keeps_numerals_untouched():
     assert exchange_normalize(church(5, A)) == church(5, A)
 
 
+def test_exchange_normalize_returns_a_deep_proof_without_exchanges_as_itself():
+    p = church(2000, A)
+    assert exchange_normalize(p) is p
+
+
 def test_exchange_normalize_gives_one_word_per_permutation():
     base = plain_body(3, A)  # E,E,E ⊢ E
     # the same permutation spelled as two different braid words
