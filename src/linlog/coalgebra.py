@@ -104,14 +104,6 @@ def space_dim(s: Space) -> int | None:
         return None if d is None or c is None else d * c
     if isinstance(s, BangSp):
         return None
-    if isinstance(s, SumSp):
-        total = 0
-        for p in s.parts:
-            d = space_dim(p)
-            if d is None:
-                return None
-            total += d
-        return total
     raise TypeError(f"not a space: {s!r}")
 
 
@@ -130,8 +122,6 @@ def space_label(s: Space) -> str:
         return f"Hom({space_label(s.dom)}, {space_label(s.cod)})"
     if isinstance(s, BangSp):
         return f"!{space_label(s.inner)}"
-    if isinstance(s, SumSp):
-        return "(" + " (+) ".join(space_label(p) for p in s.parts) + ")"
     raise TypeError(f"not a space: {s!r}")
 
 
@@ -305,7 +295,6 @@ def counit(x: BangElem) -> Rational:
     return total
 
 
-@lru_cache(maxsize=8192)
 def dereliction(x: BangElem) -> Vect:
     """d|o⟩_P = P, d|ν⟩_P = ν, kets with two or more arguments ↦ 0."""
     out = zero_vec(x.space)

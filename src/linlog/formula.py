@@ -6,7 +6,10 @@ Formulas follow the grammar
 
 with ``*`` the multiplicative product, ``-o`` linear implication (right
 associative), ``!`` the exponential and ``all`` universal quantification
-over propositional variables.  Everything is immutable.
+over propositional variables.  Everything is immutable.  No walk over
+a formula recurses: :func:`fold`, the one bottom-up walk over proofs and
+formulas, and :func:`emit`, the printers' top-down walk, keep their
+nodes on explicit stacks.
 
 Formulas are hash-consed: the constructors look each (class, children)
 key up in a weak intern table, so structurally equal formulas are one
@@ -14,8 +17,7 @@ object for as long as any of them is alive.  Plain ``==`` is therefore
 structural *by identity*, and ``==`` and ``hash`` cost O(1) whatever the
 size of the formula.  It still distinguishes ``(all x. x -o x)`` from
 ``(all y. y -o y)``; comparison up to renaming of bound variables goes
-through :func:`alpha_eq`, or equivalently through string equality of
-:func:`canonical_print`.  Hashes are identity-based and differ between
+through :func:`alpha_eq`.  Hashes are identity-based and differ between
 runs, so nothing that reaches output may iterate over a set or dict of
 formulas.
 """
@@ -23,8 +25,11 @@ formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-from weakref import WeakValueDictionary
+from operator import attrgetter, eq
+from typing import Callable, Iterable, Iterator, TypeVar
+from weakref import WeakKeyDictionary, WeakValueDictionary
+
+T = TypeVar("T")
 
 #: (class, *fields) -> the one live formula with those fields.  The key
 #: holds the children, which the formula holds anyway; the entry goes
@@ -111,21 +116,66 @@ class Forall(_Interned):
 Formula = Var | One | Tensor | Lolli | Bang | Forall
 
 
+_CHILDREN = {
+    Var: lambda a: (),
+    One: lambda a: (),
+    Tensor: attrgetter("left", "right"),
+    Lolli: attrgetter("ante", "cons"),
+    Bang: lambda a: (a.body,),
+    Forall: lambda a: (a.body,),
+}
+
+
+def children(a: Formula) -> tuple[Formula, ...]:
+    """The formula-valued fields of ``a``, left to right: the accessor
+    :func:`fold` walks formulas with."""
+    return _CHILDREN[type(a)](a)
+
+
+def fold(
+    p: object,
+    f: Callable[[object, list[T]], T],
+    premises: Callable[[object], tuple] = attrgetter("premises"),
+) -> T:
+    """The catamorphism over proofs and formulas: ``f(node, results)`` on
+    each distinct node object of ``p``, where ``results`` holds what ``f``
+    gave for each of ``premises(node)`` (a proof's premises by default;
+    formulas pass :func:`children`), left to right and before the node;
+    returns the root's result.  Nodes wait on an explicit stack, so depth
+    costs no recursion, and a subtree shared by identity is visited once.
+    ``premises`` may return fewer children than a node has, to keep the
+    walk out of a subtree that ``f`` handles itself."""
+    done: dict[int, T] = {}
+    stack: list = [p]
+    waiting: list[tuple] = []  # None on the stack: waiting[-1]'s premises are done
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node, below = waiting.pop()
+            done[id(node)] = f(node, [done[id(q)] for q in below])
+        elif id(node) not in done:
+            below = premises(node)
+            waiting.append((node, below))
+            stack.append(None)
+            stack.extend(reversed(below))
+    return done[id(p)]
+
+
+#: Formula -> its free variables, for as long as the formula is alive.
+_FREE: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def free_vars(a: Formula) -> frozenset[str]:
-    """The free propositional variables of ``a``."""
-    if isinstance(a, Var):
-        return frozenset((a.name,))
-    if isinstance(a, One):
-        return frozenset()
-    if isinstance(a, Tensor):
-        return free_vars(a.left) | free_vars(a.right)
-    if isinstance(a, Lolli):
-        return free_vars(a.ante) | free_vars(a.cons)
-    if isinstance(a, Bang):
-        return free_vars(a.body)
-    if isinstance(a, Forall):
-        return free_vars(a.body) - {a.binder}
-    raise TypeError(f"not a formula: {a!r}")
+    """The free propositional variables of ``a``, remembered per formula."""
+    fv = _FREE.get(a)
+    return fold(a, _free_node, lambda c: () if c in _FREE else children(c)) if fv is None else fv
+
+
+def _free_node(a: Formula, parts: list[frozenset[str]]) -> frozenset[str]:
+    if a not in _FREE:
+        fv = frozenset((a.name,)) if type(a) is Var else frozenset().union(*parts)
+        _FREE[a] = fv - {a.binder} if type(a) is Forall else fv
+    return _FREE[a]
 
 
 def fresh_name(stem: str, avoid: Iterable[str]) -> str:
@@ -140,30 +190,30 @@ def fresh_name(stem: str, avoid: Iterable[str]) -> str:
 def substitute(a: Formula, x: str, b: Formula) -> Formula:
     """Capture-avoiding substitution of ``b`` for free occurrences of ``x``.
 
-    Binders of ``a`` that would capture a free variable of ``b`` are
-    renamed (with primes) before descending.
+    The fold enters only subformulas in which ``x`` is free, and not the
+    body of a binder that would capture a free variable of ``b``: that
+    binder is renamed (with primes) and its body substituted apart.
     """
-    if isinstance(a, Var):
-        return b if a.name == x else a
-    if isinstance(a, One):
-        return a
-    if isinstance(a, Tensor):
-        return Tensor(substitute(a.left, x, b), substitute(a.right, x, b))
-    if isinstance(a, Lolli):
-        return Lolli(substitute(a.ante, x, b), substitute(a.cons, x, b))
-    if isinstance(a, Bang):
-        return Bang(substitute(a.body, x, b))
-    if isinstance(a, Forall):
-        if a.binder == x:
-            return a
-        if x not in free_vars(a.body):
-            return a
-        if a.binder in free_vars(b):
-            fresh = fresh_name(a.binder, free_vars(b) | free_vars(a.body) | {x})
-            renamed = substitute(a.body, a.binder, Var(fresh))
-            return Forall(fresh, substitute(renamed, x, b))
-        return Forall(a.binder, substitute(a.body, x, b))
-    raise TypeError(f"not a formula: {a!r}")
+    fv_b = free_vars(b)
+
+    def enter(c: Formula) -> tuple[Formula, ...]:
+        captures = type(c) is Forall and c.binder in fv_b
+        return () if captures or x not in free_vars(c) else children(c)
+
+    def node(c: Formula, parts: list[Formula]) -> Formula:
+        if x not in free_vars(c):
+            return c
+        if type(c) is Var:
+            return b
+        if type(c) is not Forall:
+            return type(c)(*parts)
+        if c.binder not in fv_b:
+            return Forall(c.binder, *parts)
+        fresh = fresh_name(c.binder, fv_b | free_vars(c.body) | {x})
+        renamed = substitute(c.body, c.binder, Var(fresh))
+        return Forall(fresh, fold(renamed, node, enter))
+
+    return fold(a, node, enter)
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
@@ -174,36 +224,47 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
 def _alpha(
     a: Formula, b: Formula, enva: dict[str, int], envb: dict[str, int], depth: int
 ) -> bool:
-    """Alpha-equality with names pre-bound to levels below ``depth``.
+    """Alpha-equality with names pre-bound to levels below ``depth``: the
+    two formulas' canonical sequences are equal.
 
     Used by clients that bind variables outside the formulas themselves
     (quantifier rules bind a name across a whole proof subtree).
     """
     if a is b and not enva and not envb:
         return True
-    if isinstance(a, Var) and isinstance(b, Var):
-        return enva.get(a.name, a.name) == envb.get(b.name, b.name)
-    if isinstance(a, One) and isinstance(b, One):
-        return True
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        return _alpha(a.left, b.left, enva, envb, depth) and _alpha(
-            a.right, b.right, enva, envb, depth
-        )
-    if isinstance(a, Lolli) and isinstance(b, Lolli):
-        return _alpha(a.ante, b.ante, enva, envb, depth) and _alpha(
-            a.cons, b.cons, enva, envb, depth
-        )
-    if isinstance(a, Bang) and isinstance(b, Bang):
-        return _alpha(a.body, b.body, enva, envb, depth)
-    if isinstance(a, Forall) and isinstance(b, Forall):
-        return _alpha(
-            a.body,
-            b.body,
-            {**enva, a.binder: depth},
-            {**envb, b.binder: depth},
-            depth + 1,
-        )
-    return False
+    # canonical sequences are prefix-free, so zip may stop at the shorter
+    return all(map(eq, emit((a, enva, depth), _canon), emit((b, envb, depth), _canon)))
+
+
+def emit(root: tuple, expand: Callable[..., list]) -> Iterator:
+    """The top-down walk behind the printers, over an explicit stack:
+    ``expand(*item)`` lists the output of an item (a node and its context,
+    in a tuple) as tokens and further items, in order; yields the tokens."""
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            stack.extend(reversed(expand(*item)))
+        else:
+            yield item
+
+
+def _canon(a: Formula, env: dict[str, int], depth: int) -> list:
+    """Expands ``a`` for :func:`emit` into its alpha-class as a flat list:
+    a connective as its class, a bound variable as its binder's level (an
+    ``int``), a free one as its name (a ``str``), ``None`` closing a
+    compound.  ``env`` pre-binds names to levels below ``depth``."""
+    kind = type(a)
+    if kind is Var:
+        return [env.get(a.name, a.name)]
+    if kind is One:
+        return [One]
+    if kind is Forall:
+        env, depth = {**env, a.binder: depth}, depth + 1
+    return [kind, *[(c, env, depth) for c in children(a)], None]
+
+
+_CANON_TEXT = {One: "1", Tensor: "(*", Lolli: "(-o", Bang: "(!", Forall: "(all", None: ")"}
 
 
 def canonical_print(a: Formula) -> str:
@@ -211,26 +272,14 @@ def canonical_print(a: Formula) -> str:
 
     Binders are dropped and bound occurrences printed as ``#level``
     (a spelling no parseable identifier can collide with), so two
-    formulas have equal canonical prints iff they are alpha-equal.
+    parsed formulas have equal canonical prints iff they are alpha-equal.
     """
-    return _canon(a, {}, 0)
-
-
-def _canon(a, env, depth):
-    if isinstance(a, Var):
-        level = env.get(a.name)
-        return a.name if level is None else f"#{level}"
-    if isinstance(a, One):
-        return "1"
-    if isinstance(a, Tensor):
-        return f"(* {_canon(a.left, env, depth)} {_canon(a.right, env, depth)})"
-    if isinstance(a, Lolli):
-        return f"(-o {_canon(a.ante, env, depth)} {_canon(a.cons, env, depth)})"
-    if isinstance(a, Bang):
-        return f"(! {_canon(a.body, env, depth)})"
-    if isinstance(a, Forall):
-        return f"(all {_canon(a.body, {**env, a.binder: depth}, depth + 1)})"
-    raise TypeError(f"not a formula: {a!r}")
+    out: list[str] = []
+    for t in emit((a, {}, 0), _canon):
+        if out and t is not None:
+            out.append(" ")
+        out.append(f"#{t}" if type(t) is int else _CANON_TEXT.get(t, t))
+    return "".join(out)
 
 
 def format_formula(a: Formula) -> str:
@@ -239,25 +288,22 @@ def format_formula(a: Formula) -> str:
     >>> format_formula(int_type(Var("A")))
     '!(A -o A) -o (A -o A)'
     """
-    return _fmt(a, True)
+    return "".join(emit((a, True), _surface))
 
 
-def _fmt(a, top):
-    if isinstance(a, Var):
-        return a.name
-    if isinstance(a, One):
-        return "1"
-    if isinstance(a, Bang):
-        return "!" + _fmt(a.body, False)
-    if isinstance(a, Forall):
-        return f"(all {a.binder}. {_fmt(a.body, True)})"
-    if isinstance(a, Tensor):
-        body = f"{_fmt(a.left, False)} * {_fmt(a.right, False)}"
-    elif isinstance(a, Lolli):
-        body = f"{_fmt(a.ante, False)} -o {_fmt(a.cons, False)}"
-    else:
-        raise TypeError(f"not a formula: {a!r}")
-    return body if top else f"({body})"
+def _surface(a: Formula, top: bool) -> list:
+    kind = type(a)
+    if kind is Var:
+        return [a.name]
+    if kind is One:
+        return ["1"]
+    if kind is Bang:
+        return ["!", (a.body, False)]
+    if kind is Forall:
+        return [f"(all {a.binder}. ", (a.body, True), ")"]
+    left, right = children(a)
+    infix = [(left, False), " * " if kind is Tensor else " -o ", (right, False)]
+    return infix if top else ["(", *infix, ")"]
 
 
 @dataclass(frozen=True)

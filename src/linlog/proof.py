@@ -13,9 +13,9 @@ formulas the premise does not determine (the weakened formula; the
 quantified formula and the witness).  Only the axiom's formula and the
 all-r binder are read from the cached conclusion.  :func:`_make` builds
 any node from its tag and premises through the one schema function.
-:func:`fold` is the one bottom-up walk over a proof; the walkers that
-map or summarize a tree (here, in ``rewrite``, ``sexpr`` and
-``semantics``) are node functions over it.
+``formula.fold`` is the one bottom-up walk over a proof, as over a
+formula; the walkers that map or summarize a tree (here, in ``rewrite``,
+``sexpr`` and ``semantics``) are node functions over it.
 
 Hypothesis positions are explicit.  Every rule that touches the context
 carries the index ``at`` of the formula it touches, counting from zero
@@ -38,8 +38,7 @@ so validity is stable under renaming of bound type variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 from .formula import (
     Bang,
@@ -52,6 +51,7 @@ from .formula import (
     Var,
     _alpha,
     alpha_eq,
+    fold,
     format_formula,
     format_sequent,
     free_vars,
@@ -59,8 +59,6 @@ from .formula import (
     sequent_alpha_eq,
     substitute,
 )
-
-T = TypeVar("T")
 
 
 class ProofError(Exception):
@@ -593,33 +591,6 @@ def replace_at(p: Proof, path: tuple[int, ...], sub: Proof) -> Proof:
     for parent, i in zip(reversed(spine), reversed(path)):
         sub = _with_premise(parent, i, sub)
     return sub
-
-
-def fold(
-    p: Proof,
-    f: Callable[[Proof, list[T]], T],
-    premises: Callable[[Proof], tuple[Proof, ...]] = attrgetter("premises"),
-) -> T:
-    """The catamorphism over proofs: ``f(node, results)`` on each
-    distinct node object of ``p``, where ``results`` holds what ``f``
-    gave for each of ``premises(node)``, premises first; returns the
-    root's result.  Nodes wait on an explicit stack, so depth costs no
-    recursion, and a subtree shared by identity is visited once.
-    ``premises`` may return fewer premises than a node has, to keep the
-    walk out of a subtree that ``f`` handles itself."""
-    done: dict[int, T] = {}
-    stack: list[Proof | None] = [p]
-    waiting: list[Proof] = []  # None on the stack: waiting[-1]'s premises are done
-    while stack:
-        node = stack.pop()
-        if node is None:
-            node = waiting.pop()
-            done[id(node)] = f(node, [done[id(q)] for q in premises(node)])
-        elif id(node) not in done:
-            waiting.append(node)
-            stack.append(None)
-            stack.extend(premises(node))
-    return done[id(p)]
 
 
 def proof_eq(p: Proof, q: Proof) -> bool:

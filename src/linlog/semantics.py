@@ -92,7 +92,7 @@ from .coalgebra import (
     zero_bang,
 )
 from .formula import Bang as BangF
-from .formula import Forall, Formula, Lolli, One, Sequent, Tensor, Var
+from .formula import Forall, Formula, Lolli, One, Sequent, Tensor, Var, children, fold
 from .proof import (
     Axiom,
     Contraction,
@@ -110,7 +110,6 @@ from .proof import (
     TensorL,
     TensorR,
     Weakening,
-    fold,
 )
 from .sexpr import format_fraction
 
@@ -141,24 +140,24 @@ def den_formula(a: Formula, asg: Mapping[str, int]) -> Space:
     return _den_formula(a, _asg_key(asg))
 
 
+#: The space each connective builds from the spaces of its operands.
+_SPACE_OF = {One: UnitSp, Tensor: TensorSp, Lolli: HomSp, BangF: BangSp}
+
+
 @lru_cache(maxsize=None)
 def _den_formula(a: Formula, asg: AsgKey) -> Space:
-    if isinstance(a, Var):
-        for name, dim in asg:
-            if name == a.name:
-                return BaseSp(a.name, dim)
-        raise SemanticsError(f"no dimension assigned to variable {a.name}")
-    if isinstance(a, One):
-        return UnitSp()
-    if isinstance(a, Tensor):
-        return TensorSp(_den_formula(a.left, asg), _den_formula(a.right, asg))
-    if isinstance(a, Lolli):
-        return HomSp(_den_formula(a.ante, asg), _den_formula(a.cons, asg))
-    if isinstance(a, BangF):
-        return BangSp(_den_formula(a.body, asg))
-    if isinstance(a, Forall):
-        raise UnsupportedSpace("quantified formulas have no finite denotation")
-    raise TypeError(f"not a formula: {a!r}")
+    def space(b: Formula, parts: list[Space]) -> Space:
+        if type(b) is Var:
+            for name, dim in asg:
+                if name == b.name:
+                    return BaseSp(b.name, dim)
+            raise SemanticsError(f"no dimension assigned to variable {b.name}")
+        if type(b) is Forall:
+            raise UnsupportedSpace("quantified formulas have no finite denotation")
+        return _SPACE_OF[type(b)](*parts)
+
+    # left to right, and never into a quantifier's body
+    return fold(a, space, lambda b: () if type(b) is Forall else children(b))
 
 
 def _require_finite(space: Space, what: str) -> int:

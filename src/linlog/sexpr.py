@@ -23,7 +23,8 @@ formula, ``all-l`` the quantified formula and the witness), except for
 `parse_proof` never runs the rule checker: the tree comes back as
 written, with best-effort cached conclusions where a schema does not
 fit, and the caller decides what that means (see ``proof.validate``).
-All spans are byte offsets into the input.
+Both grammars are read from explicit stacks, so nesting depth costs no
+recursion.  All spans are byte offsets into the input.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .formula import (
     Sequent,
     Tensor,
     Var,
+    emit,
     format_formula,
 )
 from .proof import (
@@ -148,49 +150,49 @@ class _Parser:
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.tensor()
-        if self.peek().kind == "-o":
-            self.advance()
-            return Lolli(left, self.formula())
-        return left
-
-    def tensor(self) -> Formula:
-        left = self.unary()
-        while self.peek().kind == "*":
-            self.advance()
-            left = Tensor(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        if self.peek().kind == "!":
-            self.advance()
-            return Bang(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "num":
-            if tok.text == "1":
-                return One()
-            raise ParseError("the only numeric formula is the unit 1", tok.span)
-        if tok.kind == "ident":
-            if tok.text == "all":
-                raise ParseError("'all' is reserved; write (all x. A)", tok.span)
-            return Var(tok.text)
-        if tok.kind == "(":
-            if self.peek().kind == "ident" and self.peek().text == "all":
-                self.advance()
-                name = self.expect("ident", "a binder name")
-                if name.text == "all":
-                    raise ParseError("'all' cannot be a binder name", name.span)
-                self.expect(".", "'.'")
-                body = self.formula()
+        """One formula.  The stack holds what waits for an operand: a ``!``,
+        the left operand of ``*`` or ``-o``, and an open parenthesis or
+        ``all`` binder, which waits for the formula inside it and ``)``."""
+        waiting: list[tuple[str, Formula | str | None]] = []
+        while True:
+            tok = self.advance()
+            if tok.kind in ("!", "("):
+                binder = None
+                if tok.kind == "(" and self.peek().kind == "ident" and self.peek().text == "all":
+                    self.advance()
+                    name = self.expect("ident", "a binder name")
+                    if name.text == "all":
+                        raise ParseError("'all' cannot be a binder name", name.span)
+                    self.expect(".", "'.'")
+                    binder = name.text
+                waiting.append((tok.kind, binder))
+                continue
+            if tok.kind == "num":
+                if tok.text != "1":
+                    raise ParseError("the only numeric formula is the unit 1", tok.span)
+                operand = One()
+            elif tok.kind == "ident":
+                if tok.text == "all":
+                    raise ParseError("'all' is reserved; write (all x. A)", tok.span)
+                operand = Var(tok.text)
+            else:
+                raise ParseError(f"expected a formula, found {_describe(tok)}", tok.span)
+            while True:  # the operand is complete: hand it to what waits for it
+                while waiting and waiting[-1][0] in ("!", "*"):
+                    op, left = waiting.pop()
+                    operand = Bang(operand) if op == "!" else Tensor(left, operand)
+                kind = self.peek().kind
+                if kind in ("*", "-o"):  # * is left associative, -o right
+                    waiting.append((self.advance().kind, operand))
+                    break
+                while waiting and waiting[-1][0] == "-o":
+                    operand = Lolli(waiting.pop()[1], operand)
+                if not waiting:
+                    return operand
+                binder = waiting.pop()[1]
                 self.expect(")", "')'")
-                return Forall(name.text, body)
-            inner = self.formula()
-            self.expect(")", "')'")
-            return inner
-        raise ParseError(f"expected a formula, found {_describe(tok)}", tok.span)
+                if binder is not None:
+                    operand = Forall(binder, operand)
 
     # -- proofs ------------------------------------------------------------
 
@@ -349,25 +351,16 @@ def print_proof(p: Proof) -> str:
     fits in ``_WIDTH`` columns at its indent; otherwise its head opens a
     block and each premise follows on its own line, two columns deeper.
     """
-    # Top-down layout: a stack of (measure, indent) pairs and literal text.
-    out: list[str] = []
-    layout: list = [(fold(p, _measure), 0)]
-    while layout:
-        item = layout.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        (head, width, inline, premises), indent = item
-        if not premises or indent + width <= _WIDTH:
-            out.append(inline)
-            continue
-        out.append(head)
-        layout.append(")")
-        pad = "\n" + " " * (indent + 2)
-        for q in reversed(premises):
-            layout.append((q, indent + 2))
-            layout.append(pad)
-    return "".join(out)
+    return "".join(emit((fold(p, _measure), 0), _layout))
+
+
+def _layout(measure: tuple, indent: int) -> list:
+    """``print_proof``'s top-down pass, over the measures."""
+    head, width, inline, premises = measure
+    if not premises or indent + width <= _WIDTH:
+        return [inline]
+    pad = "\n" + " " * (indent + 2)
+    return [head, *[part for q in premises for part in (pad, (q, indent + 2))], ")"]
 
 
 def _measure(node: Proof, premises: list[tuple]) -> tuple:

@@ -330,11 +330,27 @@ def test_too_deep_formula_is_a_domain_error(tmp_path):
     f = tmp_path / "bangs.llp"
     f.write_text("(ax " + "!" * 5000 + "A)\n")
     run = _run(["check", str(f)])
+    assert run.returncode == 0 and run.stderr == b""
+    bangs = "!" * 5000 + "A"
+    assert json.loads(run.stdout) == f"{bangs} ⊢ {bangs}"
+    # the evaluator's plans and spaces are still recursive; !A has no
+    # finite matrix either way
+    run = _run(["denote", str(f), "--assign", "A=1"])
     assert run.returncode == 1
     assert run.stdout == b""
     err = run.stderr.decode()
     assert err.startswith("linlog: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_check_and_normalize_take_a_deep_formula(tmp_path, capsys):
+    bangs = "!" * 100_000 + "A"
+    f = tmp_path / "tower.llp"
+    f.write_text(f"(ax {bangs})\n")
+    assert main(["check", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out) == f"{bangs} ⊢ {bangs}"
+    assert main(["normalize", str(f)]) == 0
+    assert capsys.readouterr().out == f"(ax {bangs})\n"
 
 
 def test_rewrite_errors_are_domain_errors(mult2x2_file, monkeypatch, capsys):

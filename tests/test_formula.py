@@ -2,9 +2,14 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import weakref
 
-from linlog import formula
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linlog import formula, proof
+from linlog.coalgebra import BaseSp
 from linlog.encodings import church
 from linlog.formula import (
     INT,
@@ -27,6 +32,7 @@ from linlog.formula import (
     substitute,
 )
 from linlog.proof import validate
+from linlog.semantics import den_formula
 from linlog.sexpr import parse_formula
 
 A = Var("A")
@@ -205,3 +211,192 @@ def test_validate_of_a_numeral_never_compares_structurally(monkeypatch):
     calls.clear()
     assert validate(church(300, A)) == []
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The formula walkers as they were written before they became folds and
+# explicit-stack emitters: each recurses with the depth of the formula.
+# They are kept here as the reference.
+
+
+def _ref_free_vars(a):
+    if isinstance(a, Var):
+        return frozenset((a.name,))
+    if isinstance(a, One):
+        return frozenset()
+    if isinstance(a, Tensor):
+        return _ref_free_vars(a.left) | _ref_free_vars(a.right)
+    if isinstance(a, Lolli):
+        return _ref_free_vars(a.ante) | _ref_free_vars(a.cons)
+    if isinstance(a, Bang):
+        return _ref_free_vars(a.body)
+    return _ref_free_vars(a.body) - {a.binder}
+
+
+def _ref_substitute(a, x, b):
+    if isinstance(a, Var):
+        return b if a.name == x else a
+    if isinstance(a, One):
+        return a
+    if isinstance(a, Tensor):
+        return Tensor(_ref_substitute(a.left, x, b), _ref_substitute(a.right, x, b))
+    if isinstance(a, Lolli):
+        return Lolli(_ref_substitute(a.ante, x, b), _ref_substitute(a.cons, x, b))
+    if isinstance(a, Bang):
+        return Bang(_ref_substitute(a.body, x, b))
+    if a.binder == x or x not in _ref_free_vars(a.body):
+        return a
+    if a.binder in _ref_free_vars(b):
+        fresh = fresh_name(a.binder, _ref_free_vars(b) | _ref_free_vars(a.body) | {x})
+        renamed = _ref_substitute(a.body, a.binder, Var(fresh))
+        return Forall(fresh, _ref_substitute(renamed, x, b))
+    return Forall(a.binder, _ref_substitute(a.body, x, b))
+
+
+def _ref_alpha(a, b, enva, envb, depth):
+    if isinstance(a, Var) and isinstance(b, Var):
+        return enva.get(a.name, a.name) == envb.get(b.name, b.name)
+    if isinstance(a, One) and isinstance(b, One):
+        return True
+    if isinstance(a, Tensor) and isinstance(b, Tensor):
+        return _ref_alpha(a.left, b.left, enva, envb, depth) and _ref_alpha(
+            a.right, b.right, enva, envb, depth
+        )
+    if isinstance(a, Lolli) and isinstance(b, Lolli):
+        return _ref_alpha(a.ante, b.ante, enva, envb, depth) and _ref_alpha(
+            a.cons, b.cons, enva, envb, depth
+        )
+    if isinstance(a, Bang) and isinstance(b, Bang):
+        return _ref_alpha(a.body, b.body, enva, envb, depth)
+    if isinstance(a, Forall) and isinstance(b, Forall):
+        return _ref_alpha(
+            a.body, b.body, {**enva, a.binder: depth}, {**envb, b.binder: depth}, depth + 1
+        )
+    return False
+
+
+def _ref_canon(a, env, depth):
+    if isinstance(a, Var):
+        level = env.get(a.name)
+        return a.name if level is None else f"#{level}"
+    if isinstance(a, One):
+        return "1"
+    if isinstance(a, Tensor):
+        return f"(* {_ref_canon(a.left, env, depth)} {_ref_canon(a.right, env, depth)})"
+    if isinstance(a, Lolli):
+        return f"(-o {_ref_canon(a.ante, env, depth)} {_ref_canon(a.cons, env, depth)})"
+    if isinstance(a, Bang):
+        return f"(! {_ref_canon(a.body, env, depth)})"
+    return f"(all {_ref_canon(a.body, {**env, a.binder: depth}, depth + 1)})"
+
+
+def _ref_fmt(a, top=True):
+    if isinstance(a, Var):
+        return a.name
+    if isinstance(a, One):
+        return "1"
+    if isinstance(a, Bang):
+        return "!" + _ref_fmt(a.body, False)
+    if isinstance(a, Forall):
+        return f"(all {a.binder}. {_ref_fmt(a.body, True)})"
+    if isinstance(a, Tensor):
+        body = f"{_ref_fmt(a.left, False)} * {_ref_fmt(a.right, False)}"
+    else:
+        body = f"{_ref_fmt(a.ante, False)} -o {_ref_fmt(a.cons, False)}"
+    return body if top else f"({body})"
+
+
+_NAMES = st.sampled_from("xyz")
+_FORMULAS = st.recursive(
+    st.one_of(_NAMES.map(Var), st.just(One())),
+    lambda sub: st.one_of(
+        st.builds(Tensor, sub, sub),
+        st.builds(Lolli, sub, sub),
+        st.builds(Bang, sub),
+        st.builds(Forall, _NAMES, sub),
+    ),
+    max_leaves=12,
+)
+_DIFFERENTIAL = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@_DIFFERENTIAL
+@given(_FORMULAS)
+def test_printers_and_free_vars_match_the_recursive_reference(a):
+    assert free_vars(a) == _ref_free_vars(a)
+    assert canonical_print(a) == _ref_canon(a, {}, 0)
+    assert format_formula(a) == _ref_fmt(a)
+    assert parse_formula(format_formula(a)) is a
+
+
+@_DIFFERENTIAL
+@given(_FORMULAS, _NAMES, _FORMULAS)
+def test_substitute_matches_the_recursive_reference(a, x, b):
+    assert substitute(a, x, b) is _ref_substitute(a, x, b)
+    # b's binder names as free variables: every binder of a captures
+    for name in ("x", "y", "z"):
+        assert substitute(a, x, Var(name)) is _ref_substitute(a, x, Var(name))
+
+
+@_DIFFERENTIAL
+@given(_FORMULAS, _FORMULAS, st.data())
+def test_alpha_matches_the_recursive_reference(a, b, data):
+    depth = data.draw(st.integers(0, 3))
+    env = st.dictionaries(_NAMES, st.integers(0, depth - 1)) if depth else st.just({})
+    enva, envb = data.draw(env), data.draw(env)
+    for u, v in ((a, b), (a, a), (a, _rename_binders(random.Random(0), a, "0"))):
+        assert formula._alpha(u, v, enva, envb, depth) == _ref_alpha(u, v, enva, envb, depth)
+        assert formula._alpha(u, v, {}, {}, 0) == _ref_alpha(u, v, {}, {}, 0)
+
+
+def test_a_free_name_never_stands_for_a_bound_level():
+    # "#0" is no identifier the parser reads, but the API builds it
+    assert not alpha_eq(Forall("x", X), Forall("x", Var("#0")))
+    assert not formula._alpha(X, Var("#0"), {"x": 0}, {}, 1)
+    assert not alpha_eq(One(), Var("1"))
+
+
+def _nested_binders(v, n):
+    """(all v. (all v. … (all v. z -o v) … -o v) -o v), n binders deep."""
+    return f"(all {v}. " * n + "z" + f" -o {v})" * n
+
+
+def test_deep_formulas_take_no_recursion():
+    assert formula.fold is proof.fold
+    assert sys.getrecursionlimit() <= 1000
+    n = 5000
+    tower = "!" * 100_000 + "A"
+    cases = [  # text, an alpha-variant, the canonical print, the free variables
+        (tower, None, "(! " * 100_000 + "A" + ")" * 100_000, {"A"}),
+        (" -o ".join(["B"] * n + ["A"]), None, "(-o B " * n + "A" + ")" * n, {"A", "B"}),
+        (
+            "(" * n + "B" + " -o B)" * n + " -o A",
+            None,
+            "(-o " * (n + 1) + "B" + " B)" * n + " A)",
+            {"A", "B"},
+        ),
+        ("(" * n + "A" + ")" * n, None, "A", {"A"}),
+        (
+            _nested_binders("x", n),
+            _nested_binders("y", n),
+            "(all (-o " * n + "z" + "".join(f" #{k}))" for k in reversed(range(n))),
+            {"z"},
+        ),
+    ]
+    for text, variant, canon, fv in cases:
+        a = parse_formula(text)
+        b = a if variant is None else parse_formula(variant)
+        shown = format_formula(a)
+        assert shown == text or parse_formula(shown) is a
+        assert canonical_print(a) == canon
+        assert free_vars(a) == fv
+        x = min(fv)
+        assert format_formula(substitute(a, x, Var("C"))) == shown.replace(x, "C")
+        assert alpha_eq(a, b) and not alpha_eq(a, Bang(a))
+        assert formula._alpha(a, b, {x: 0}, {x: 0}, 1)
+        assert not formula._alpha(a, b, {x: 0}, {}, 1)
+        if text is tower:
+            space = den_formula(a, {"A": 1})
+            for _ in range(100_000):
+                space = space.inner
+            assert space == BaseSp("A", 1)

@@ -267,6 +267,20 @@ def test_subst_proof_skips_the_subtrees_it_would_throw_away():
     assert alpha_eq(q.conclusion.conclusion, want) and free_vars(want) == {"y"}
 
 
+def test_subst_proof_remembers_free_variables_across_captures():
+    # 400 nested binders that each capture the substituted variable:
+    # finding each formula's free variables afresh at every capture
+    # made this cubic in the nesting depth
+    p = mk_lolli_r(mk_axiom(X))
+    for _ in range(400):
+        p = mk_forall_r(p, "y")
+    start = time.perf_counter()
+    q = subst_proof(p, "x", Var("y"))
+    assert time.perf_counter() - start < 1.5
+    assert validate(q) == []
+    assert q.conclusion.conclusion.binder == "y'"
+
+
 def test_deep_walkers_take_no_recursion():
     # church(2000) is about 4,000 rules deep, past the default recursion limit
     p = church(2000, A)

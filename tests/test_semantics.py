@@ -28,7 +28,7 @@ from linlog.coalgebra import (
     vacuum,
 )
 from linlog.encodings import add, add_cut, church, church_body, comp, mult_cut
-from linlog.formula import Bang, Lolli, One, Tensor, Var, endo, int_type
+from linlog.formula import INT, Bang, Forall, Lolli, One, Tensor, Var, endo, int_type
 from linlog.proof import (
     mk_axiom,
     mk_ctr,
@@ -161,6 +161,14 @@ def test_den_formula_requires_assignment_and_first_order():
 
     with pytest.raises(UnsupportedSpace):
         den_formula(Forall("x", Var("x")), {})
+
+
+def test_den_formula_reads_left_to_right_and_not_under_a_binder():
+    with pytest.raises(SemanticsError, match="no dimension assigned to variable x") as err:
+        den_formula(Tensor(Var("x"), INT), {})
+    assert type(err.value) is SemanticsError
+    with pytest.raises(UnsupportedSpace):  # not the unassigned y
+        den_formula(Forall("x", Var("y")), {})
 
 
 # ---------------------------------------------------------------------------
