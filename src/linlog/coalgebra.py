@@ -420,16 +420,12 @@ def merge(xs: Sequence[BangElem]) -> BangElem:
     return bang_from_terms(total, acc)
 
 
-def _split_key(key: BangKey, parts: tuple[Space, ...]) -> tuple[BangKey, ...]:
-    offsets = _sum_offsets(parts)
+def _split_key(key: BangKey, offsets: list[int]) -> tuple[BangKey, ...]:
     base, args = key
-    out = []
-    for i in range(len(parts)):
-        lo, hi = offsets[i], offsets[i + 1]
-        out.append(
-            (base[lo:hi], tuple(j - lo for j in args if lo <= j < hi))
-        )
-    return tuple(out)
+    return tuple(
+        (base[lo:hi], tuple(j - lo for j in args if lo <= j < hi))
+        for lo, hi in zip(offsets, offsets[1:])
+    )
 
 
 def split(x: BangElem) -> tuple[BangElem, ...]:
@@ -446,15 +442,13 @@ def split(x: BangElem) -> tuple[BangElem, ...]:
         return ()
     if not x.terms:
         return tuple(zero_bang(p) for p in parts)
-    terms = dict(x.terms)
-    pivot = min(terms)
-    c_pivot = terms[pivot]
-    pivot_parts = _split_key(pivot, parts)
+    offsets = _sum_offsets(parts)
+    terms = {key: (_split_key(key, offsets), c) for key, c in x.terms}
+    pivot_parts, c_pivot = terms[min(terms)]
     factors: list[dict[BangKey, Rational]] = []
     for i in range(g):
         fi: dict[BangKey, Rational] = {}
-        for key, c in terms.items():
-            kp = _split_key(key, parts)
+        for kp, c in terms.values():
             if all(kp[j] == pivot_parts[j] for j in range(g) if j != i):
                 fi[kp[i]] = c if i == 0 else exact(Fraction(c, c_pivot))
         factors.append(fi)

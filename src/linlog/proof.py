@@ -29,7 +29,11 @@ mirroring how the rules are written::
 
 with ``at`` = the position of A (resp. B) in the right premise, i.e.
 the length of Δ′.  In the ``lolli_l`` conclusion the new implication
-therefore sits at position ``at + len(Γ)``.
+therefore sits at position ``at + len(Γ)``.  Each of the nine rules
+with an ``at`` (ex, cut, tensor-l, lolli-l, der, ctr, weak, one-l,
+all-l) is one context edit: it consumes 0, 1 or 2 formulas at ``at``
+and puts others in their place, so one range check and one splice
+serve them all.
 
 Comparisons of formulas inside schemas are alpha-equality throughout,
 so validity is stable under renaming of bound type variables.
@@ -183,16 +187,13 @@ RULE_KEYWORDS: dict[type, str] = {
     ForallL: "all-l",
 }
 
-_TWO_PREMISE = (Cut, TensorR, LolliL)
-_ZERO_PREMISE = (Axiom, OneR)
+#: The rules that take other than one premise, and how many they take.
+_ARITY = {Axiom: 0, OneR: 0, Cut: 2, TensorR: 2, LolliL: 2}
 
 
-def rule_arity(rule: RuleTag) -> int:
-    if isinstance(rule, _ZERO_PREMISE):
-        return 0
-    if isinstance(rule, _TWO_PREMISE):
-        return 2
-    return 1
+def rule_arity(tag: type) -> int:
+    """How many premises the rule with tag class ``tag`` takes."""
+    return _ARITY.get(tag, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,63 @@ class Proof:
 
 # ---------------------------------------------------------------------------
 # Rule schemas
+#
+# Nine rules act at one position ``at`` of the context of their (right)
+# premise: they consume ``used`` formulas there and put others in their
+# place.  ``_EDITS`` gives, per tag, ``used``, the message for an ``at``
+# that leaves no room for them, and a function from the tag, the
+# consumed formulas and the left premise to the formulas put in their
+# place, which raises the rule's side-condition errors.
+
+
+def _cut_in(rule: Cut, consumed: tuple, left: Sequent) -> tuple[Formula, ...]:
+    if not alpha_eq(consumed[0], left.conclusion):
+        raise ProofError(
+            f"cut formula mismatch: left proves {format_formula(left.conclusion)}, "
+            f"right expects {format_formula(consumed[0])} at {rule.at}"
+        )
+    return left.context
+
+
+def _contract(rule: Contraction, consumed: tuple, left: Sequent) -> tuple[Formula, ...]:
+    a, b = consumed
+    if not isinstance(a, Bang):
+        raise ProofError(f"contraction of {format_formula(a)}: not banged")
+    if not alpha_eq(a, b):
+        raise ProofError(
+            f"contraction needs equal copies, got {format_formula(a)} and {format_formula(b)}"
+        )
+    return (a,)
+
+
+def _instantiate(rule: ForallL, consumed: tuple, left: Sequent) -> tuple[Formula, ...]:
+    quantified = rule.quantified
+    expected = substitute(quantified.body, quantified.binder, rule.witness)
+    if not alpha_eq(consumed[0], expected):
+        raise ProofError(
+            f"all-l instance mismatch: premise has {format_formula(consumed[0])}, "
+            f"expected {format_formula(expected)}"
+        )
+    return (quantified,)
+
+
+_EDITS = {
+    Exchange: (2, "exchange at {} needs adjacent formulas; context has {}",
+               lambda rule, ab, left: ab[::-1]),
+    TensorL: (2, "tensor-l at {} needs two adjacent formulas; context has {}",
+              lambda rule, ab, left: (Tensor(*ab),)),
+    Contraction: (2, "contraction at {} needs two adjacent copies; context has {}", _contract),
+    Cut: (1, "cut at {} outside right context of length {}", _cut_in),
+    LolliL: (1, "lolli-l at {} outside right context of length {}",
+             lambda rule, b, left: left.context + (Lolli(left.conclusion, b[0]),)),
+    Dereliction: (1, "dereliction at {} outside context of length {}",
+                  lambda rule, a, left: (Bang(a[0]),)),
+    ForallL: (1, "all-l at {} outside context of length {}", _instantiate),
+    Weakening: (0, "weakening at {} outside insertion range 0..{}",
+                lambda rule, _, left: (rule.formula,)),
+    OneL: (0, "one-l at {} outside insertion range 0..{}", lambda rule, _, left: (One(),)),
+}
+
 
 def _rule_conclusion(
     rule: RuleTag,
@@ -265,11 +323,28 @@ def _rule_conclusion(
     rather than in the premises or the tag (the axiom's formula, the
     all-r binder).
     """
-    want = rule_arity(rule)
+    want = rule_arity(type(rule))
     if len(premises) != want:
         raise ProofError(
             f"{RULE_KEYWORDS[type(rule)]} takes {want} premise(s), got {len(premises)}"
         )
+
+    edit = _EDITS.get(type(rule))
+    if edit is not None:
+        # the side conditions that read only the tag precede the range check
+        if isinstance(rule, Weakening) and not isinstance(rule.formula, Bang):
+            raise ProofError(f"weakening of {format_formula(rule.formula)}: not banged")
+        if isinstance(rule, ForallL) and not isinstance(rule.quantified, Forall):
+            raise ProofError(
+                f"all-l principal formula {format_formula(rule.quantified)} is not quantified"
+            )
+        used, message, put = edit
+        at, s = rule.at, premises[-1]
+        ctx = s.context
+        if not 0 <= at <= len(ctx) - used:
+            raise ProofError(message.format(at, len(ctx)))
+        new = put(rule, ctx[at : at + used], premises[0])
+        return Sequent(ctx[:at] + new + ctx[at + used :], s.conclusion)
 
     if isinstance(rule, Axiom):
         if axiom_formula is None:
@@ -279,50 +354,10 @@ def _rule_conclusion(
     if isinstance(rule, OneR):
         return Sequent((), One())
 
-    if isinstance(rule, Exchange):
-        (s,) = premises
-        ctx = s.context
-        if not 0 <= rule.at <= len(ctx) - 2:
-            raise ProofError(
-                f"exchange at {rule.at} needs adjacent formulas; context has {len(ctx)}"
-            )
-        swapped = (
-            ctx[: rule.at] + (ctx[rule.at + 1], ctx[rule.at]) + ctx[rule.at + 2 :]
-        )
-        return Sequent(swapped, s.conclusion)
-
-    if isinstance(rule, Cut):
-        left, right = premises
-        ctx = right.context
-        if not 0 <= rule.at < len(ctx):
-            raise ProofError(
-                f"cut at {rule.at} outside right context of length {len(ctx)}"
-            )
-        if not alpha_eq(ctx[rule.at], left.conclusion):
-            raise ProofError(
-                f"cut formula mismatch: left proves {format_formula(left.conclusion)}, "
-                f"right expects {format_formula(ctx[rule.at])} at {rule.at}"
-            )
-        return Sequent(
-            ctx[: rule.at] + left.context + ctx[rule.at + 1 :], right.conclusion
-        )
-
     if isinstance(rule, TensorR):
         left, right = premises
         return Sequent(
             left.context + right.context, Tensor(left.conclusion, right.conclusion)
-        )
-
-    if isinstance(rule, TensorL):
-        (s,) = premises
-        ctx = s.context
-        if not 0 <= rule.at <= len(ctx) - 2:
-            raise ProofError(
-                f"tensor-l at {rule.at} needs two adjacent formulas; context has {len(ctx)}"
-            )
-        merged = Tensor(ctx[rule.at], ctx[rule.at + 1])
-        return Sequent(
-            ctx[: rule.at] + (merged,) + ctx[rule.at + 2 :], s.conclusion
         )
 
     if isinstance(rule, LolliR):
@@ -330,19 +365,6 @@ def _rule_conclusion(
         if not s.context:
             raise ProofError("lolli-r needs a leading hypothesis to abstract")
         return Sequent(s.context[1:], Lolli(s.context[0], s.conclusion))
-
-    if isinstance(rule, LolliL):
-        left, right = premises
-        ctx = right.context
-        if not 0 <= rule.at < len(ctx):
-            raise ProofError(
-                f"lolli-l at {rule.at} outside right context of length {len(ctx)}"
-            )
-        principal = Lolli(left.conclusion, ctx[rule.at])
-        return Sequent(
-            ctx[: rule.at] + left.context + (principal,) + ctx[rule.at + 1 :],
-            right.conclusion,
-        )
 
     if isinstance(rule, Promotion):
         (s,) = premises
@@ -352,58 +374,6 @@ def _rule_conclusion(
                     f"promotion premise hypothesis {i} is {format_formula(f)}, not banged"
                 )
         return Sequent(s.context, Bang(s.conclusion))
-
-    if isinstance(rule, Dereliction):
-        (s,) = premises
-        ctx = s.context
-        if not 0 <= rule.at < len(ctx):
-            raise ProofError(
-                f"dereliction at {rule.at} outside context of length {len(ctx)}"
-            )
-        return Sequent(
-            ctx[: rule.at] + (Bang(ctx[rule.at]),) + ctx[rule.at + 1 :], s.conclusion
-        )
-
-    if isinstance(rule, Contraction):
-        (s,) = premises
-        ctx = s.context
-        if not 0 <= rule.at <= len(ctx) - 2:
-            raise ProofError(
-                f"contraction at {rule.at} needs two adjacent copies; context has {len(ctx)}"
-            )
-        a, b = ctx[rule.at], ctx[rule.at + 1]
-        if not isinstance(a, Bang):
-            raise ProofError(f"contraction of {format_formula(a)}: not banged")
-        if not alpha_eq(a, b):
-            raise ProofError(
-                f"contraction needs equal copies, got {format_formula(a)} and {format_formula(b)}"
-            )
-        return Sequent(ctx[: rule.at + 1] + ctx[rule.at + 2 :], s.conclusion)
-
-    if isinstance(rule, Weakening):
-        (s,) = premises
-        weakened = rule.formula
-        if not isinstance(weakened, Bang):
-            raise ProofError(
-                f"weakening of {format_formula(weakened)}: not banged"
-            )
-        ctx = s.context
-        if not 0 <= rule.at <= len(ctx):
-            raise ProofError(
-                f"weakening at {rule.at} outside insertion range 0..{len(ctx)}"
-            )
-        return Sequent(
-            ctx[: rule.at] + (weakened,) + ctx[rule.at :], s.conclusion
-        )
-
-    if isinstance(rule, OneL):
-        (s,) = premises
-        ctx = s.context
-        if not 0 <= rule.at <= len(ctx):
-            raise ProofError(
-                f"one-l at {rule.at} outside insertion range 0..{len(ctx)}"
-            )
-        return Sequent(ctx[: rule.at] + (One(),) + ctx[rule.at :], s.conclusion)
 
     if isinstance(rule, ForallR):
         (s,) = premises
@@ -416,28 +386,6 @@ def _rule_conclusion(
                     f"({format_formula(f)})"
                 )
         return Sequent(s.context, Forall(binder, s.conclusion))
-
-    if isinstance(rule, ForallL):
-        (s,) = premises
-        quantified = rule.quantified
-        if not isinstance(quantified, Forall):
-            raise ProofError(
-                f"all-l principal formula {format_formula(quantified)} is not quantified"
-            )
-        ctx = s.context
-        if not 0 <= rule.at < len(ctx):
-            raise ProofError(
-                f"all-l at {rule.at} outside context of length {len(ctx)}"
-            )
-        expected = substitute(quantified.body, quantified.binder, rule.witness)
-        if not alpha_eq(ctx[rule.at], expected):
-            raise ProofError(
-                f"all-l instance mismatch: premise has {format_formula(ctx[rule.at])}, "
-                f"expected {format_formula(expected)}"
-            )
-        return Sequent(
-            ctx[: rule.at] + (quantified,) + ctx[rule.at + 1 :], s.conclusion
-        )
 
     raise ProofError(f"unknown rule {rule!r}")
 

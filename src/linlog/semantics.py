@@ -63,6 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 from typing import Callable, Mapping, Sequence, TypeVar
+from weakref import WeakKeyDictionary
 
 from .coalgebra import (
     BangElem,
@@ -144,8 +145,16 @@ def den_formula(a: Formula, asg: Mapping[str, int]) -> Space:
 _SPACE_OF = {One: UnitSp, Tensor: TensorSp, Lolli: HomSp, BangF: BangSp}
 
 
-@lru_cache(maxsize=None)
+#: Each formula's spaces by assignment, weak in the formula as
+#: ``formula._FREE`` is, so that remembering one keeps no formula alive.
+_SPACES: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _den_formula(a: Formula, asg: AsgKey) -> Space:
+    known = _SPACES.get(a)
+    if known is not None and asg in known:
+        return known[asg]
+
     def space(b: Formula, parts: list[Space]) -> Space:
         if type(b) is Var:
             for name, dim in asg:
@@ -157,7 +166,9 @@ def _den_formula(a: Formula, asg: AsgKey) -> Space:
         return _SPACE_OF[type(b)](*parts)
 
     # left to right, and never into a quantifier's body
-    return fold(a, space, lambda b: () if type(b) is Forall else children(b))
+    out = fold(a, space, lambda b: () if type(b) is Forall else children(b))
+    _SPACES.setdefault(a, {})[asg] = out
+    return out
 
 
 def _require_finite(space: Space, what: str) -> int:

@@ -53,8 +53,7 @@ from .proof import (
     fold,
     mk_axiom,
     mk_forall_r,
-    mk_one_r,
-    mk_tensor_r,
+    rule_arity,
 )
 from . import proof as _proof
 
@@ -291,24 +290,16 @@ def _all_r(name, p):
 
 # Each rule keyword's arguments, in order (i a context index, f a
 # formula, x a binder name, p a premise proof), and the function that
-# builds its node from them.  ax, tensor-r and one-r are total.
+# builds its node from them: the tag's fields, then its premises, except
+# for ax and all-r, whose argument is part of the conclusion.
+_FALLBACKS = {_proof.Promotion: _promote, _proof.Weakening: _insert, _proof.ForallL: _replace}
 _RULES = {
-    "ax": ("f", mk_axiom),
-    "ex": ("ip", _lenient(_proof.Exchange, _keep)),
-    "cut": ("ipp", _lenient(_proof.Cut, _keep)),
-    "tensor-r": ("pp", mk_tensor_r),
-    "tensor-l": ("ip", _lenient(_proof.TensorL, _keep)),
-    "lolli-r": ("p", _lenient(_proof.LolliR, _keep)),
-    "lolli-l": ("ipp", _lenient(_proof.LolliL, _keep)),
-    "prom": ("p", _lenient(_proof.Promotion, _promote)),
-    "der": ("ip", _lenient(_proof.Dereliction, _keep)),
-    "ctr": ("ip", _lenient(_proof.Contraction, _keep)),
-    "weak": ("ifp", _lenient(_proof.Weakening, _insert)),
-    "one-l": ("ip", _lenient(_proof.OneL, _keep)),
-    "one-r": ("", mk_one_r),
-    "all-r": ("xp", _all_r),
-    "all-l": ("iffp", _lenient(_proof.ForallL, _replace)),
-}
+    kw: (
+        "".join("i" if f.name == "at" else "f" for f in fields(tag)) + "p" * rule_arity(tag),
+        _lenient(tag, _FALLBACKS.get(tag, _keep)),
+    )
+    for tag, kw in RULE_KEYWORDS.items()
+} | {"ax": ("f", mk_axiom), "all-r": ("xp", _all_r)}
 
 
 # ---------------------------------------------------------------------------

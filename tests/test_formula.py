@@ -191,6 +191,19 @@ def test_intern_table_holds_formulas_weakly():
     assert ref() is None
 
 
+def test_a_denoted_formula_is_still_held_weakly():
+    # den_formula remembers the space, but neither the formula nor its parts
+    gc.collect()
+    before = len(formula._INTERNED)
+    tower = Var("A")
+    for _ in range(10_000):
+        tower = Bang(tower)
+    assert den_formula(tower, {"A": 1}) is den_formula(tower, {"A": 1})
+    del tower
+    gc.collect()
+    assert len(formula._INTERNED) <= before
+
+
 def test_copies_and_pickles_are_the_interned_formula():
     assert copy.copy(INT) is INT
     assert copy.deepcopy(INT) is INT

@@ -152,6 +152,12 @@ def test_parse_proof_is_lenient_validate_reports():
     assert validate(r) != []
     assert "!A" in print_proof(r)
 
+    # an all-r whose binder occurs free in a hypothesis
+    text = "(all-r x (ax x))"
+    s = parse_proof(text)
+    assert [msg for _, msg in validate(s)] == ["all-r binder x occurs free in hypothesis 0 (x)"]
+    assert print_proof(s) == text
+
 
 def test_parse_proof_errors():
     with pytest.raises(ParseError):

@@ -94,6 +94,12 @@ def test_two_times_two_golden_trace():
     assert exchange_normalize(res.proof) == church(4, A)
 
 
+def test_exchange_normalization_rebuilds_the_parent_of_a_changed_premise():
+    base = mk_tensor_r(mk_axiom(A), mk_axiom(B))
+    twice = mk_exchange(mk_exchange(base, 0), 0)
+    assert exchange_normalize(mk_lolli_r(twice)) == mk_lolli_r(base)
+
+
 def test_multiplication_by_one_gives_the_other_numeral():
     res = normalize(mult_cut(2, 1, A))
     assert exchange_normalize(res.proof) == church(2, A)
