@@ -33,7 +33,8 @@ The structure maps implemented here:
   the φ-images of its blocks, based at φ|o⟩_P;
 * `merge`/`split` — the isomorphism !W₁ ⊗ … ⊗ !W_g ≅ !(W₁ ⊕ … ⊕ W_g),
   which reduces boxing a multi-hypothesis proof to the one-hypothesis
-  lifting above.
+  lifting above: `merge` embeds a tuple of elements, and `split` is
+  its inverse on one ket, which is all `lift` hands φ.
 
 Set partitions are enumerated by restricted-growth strings in
 lexicographic order, so summand order is deterministic (handy when
@@ -354,9 +355,10 @@ def lift(
     Per ket term, sums over all set partitions of the argument multiset:
     a partition with blocks C₁…C_l contributes the ket whose arguments
     are the φ-images φ|ν_{C₁}⟩_P, …, φ|ν_{C_l}⟩_P, based at φ|o⟩_P.
-    φ is called once per distinct (base point, sub-multiset of the
-    arguments) within one call: a ket with s distinct arguments has
-    2^s − 1 distinct blocks across its B(s) partitions, plus its vacuum.
+    φ is called only on pure kets (one term, coefficient 1), once per
+    distinct (base point, sub-multiset of the arguments) within one
+    call: a ket with s distinct arguments has 2^s − 1 distinct blocks
+    across its B(s) partitions, plus its vacuum.
     ``out_space`` is only needed to type the result when x is zero.
     """
     acc: dict[BangKey, Rational] = {}
@@ -420,41 +422,24 @@ def merge(xs: Sequence[BangElem]) -> BangElem:
     return bang_from_terms(total, acc)
 
 
-def _split_key(key: BangKey, offsets: list[int]) -> tuple[BangKey, ...]:
-    base, args = key
-    return tuple(
+def split(x: BangElem) -> tuple[BangElem, ...]:
+    """Inverse of `merge` on one ket: the base point and the shifted
+    arguments sliced per factor, the coefficient on the first factor.
+
+    Raises ValueError on anything but one ket over a direct sum (over
+    the empty sum, only the vacuum ``merge([])`` itself).
+    """
+    if not isinstance(x.space, SumSp) or len(x.terms) != 1:
+        raise ValueError("split expects one ket over a direct sum")
+    parts = x.space.parts
+    ((base, args), c), = x.terms
+    if not parts and c != 1:
+        raise ValueError("split of the empty sum's vacuum takes coefficient 1")
+    offsets = _sum_offsets(parts)
+    keys = [
         (base[lo:hi], tuple(j - lo for j in args if lo <= j < hi))
         for lo, hi in zip(offsets, offsets[1:])
+    ]
+    return tuple(
+        BangElem(p, ((k, c if i == 0 else 1),)) for i, (p, k) in enumerate(zip(parts, keys))
     )
-
-
-def split(x: BangElem) -> tuple[BangElem, ...]:
-    """Inverse of `merge` on product elements.
-
-    Raises ValueError if x does not factor (a generic sum over a direct
-    sum space need not be a tensor product of per-factor elements).
-    """
-    if not isinstance(x.space, SumSp):
-        raise ValueError("split expects an element over a direct sum")
-    parts = x.space.parts
-    g = len(parts)
-    if g == 0:
-        return ()
-    if not x.terms:
-        return tuple(zero_bang(p) for p in parts)
-    offsets = _sum_offsets(parts)
-    terms = {key: (_split_key(key, offsets), c) for key, c in x.terms}
-    pivot_parts, c_pivot = terms[min(terms)]
-    factors: list[dict[BangKey, Rational]] = []
-    for i in range(g):
-        fi: dict[BangKey, Rational] = {}
-        for kp, c in terms.values():
-            if all(kp[j] == pivot_parts[j] for j in range(g) if j != i):
-                fi[kp[i]] = c if i == 0 else exact(Fraction(c, c_pivot))
-        factors.append(fi)
-    candidates = tuple(
-        bang_from_terms(parts[i], factors[i]) for i in range(g)
-    )
-    if merge(candidates) != x:
-        raise ValueError("element is not a tensor product of per-factor elements")
-    return candidates

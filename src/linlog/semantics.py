@@ -492,10 +492,8 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
         inner = _once(lambda: _finite(_den_formula(boxed, asg), "boxing a proof"))
 
         def phi(x: BangElem) -> Vect:
-            out = None
-            for key, c in x.terms:
-                out = _acc(out, c, body(split(BangElem(x.space, ((key, 1),)))), inner)
-            return Vect(inner(), _zero(inner()) if out is None else _flat(out, inner()))
+            # lift hands φ one pure ket, which split cuts into the context
+            return Vect(inner(), _flat(body(split(x)), inner()))
 
         return lambda env: lift(phi, merge(env), out_space=inner())
     raise TypeError(f"unknown rule {rule!r}")
@@ -734,16 +732,19 @@ def tangent(rho: Proof, base: object, q: object, asg: Mapping[str, int]) -> SemV
 # Probes
 
 
-def standard_probes(
-    space: Space, depth: int = 2, seed: int = 0, points: int = 5
-) -> list[BangElem]:
-    """Deterministic probe kets over !space: for each of ``points``
+#: The probe kets' base points: how many, and the seed that draws them.
+PROBE_POINTS = 5
+PROBE_SEED = 0
+
+
+def standard_probes(space: Space, depth: int = 2) -> list[BangElem]:
+    """Deterministic probe kets over !space: for each of `PROBE_POINTS`
     seeded rational base points, every ket of at most ``depth`` standard
     basis arguments (with repetition, order-free)."""
     d = _require_finite(space, "probing")
-    rng = random.Random(seed)
+    rng = random.Random(PROBE_SEED)
     out = []
-    for _ in range(points):
+    for _ in range(PROBE_POINTS):
         base = Vect(space, tuple(Fraction(rng.randint(-3, 3)) for _ in range(d)))
         for s in range(depth + 1):
             for args in itertools.combinations_with_replacement(range(d), s):
@@ -751,9 +752,7 @@ def standard_probes(
     return out
 
 
-def probe_inputs(
-    p: Proof, asg: Mapping[str, int], depth: int = 2, seed: int = 0, points: int = 5
-) -> list[SemValue]:
+def probe_inputs(p: Proof, asg: Mapping[str, int], depth: int = 2) -> list[SemValue]:
     """The standard probe set for ⟦context⟧: full standard bases on
     finite slots, `standard_probes` kets on bang slots, combined
     slot-wise into Pair inputs."""
@@ -763,7 +762,7 @@ def probe_inputs(
     per_slot: list[list] = []
     for s in spaces:
         if isinstance(s, BangSp):
-            per_slot.append([e.terms[0][0] for e in standard_probes(s.inner, depth, seed, points)])
+            per_slot.append([e.terms[0][0] for e in standard_probes(s.inner, depth)])
         else:
             per_slot.append(list(range(_require_finite(s, "probing"))))
     values = []
@@ -775,45 +774,31 @@ def probe_inputs(
     return values
 
 
-def values_agree(
-    a: SemValue,
-    b: SemValue,
-    space: Space,
-    depth: int = 2,
-    seed: int = 0,
-    points: int = 5,
-) -> bool:
+def values_agree(a: SemValue, b: SemValue, space: Space, depth: int = 2) -> bool:
     """Exact equality of two values; elements of an infinite hom space
     are compared by applying both to the standard probe kets."""
     if is_finite(space) or isinstance(space, BangSp):
         return force(a, space) == force(b, space)
     if isinstance(space, HomSp) and isinstance(space.dom, BangSp):
-        for e in standard_probes(space.dom.inner, depth, seed, points):
+        for e in standard_probes(space.dom.inner, depth):
             ra = apply_hom(a, BangVal(e))
             rb = apply_hom(b, BangVal(e))
-            if not values_agree(ra, rb, space.cod, depth, seed, points):
+            if not values_agree(ra, rb, space.cod, depth):
                 return False
         return True
     raise UnsupportedSpace(f"cannot compare values over {space_label(space)}")
 
 
-def probe_equal(
-    p: Proof,
-    q: Proof,
-    asg: Mapping[str, int],
-    depth: int = 2,
-    seed: int = 0,
-    points: int = 5,
-) -> bool:
+def probe_equal(p: Proof, q: Proof, asg: Mapping[str, int], depth: int = 2) -> bool:
     """Exact agreement of two proofs' denotations on the standard probe
     set (conclusions must match; contexts must already agree)."""
     if p.conclusion != q.conclusion:
         return False
     cspace = den_formula(p.conclusion.conclusion, asg)
-    for v in probe_inputs(p, asg, depth, seed, points):
+    for v in probe_inputs(p, asg, depth):
         a = den_apply(p, v, asg)
         b = den_apply(q, v, asg)
-        if not values_agree(a, b, cspace, depth, seed, points):
+        if not values_agree(a, b, cspace, depth):
             return False
     return True
 

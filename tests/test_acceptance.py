@@ -564,7 +564,7 @@ _GRID = [
 
 
 def _numeral_probe_kets():
-    return standard_probes(E_SPACE, depth=2, seed=0, points=5)
+    return standard_probes(E_SPACE, depth=2)
 
 
 def _numeral_table(p):

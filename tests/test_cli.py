@@ -343,6 +343,18 @@ def test_too_deep_formula_is_a_domain_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_a_numeral_too_deep_to_evaluate_is_one_line_on_stderr(tmp_path, capsys):
+    # the evaluator still recurses once per node: nl on church(1000)
+    # exceeds the recursion limit, which the CLI reports as a domain error
+    f = tmp_path / "church1000.llp"
+    f.write_text(print_proof(church(1000, A)) + "\n")
+    assert main(["nl", str(f), "--assign", "A=1", "--point", "[[1]]"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "linlog: input is nested too deeply (maximum recursion depth exceeded)\n"
+    assert "Traceback" not in out.err
+
+
 def test_check_and_normalize_take_a_deep_formula(tmp_path, capsys):
     bangs = "!" * 100_000 + "A"
     f = tmp_path / "tower.llp"

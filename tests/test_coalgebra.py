@@ -16,6 +16,7 @@ from linlog.coalgebra import (
     Vect,
     bang_add,
     bang_from_terms,
+    bang_scale,
     basis_vec,
     coproduct,
     counit,
@@ -339,35 +340,51 @@ def test_lift_calls_phi_once_per_distinct_block():
 # Merge / split
 
 
-def _proportional(a: BangElem, b: BangElem) -> bool:
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    if [k for k, _ in a.terms] != [k for k, _ in b.terms]:
-        return False
-    ratio = a.terms[0][1] / b.terms[0][1]
-    return all(ca == ratio * cb for (_, ca), (_, cb) in zip(a.terms, b.terms))
+def _has_float(x: BangElem) -> bool:
+    return any(
+        isinstance(v, float) for (base, _), c in x.terms for v in (*base, c)
+    )
 
 
-def test_merge_then_split_recovers_factors_up_to_scale():
-    # Tensor factorisation has a scalar gauge (x⊗y = 2x ⊗ y/2), so split
-    # recovers each factor up to proportionality and the product exactly.
-    rng = random.Random(31)
-    U, W = BaseSp("A", 2), BaseSp("B", 3)
-    for _ in range(15):
-        x = _rand_ket(rng, U, max_args=2)
-        y = _rand_ket(rng, W, max_args=2)
-        if x.is_zero() or y.is_zero():
-            continue
-        m = merge([x, y])
-        sx, sy = split(m)
-        assert merge([sx, sy]) == m
-        assert _proportional(sx, x) and _proportional(sy, y)
+# Pure kets over g = 0..3 factors of dimension 1..3: int or Fraction
+# base points, sorted arguments, an int coefficient on the first factor.
+_factor_dims = st.lists(st.integers(1, 3), max_size=3)
+_ket_coeffs = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def _factor_kets(draw, dims) -> tuple[BangElem, ...]:
+    out = []
+    for i, d in enumerate(dims):
+        base = tuple(draw(st.lists(_rationals, min_size=d, max_size=d)))
+        args = tuple(sorted(draw(st.lists(st.integers(0, d - 1), max_size=3))))
+        c = draw(_ket_coeffs) if i == 0 else 1
+        out.append(BangElem(BaseSp(f"W{i}", d), (((base, args), c),)))
+    return tuple(out)
+
+
+@st.composite
+def _sum_ket(draw, dims) -> BangElem:
+    total = sum(dims)
+    base = tuple(draw(st.lists(_rationals, min_size=total, max_size=total)))
+    args = tuple(sorted(draw(st.lists(st.integers(0, total - 1), max_size=4)))) if total else ()
+    c = draw(_ket_coeffs) if dims else 1
+    parts = tuple(BaseSp(f"W{i}", d) for i, d in enumerate(dims))
+    return BangElem(SumSp(parts), (((base, args), c),))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_factor_dims.flatmap(lambda dims: st.tuples(_factor_kets(dims), _sum_ket(dims))))
+def test_split_and_merge_are_inverse_on_one_ket(kets):
+    xs, x = kets
+    assert split(merge(xs)) == xs
+    parts = split(x)
+    assert merge(parts) == x
+    assert not any(_has_float(p) for p in parts)
 
 
 def test_split_of_single_term_puts_coefficient_on_first_factor():
     U, W = BaseSp("A", 1), BaseSp("B", 1)
-    from linlog.coalgebra import bang_scale
-
     m = bang_scale(
         Fraction(6), merge([vacuum(vect(U, [1])), vacuum(vect(W, [2]))])
     )
@@ -376,32 +393,19 @@ def test_split_of_single_term_puts_coefficient_on_first_factor():
     assert sy.terms[0][1] == Fraction(1)
 
 
-def _has_float(x: BangElem) -> bool:
-    return any(
-        isinstance(v, float) for (base, _), c in x.terms for v in (*base, c)
-    )
-
-
 def test_split_is_exact_for_int_and_fraction_coefficients():
     U, W = BaseSp("A", 1), BaseSp("B", 1)
-    # two one-term factors with int coefficients: the second factor's
-    # coefficient is c / c_pivot = 1, not 1.0
+    # one-term merges with an int or a Fraction coefficient: the second
+    # factor's coefficient is 1, not 1.0, and the first keeps c exactly
     one = merge([vacuum(Vect(U, (1,))), vacuum(Vect(W, (2,)))])
-    cases = [BangElem(one.space, tuple((k, int(c)) for k, c in one.terms))]
-    # two-term factors whose merge has pivot coefficient 2, 2/1 or 2/3
-    for cx, cy in (
-        ((2, 3), (1, 4)),
-        ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(4))),
-        ((Fraction(2, 3), Fraction(1, 2)), (1, Fraction(5, 7))),
-    ):
-        x = BangElem(U, (((((1,), ()), cx[0]), (((3,), ()), cx[1]))))
-        y = BangElem(W, (((((2,), ()), cy[0]), (((5,), (0,)), cy[1]))))
-        cases.append(merge([x, y]))
-    assert [m.terms[0][1] for m in cases] == [1, 2, 2, Fraction(2, 3)]
-    for m in cases:
+    ((key, _),) = one.terms
+    for c in (1, 6, Fraction(2, 3)):
+        m = BangElem(one.space, ((key, c),))
         assert not _has_float(m)
         parts = split(m)
         assert not any(_has_float(p) for p in parts)
+        assert [p.terms[0][1] for p in parts] == [c, 1]
+        assert type(parts[0].terms[0][1]) is type(c)
         assert merge(parts) == m
 
 
@@ -433,7 +437,15 @@ def test_split_rejects_entangled_sums():
         split(e0)
 
 
-def test_split_of_zero_is_zeros():
+def test_split_refuses_zero_and_non_sums():
+    import pytest
+
     U, W = BaseSp("A", 1), BaseSp("B", 2)
-    z = zero_bang(SumSp((U, W)))
-    assert split(z) == (zero_bang(U), zero_bang(W))
+    for x in (
+        zero_bang(SumSp((U, W))),
+        vacuum(vect(U, [1])),
+        bang_scale(3, merge([])),
+    ):
+        with pytest.raises(ValueError):
+            split(x)
+    assert split(merge([])) == ()

@@ -16,20 +16,29 @@ from linlog.coalgebra import (
     BangSp,
     BaseSp,
     HomSp,
+    SumSp,
     TensorSp,
     UnitSp,
     Vect,
+    _sum_offsets,
     bang_add,
+    bang_from_terms,
     bang_scale,
+    basis_vec,
     dereliction,
+    exact,
     ket,
+    lift,
+    merge,
     space_dim,
     tensor_from_terms,
     vacuum,
+    zero_bang,
 )
-from linlog.encodings import add, add_cut, church, church_body, comp, mult_cut
+from linlog.encodings import add, add_cut, church, church_body, comp, mult, mult_cut, rec
 from linlog.formula import INT, Bang, Forall, Lolli, One, Tensor, Var, endo, int_type
 from linlog.proof import (
+    Promotion,
     mk_axiom,
     mk_ctr,
     mk_cut,
@@ -54,6 +63,12 @@ from linlog.semantics import (
     Suspended,
     UnsupportedSpace,
     Vector,
+    ZeroMap,
+    _acc,
+    _asg_key,
+    _flat,
+    _plan,
+    _zero,
     apply_hom,
     den_apply,
     den_formula,
@@ -621,3 +636,165 @@ def test_public_outputs_hold_only_fractions(num):
     for out in outputs:
         numbers = _numbers(out)
         assert numbers and all(type(c) is Fraction for c in numbers), out
+
+
+# ---------------------------------------------------------------------------
+# Branches only unusual inputs reach: a zero ket, weakening a one-argument
+# ket into an infinite hom space, a hom given as a Vector
+
+
+def _idle_copy():
+    """(ctr 0 (weak 1 !A (ax !A))): the identity on !A, by way of the
+    coproduct and a counit."""
+    return mk_ctr(mk_weak(mk_axiom(Bang(A)), 1, Bang(A)), 0)
+
+
+def test_a_copy_and_drop_is_the_identity_and_keeps_the_zero_ket():
+    V = BaseSp("A", 2)
+    x = ket(Vect(V, (Fraction(1, 2), 3)), [basis_vec(V, 0)])
+    assert den_apply(_idle_copy(), BangVal(x), ASG) == BangVal(x)
+    zero = den_apply(_idle_copy(), BangVal(zero_bang(V)), ASG)
+    assert zero == BangVal(zero_bang(V))
+    assert value_literal(zero) == "0/1"
+    # different conclusions are never probe-equal
+    assert not probe_equal(_idle_copy(), church(1, A), ASG)
+
+
+def test_weakening_a_one_argument_ket_into_a_hom_is_the_zero_map():
+    # !A ⊢ int_A: the counit of a one-argument ket is 0, and int_A has no
+    # matrix, so that term is a ZeroMap; den_apply scales it and adds it
+    p = mk_weak(church(2, A), 0, Bang(A))
+    V = BangSp(BaseSp("A", 2))
+    space = den_formula(int_type(A), ASG)
+    two = den_apply(church(2, A), Scalar(Fraction(1)), ASG)
+
+    def on(terms):
+        return den_apply(p, Pair(tensor_from_terms((V,), terms)), ASG)
+
+    only = on({(((1, 2), (0,)),): 3})
+    assert isinstance(only, ZeroMap) and only.space == space
+    P = _mat_vect([[1, 0], [2, 1]])
+    assert _as_rows(apply_hom(only, BangVal(vacuum(P)))) == [[0, 0], [0, 0]]
+    # the ZeroMap term first, then the vacuum's numeral; and the reverse
+    first = on({(((0, 0), (0,)),): 2, (((1, 1), ()),): 1})
+    last = on({(((1, 1), ()),): 1, (((1, 1), (1,)),): 3})
+    for got in (first, last):
+        assert isinstance(got, Suspended)
+        assert values_agree(got, two, space)
+
+
+def test_a_hom_given_as_a_vector_applies_as_its_matrix():
+    V = BaseSp("A", 2)
+    arg = Vector(Vect(V, (1, Fraction(-1, 2))))
+    as_vector = apply_hom(Vector(Vect(E_SPACE, (1, 2, 3, 4))), arg)
+    assert as_vector == apply_hom(matrix(E_SPACE, [[1, 2], [3, 4]]), arg)
+    assert as_vector == Vector(Vect(V, (Fraction(0), Fraction(1))))
+
+
+def test_value_literals_of_vectors_and_kets_with_arguments():
+    V = BaseSp("A", 2)
+    assert value_literal(Vector(Vect(V, (Fraction(1, 2), Fraction(-3))))) == "[1/2,-3/1]"
+    P = Vect(V, (Fraction(1), Fraction(0)))
+    x = bang_add(ket(P, [basis_vec(V, 1)]), bang_scale(Fraction(2, 3), ket(P, [P, P])))
+    assert value_literal(BangVal(x)) == (
+        "2/3 * ket([1/1,0/1]; [1/1,0/1], [1/1,0/1]) + ket([1/1,0/1]; [0/1,1/1])"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Promotion boxes against the reference φ.  The box's φ once summed the
+# body over every term of its argument and cut each term apart with a
+# general `split`, which factored sums over a direct sum up to a scalar
+# gauge and checked itself with a second `merge`.  `lift` hands φ one
+# pure ket, so φ is now one expression over a `split` that only slices;
+# the old φ and split are kept here as the reference.
+
+
+def _ref_split_key(key, offsets):
+    base, args = key
+    return tuple(
+        (base[lo:hi], tuple(j - lo for j in args if lo <= j < hi))
+        for lo, hi in zip(offsets, offsets[1:])
+    )
+
+
+def _ref_split(x):
+    if not isinstance(x.space, SumSp):
+        raise ValueError("split expects an element over a direct sum")
+    parts = x.space.parts
+    g = len(parts)
+    if g == 0:
+        return ()
+    if not x.terms:
+        return tuple(zero_bang(p) for p in parts)
+    offsets = _sum_offsets(parts)
+    terms = {key: (_ref_split_key(key, offsets), c) for key, c in x.terms}
+    pivot_parts, c_pivot = terms[min(terms)]
+    factors = []
+    for i in range(g):
+        fi = {}
+        for kp, c in terms.values():
+            if all(kp[j] == pivot_parts[j] for j in range(g) if j != i):
+                fi[kp[i]] = c if i == 0 else exact(Fraction(c, c_pivot))
+        factors.append(fi)
+    candidates = tuple(bang_from_terms(parts[i], factors[i]) for i in range(g))
+    if merge(candidates) != x:
+        raise ValueError("element is not a tensor product of per-factor elements")
+    return candidates
+
+
+def _ref_box(box, env, asg):
+    """⟦box⟧ on a context tuple of kets, with the reference φ."""
+    body = _plan(box.premises[0], _asg_key(asg))
+    inner = den_formula(box.conclusion.conclusion.body, asg)
+
+    def phi(x):
+        out = None
+        for key, c in x.terms:
+            out = _acc(out, c, body(_ref_split(BangElem(x.space, ((key, 1),)))), lambda: inner)
+        return Vect(inner, _zero(inner) if out is None else _flat(out, inner))
+
+    return lift(phi, merge(env), out_space=inner)
+
+
+def _depth_two_kets(space):
+    """Every ket of at most two basis arguments, at one base point that
+    mixes ints and Fractions."""
+    d = space_dim(space)
+    base = (Fraction(1, 2), -2, 3, Fraction(-5, 3))[:d]
+    return [
+        BangElem(space, (((base, args), 1),))
+        for s in range(3)
+        for args in itertools.combinations_with_replacement(range(d), s)
+    ]
+
+
+def _boxes_with_g_context_formulas():
+    e = endo(A)
+    B, C = Var("B"), Var("C")
+    closed = rec(mk_lolli_r(mk_axiom(A)), mk_lolli_r(mk_axiom(e)), e).premises[0]
+    numeral = mult(2, A).premises[0].premises[0]
+    wide = mk_prom(mk_tensor_r(mk_der(mk_axiom(A), 0), mk_der(mk_axiom(B), 0)))
+    three = mk_prom(
+        mk_tensor_r(
+            mk_tensor_r(mk_der(mk_axiom(A), 0), mk_der(mk_axiom(B), 0)),
+            mk_der(mk_axiom(C), 0),
+        )
+    )
+    return [
+        (closed, ASG),
+        (numeral, ASG),
+        (wide, {"A": 2, "B": 2}),
+        (three, {"A": 2, "B": 1, "C": 1}),
+    ]
+
+
+def test_boxes_with_zero_to_three_context_formulas_match_the_reference_phi():
+    boxes = _boxes_with_g_context_formulas()
+    assert [len(box.conclusion.context) for box, _ in boxes] == [0, 1, 2, 3]
+    for box, asg in boxes:
+        assert type(box.rule) is Promotion
+        spaces = [den_formula(f.body, asg) for f in box.conclusion.context]
+        plan = _plan(box, _asg_key(asg))
+        for env in itertools.product(*map(_depth_two_kets, spaces)):
+            assert plan(env) == _ref_box(box, env, asg), (box.conclusion, env)
