@@ -23,19 +23,20 @@ After each step a kernel guard checks that the replacement keeps the
 redex's conclusion and that the new tree is valid.  It is a guard
 against catalog bugs, not a proof obligation for callers.  Validity is
 a property of each node alone: its rule, its cached conclusion and its
-premises' cached conclusions.  :func:`normalize` and :func:`replay`
-validate their input once, so after a step only two kinds of node can
-be invalid: the nodes the replacement newly built, and the ancestors
-rebuilt around it.  An ancestor can break only when the replacement's
-conclusion is an alpha-variant of the old one rather than equal to it;
-otherwise it sees the premise conclusions it saw before.  The guard
-(:func:`_guard`) checks the built nodes after every step, and all the
-ancestors after a step whose conclusion came back only alpha-equal, so
-it proves what validating the whole tree would.
+premises' cached conclusions.  :func:`normalize` validates its input
+once, so after a step only two kinds of node can be invalid: the nodes
+the replacement newly built, and the ancestors rebuilt around it.  An
+ancestor can break only when the replacement's conclusion is an
+alpha-variant of the old one rather than equal to it; otherwise it
+sees the premise conclusions it saw before.  The guard (:func:`_guard`)
+checks the built nodes after every step, and all the ancestors after a
+step whose conclusion came back only alpha-equal, so it proves what
+validating the whole tree would.
 
-:func:`normalize` keeps its place as a zipper and rebuilds an ancestor
-only when it climbs past it; :func:`apply_rule_at`, which splices each
-step back into the root, is the reference it is tested against.
+:func:`normalize` is the only code that steps a proof.  It keeps its
+place as a zipper, seeks the cut :func:`find_redex` would pick from the
+root, and rebuilds an ancestor only when it climbs past it;
+:func:`replay` re-runs it against a recorded trace.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .proof import (
     _with_premise,
     fold,
     free_vars_proof,
-    get_at,
     mk_ctr,
     mk_cut,
     mk_exchange,
@@ -75,7 +75,7 @@ from .proof import (
     mk_prom,
     mk_tensor_r,
     mk_weak,
-    replace_at,
+    replace_at,  # unused here; bench/tracing.py and a test patch rewrite.replace_at
     subst_proof,
     validate,
 )
@@ -297,28 +297,6 @@ def find_redex(p: Proof) -> tuple[int, ...] | None:
     return None
 
 
-def step_violations(
-    before: Proof, path: tuple[int, ...], after: Proof
-) -> list[tuple[tuple[int, ...], str]]:
-    """Schema violations of ``after``, the valid tree ``before`` with the
-    cut at ``path`` replaced, as (path-from-root, message).
-
-    Runs :func:`_guard`, passing it the ancestors on ``path`` when the
-    replacement's conclusion is not ``==`` to the redex's.  Given a valid
-    ``before``, the result equals ``validate(after)``, in the same
-    (preorder) order.
-    """
-    redex = get_at(before, path)
-    replacement = get_at(after, path)
-    ancestors = []
-    if replacement.conclusion != redex.conclusion:
-        node = after
-        for i in path:
-            ancestors.append(node)
-            node = node.premises[i]
-    return _guard(ancestors, path, redex, replacement)
-
-
 def _guard(
     ancestors: list[Proof], path: tuple[int, ...], redex: Proof, replacement: Proof
 ) -> list[tuple[tuple[int, ...], str]]:
@@ -345,49 +323,17 @@ def _guard(
     return out
 
 
-def apply_rule_at(p: Proof, path: tuple[int, ...]) -> tuple[Proof, StepInfo]:
-    """Reduce the cut at ``path`` and splice the result back, with the
-    kernel guard (validity + conclusion preservation) applied.
-
-    ``p`` must be valid: the guard checks only the nodes the step
-    changed (see :func:`step_violations`).  :func:`normalize` and
-    :func:`replay` validate their input on entry."""
-    node = get_at(p, path)
-    rule_id, replacement = reduce_cut(node)
-    if replacement.conclusion != node.conclusion and not sequent_alpha_eq(
-        replacement.conclusion, node.conclusion
-    ):
-        raise RewriteError(f"{rule_id} changed the conclusion at {path}")
-    out = replace_at(p, path, replacement)
-    bad = step_violations(p, path, out)
-    if bad:
-        raise RewriteError(f"{rule_id} at {path} broke validity: {bad[:3]}")
-    return out, StepInfo(rule_id, path, p.size, out.size)
-
-
-def step(p: Proof) -> tuple[Proof, StepInfo] | None:
-    """One strategy step on a valid proof (see :func:`apply_rule_at`);
-    None when the proof is already cut-free."""
-    path = find_redex(p)
-    if path is None:
-        return None
-    return apply_rule_at(p, path)
-
-
-def _check_input(p: Proof) -> None:
+def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
+    """Validate ``p``, then run the strategy to a cut-free proof or to
+    budget exhaustion.  Each step reduces the cut :func:`find_redex`
+    would pick (:func:`reduce_cut`) under the kernel guard, from a
+    zipper (Huet, "The Zipper", 1997): a cursor on the redex below a
+    stack of (parent, premise index) frames, which seeks the next redex
+    from where it is (:func:`_seek`).
+    """
     bad = validate(p)
     if bad:
         raise RewriteError(f"input proof is invalid: {bad[:3]}")
-
-
-def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
-    """Validate ``p``, then run the strategy to a cut-free proof or to
-    budget exhaustion.  Takes the steps :func:`step` would, guarded as
-    in :func:`apply_rule_at`, from a zipper (Huet, "The Zipper", 1997):
-    a cursor on the redex below a stack of (parent, premise index)
-    frames, which seeks the next redex from where it is (:func:`_seek`).
-    """
-    _check_input(p)
     steps: list[StepInfo] = []
     parents: list[Proof] = []
     path: list[int] = []  # path[k] is the premise of parents[k] the cursor is in
@@ -436,19 +382,16 @@ def _seek(cur: Proof, parents: list[Proof], path: list[int]) -> Proof:
 
 
 def replay(p: Proof, trace: Trace) -> Proof:
-    """Re-apply a trace step by step; the result must equal the recorded
-    terminal exactly."""
-    _check_input(p)
-    cur = p
-    for info in trace.steps:
-        cur, got = apply_rule_at(cur, info.path)
-        if got.rule_id != info.rule_id:
-            raise RewriteError(
-                f"replay diverged at {info.path}: {got.rule_id} != {info.rule_id}"
-            )
-    if cur != trace.terminal:
+    """Re-run :func:`normalize` for as many steps as ``trace`` records:
+    each step (rule id, path and sizes) and the terminal proof must be
+    the recorded ones exactly."""
+    res = normalize(p, max_steps=len(trace.steps))
+    for got, want in zip(res.trace.steps, trace.steps):
+        if got != want:
+            raise RewriteError(f"replay diverged at {want.path}: {got} != {want}")
+    if len(res.trace.steps) != len(trace.steps) or res.proof != trace.terminal:
         raise RewriteError("replay did not reproduce the terminal proof")
-    return cur
+    return res.proof
 
 
 # ---------------------------------------------------------------------------

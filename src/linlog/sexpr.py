@@ -446,6 +446,8 @@ def _coords(lexer: _ValueLexer, nested: bool = True) -> CoordsLit:
         lexer.eat(",")
         entries.append(item())
     lexer.eat("]")
+    if is_matrix and len({len(row) for row in entries}) > 1:
+        raise ValueError(f"matrix rows of unequal lengths in value literal {lexer.text!r}")
     return CoordsLit(tuple(entries), is_matrix)
 
 

@@ -3,8 +3,9 @@
 `bench/tracing.py` replaces linlog functions by wrappers at the module
 attributes their callers look them up under, so renaming or reshaping
 one of those names silently takes a metric away.  This runs one
-promotion through the installed tracer and checks that the wrapped
-names are still the ones the evaluator calls.
+promotion and one traced `linlog normalize` through the installed
+tracer and checks that the wrapped names are still the ones the
+evaluator, the rewrite engine and the CLI call.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+from linlog import cli
 from linlog.coalgebra import BangElem, BaseSp, HomSp
 from linlog.encodings import mult_cut
 from linlog.formula import Var
 from linlog.semantics import BangVal, Scalar, apply_hom, den_apply, force
+from linlog.sexpr import print_proof
 
 A = Var("A")
 ASG = {"A": 2}
@@ -38,22 +41,44 @@ def _lift_job():
     return force(apply_hom(h, BangVal(x)), E_SPACE)
 
 
-def test_the_bench_tracer_still_wraps_merge_split_and_lift():
+def _traced(job):
+    """(tracer, result) of ``job()`` run under the installed bench tracer;
+    checks that uninstalling puts back every attribute it patched."""
     tracing = _load_tracing()
-    want = _lift_job()
     t = tracing.Tracer()
     tracing.install(t)
     patched = list(t._patched)
     try:
         t.active = True
-        got = _lift_job()
+        got = job()
     finally:
         t.active = False
         t.uninstall()
     assert patched and all(getattr(m, attr) is fn for m, attr, fn in patched)
+    return t, got
+
+
+def test_the_bench_tracer_still_wraps_merge_split_and_lift():
+    want = _lift_job()
+    t, got = _traced(_lift_job)
     assert got == want
     # one lift, φ once per distinct block of three distinct arguments
     # (2³ with the vacuum), and one merge plus one split per φ call
     assert t.counts["coalgebra.lift_calls"] == 1
     assert t.counts["coalgebra.lift_phi_calls"] == 8
     assert [span[0] for span in t.spans].count("coalgebra.merge_split") == 9
+
+
+def test_the_bench_tracer_still_wraps_the_normalize_job(tmp_path, capsys):
+    f = tmp_path / "mult2x2.llp"
+    f.write_text(print_proof(mult_cut(2, 2, A)) + "\n")
+    # through the module attribute, which the tracer wraps too
+    t, code = _traced(lambda: cli.main(["normalize", "--trace", str(f)]))
+    assert code == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    assert t.counts["rewrite.steps"] == len(printed) == 27
+    names = [span[0] for span in t.spans]
+    assert names.count("cli") == names.count("rewrite.normalize") == 1
+    # one catalog call per step; the CLI and normalize validate the input once each
+    assert names.count("rewrite.reduce_cut") == len(printed)
+    assert names.count("proof.validate") == names.count("rewrite.guard.validate") == 1

@@ -193,11 +193,28 @@ def test_a_zero_denominator_is_a_bad_point(church2_file, capsys):
 
 
 def test_a_point_that_is_not_a_vector_or_matrix_is_a_bad_point(church2_file, capsys):
-    for point in ("ket([1])", "2", "2 * [1] + [3]"):
+    for point in ("ket([1])", "2", "2 * [1] + [3]", "[[1,1,0],[1]]", "[[1,1],[0]]"):
         with pytest.raises(SystemExit) as exc:
             main(["nl", church2_file, "--assign", "A=2", "--point", point])
         assert exc.value.code == 2
         assert "bad point literal" in capsys.readouterr().err
+
+
+def test_a_matrix_of_the_wrong_shape_is_a_domain_error(church2_file, capsys):
+    # four coordinates, as Hom(A, A) has at A=2, but not as 2 rows of 2
+    for argv in (
+        ["nl", church2_file, "--assign", "A=2", "--point", "[[1],[1],[0],[1]]"],
+        ["nl", church2_file, "--assign", "A=2", "--point", "[[1,1,0,1]]"],
+        ["tangent", church2_file, "--assign", "A=2", "--point", "[[1,1],[0,1]]",
+         "--direction", "[[0],[0],[1],[0]]"],
+    ):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "linlog: point on Hom(A, A) is not a 2 by 2 matrix\n"
+    # a flat vector is still read row by row
+    assert main(["nl", church2_file, "--assign", "A=2", "--point", "[1,1,0,1]"]) == 0
+    assert json.loads(capsys.readouterr().out) == "[[1/1,2/1],[0/1,1/1]]"
 
 
 def test_a_negative_budget_is_a_usage_error(mult2x2_file, capsys):
@@ -229,6 +246,20 @@ def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
         os.close(write)
     assert run.returncode == 1
     assert run.stderr == b""
+
+
+def test_a_broken_pipe_drops_the_output_and_exits_1(monkeypatch, capsys):
+    # in-process, so a line tracer over the suite sees the handler run;
+    # it points the stream's own descriptor, not fd 1, at the null device
+    read, write = os.pipe()
+    os.close(read)
+    closed = open(write, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        assert main(["encode", "church-2"]) == 1
+    finally:
+        closed.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):

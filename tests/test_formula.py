@@ -157,6 +157,7 @@ def test_format_sequent():
     s = Sequent((endo(A), endo(A)), endo(A))
     assert format_sequent(s) == "A -o A, A -o A ⊢ A -o A"
     assert format_sequent(Sequent((), One())) == "⊢ 1"
+    assert str(s) == "A -o A, A -o A ⊢ A -o A"
 
 
 def test_sequent_alpha_eq():

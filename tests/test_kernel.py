@@ -351,6 +351,10 @@ def test_fold_visits_a_shared_subtree_once():
     assert len(seen) == 2 and seen[0] is shared
 
 
+def test_a_proof_repr_names_its_last_rule_conclusion_and_size():
+    assert repr(church(2, A)) == "<lolli-r proof of ⊢ !(A -o A) -o (A -o A); 10 nodes>"
+
+
 def test_replace_and_get_at():
     p = mk_tensor_r(mk_axiom(A), mk_axiom(B))
     assert get_at(p, (0,)) == mk_axiom(A)

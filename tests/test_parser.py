@@ -213,6 +213,15 @@ def test_value_literals():
         parse_value_literal("[1] extra")
 
 
+def test_a_matrix_literal_needs_rows_of_one_length():
+    for text in ("[[1,1,0],[1]]", "[[1],[1,0]]", "[[1,2],[3,4],[5]]"):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            parse_value_literal(text)
+    # one column, or a single row, is still a matrix
+    assert parse_value_literal("[[1],[1],[0],[1]]").rows == ((1,), (1,), (0,), (1,))
+    assert parse_value_literal("[[1, 1, 0, 1]]").rows == ((1, 1, 0, 1),)
+
+
 def test_step_json():
     assert step_json("prom-der", (0, 1), 10, 8) == {
         "rule": "prom-der",

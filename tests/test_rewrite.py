@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -54,17 +56,16 @@ from linlog.rewrite import (
     RewriteError,
     StepInfo,
     Trace,
-    apply_rule_at,
     exchange_normalize,
     find_redex,
     is_cut_free,
     normalize,
     reduce_cut,
     replay,
-    step,
-    step_violations,
 )
 from linlog.semantics import den_matrix, probe_equal
+
+from _stepref import apply_rule_at, step, step_violations
 
 A = Var("A")
 B = Var("B")
@@ -281,6 +282,26 @@ def test_replay_rejects_a_foreign_trace():
     res = normalize(mult_cut(2, 1, A))
     with pytest.raises(RewriteError):
         replay(add_cut(1, 1, A), res.trace)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda s: replace(s, size_after=s.size_after + 1),
+        lambda s: replace(s, path=s.path + (0,)),
+    ],
+    ids=["size_after", "path"],
+)
+def test_replay_rejects_a_step_off_the_strategy(edit):
+    # the same rule ids, and on the sizes edit the same terminal: only
+    # the edited step differs from what the strategy records
+    p = mult_cut(2, 2, A)
+    res = normalize(p)
+    k = next(i for i, s in enumerate(res.trace.steps) if s.path)
+    steps = list(res.trace.steps)
+    steps[k] = edit(steps[k])
+    with pytest.raises(RewriteError, match=re.escape(f"replay diverged at {steps[k].path}: ")):
+        replay(p, Trace(tuple(steps), res.trace.terminal))
 
 
 def test_exchange_normalize_cancels_double_swaps():
