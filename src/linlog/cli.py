@@ -12,6 +12,7 @@ and nothing is drawn at random.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,6 +43,7 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache  # one per process: argparse copies --assign's default list before appending
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="linlog",

@@ -695,21 +695,22 @@ def _apply_bang(p: Proof, x: BangElem, asg: Mapping[str, int], curried: bool) ->
 
 def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
     """Coordinates of a point given either as a semantic value or as a
-    raw rational / sequence / matrix of rationals.  A matrix on a hom
-    space is read as :func:`unflatten` writes one: dim cod rows of dim
-    dom entries each."""
+    raw rational / sequence / matrix of rationals.  A matrix is read
+    only on a hom space, as :func:`unflatten` writes one: dim cod rows
+    of dim dom entries each."""
     if isinstance(point, (Scalar, Vector, Matrix, BangVal, Pair, Suspended, ZeroMap)):
         return flatten(point, space)
-    rows = [point] if isinstance(point, (int, Fraction)) else point
+    seq = (list, tuple)
+    rows = point if isinstance(point, seq) else [point]
     coords = tuple(
-        Fraction(_exact_in(x))
-        for row in rows  # type: ignore[union-attr]
-        for x in ((row,) if isinstance(row, (int, Fraction)) else row)
+        Fraction(_exact_in(x)) for row in rows for x in (row if isinstance(row, seq) else (row,))
     )
     d = _require_finite(space, "a point")
-    if isinstance(space, HomSp) and any(not isinstance(r, (int, Fraction)) for r in rows):
+    if any(isinstance(r, seq) for r in rows):
+        if not isinstance(space, HomSp):
+            raise SemanticsError(f"a matrix point needs a hom space, not {space_label(space)}")
         n, m = space_dim(space.cod), space_dim(space.dom)
-        if len(rows) != n or any(isinstance(r, (int, Fraction)) or len(r) != m for r in rows):
+        if len(rows) != n or any(not isinstance(r, seq) or len(r) != m for r in rows):
             raise SemanticsError(f"point on {space_label(space)} is not a {n} by {m} matrix")
     if len(coords) != d:
         raise SemanticsError(

@@ -71,52 +71,46 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "(", ")", "!", "*", ".", "-o", "kw", "ident", "num", "eof"
-    text: str
-    span: SourceSpan
-
-
+_Token = tuple[str, str, int]  # kind, text, start; an operator's kind is its text
 _HYPHEN_KEYWORDS = ("tensor-r", "tensor-l", "lolli-r", "lolli-l", "one-r", "one-l", "all-r", "all-l")
 
+# One match per token: the whitespace and comments before it, then the
+# token, the end of input, or the character that starts no token.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>;[^\n]*)
-      | (?P<kw>(?:%s)(?![A-Za-z0-9_'\-]))
-      | (?P<lolli>-o)
-      | (?P<num>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<punct>[()!*.])
+    r"""(?:[ \t\r\n]+|;[^\n]*)*
+      (?: (?P<kw>(?:%s)(?![A-Za-z0-9_'\-]))
+        | (?P<op>-o|[()!*.])
+        | (?P<num>[0-9]+)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+        | (?P<eof>\Z)
+        | (?P<bad>.) )
     """
     % "|".join(_HYPHEN_KEYWORDS),
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1)
-            )
-        span = SourceSpan(m.start(), m.end())
-        if m.lastgroup == "punct":
-            out.append(Token(m.group(), m.group(), span))
-        elif m.lastgroup == "lolli":
-            out.append(Token("-o", "-o", span))
-        elif m.lastgroup in ("kw", "num", "ident"):
-            out.append(Token(m.lastgroup, m.group(), span))
-        pos = m.end()
-    out.append(Token("eof", "", SourceSpan(len(text), len(text))))
-    return out
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``: operators, "kw", "num" and "ident", then "eof"."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = (kind if kind != "op" else m[kind], m[kind], m.start(kind))
+        if kind == "bad":
+            raise _error(f"unexpected character {tok[1]!r}", tok)
+        out.append(tok)
+        if kind == "eof":
+            return out
 
 
-def _describe(tok: Token) -> str:
-    return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+def _error(message: str, tok: _Token) -> ParseError:
+    """A ParseError spanning the text of ``tok``."""
+    _, text, start = tok
+    return ParseError(message, SourceSpan(start, start + len(text)))
+
+
+def _describe(tok: _Token) -> str:
+    return "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
 
 
 class _Parser:
@@ -124,27 +118,25 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.advance()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what or kind!r}, found {_describe(tok)}", tok.span
-            )
+        if tok[0] != kind:
+            raise _error(f"expected {what or kind!r}, found {_describe(tok)}", tok)
         return tok
 
     def expect_eof(self) -> None:
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {_describe(tok)}", tok.span)
+        if tok[0] != "eof":
+            raise _error(f"trailing input {_describe(tok)}", tok)
 
     # -- formulas ----------------------------------------------------------
 
@@ -155,34 +147,35 @@ class _Parser:
         waiting: list[tuple[str, Formula | str | None]] = []
         while True:
             tok = self.advance()
-            if tok.kind in ("!", "("):
+            kind, text, _ = tok
+            if kind in ("!", "("):
                 binder = None
-                if tok.kind == "(" and self.peek().kind == "ident" and self.peek().text == "all":
+                if kind == "(" and self.peek()[:2] == ("ident", "all"):
                     self.advance()
                     name = self.expect("ident", "a binder name")
-                    if name.text == "all":
-                        raise ParseError("'all' cannot be a binder name", name.span)
+                    if name[1] == "all":
+                        raise _error("'all' cannot be a binder name", name)
                     self.expect(".", "'.'")
-                    binder = name.text
-                waiting.append((tok.kind, binder))
+                    binder = name[1]
+                waiting.append((kind, binder))
                 continue
-            if tok.kind == "num":
-                if tok.text != "1":
-                    raise ParseError("the only numeric formula is the unit 1", tok.span)
+            if kind == "num":
+                if text != "1":
+                    raise _error("the only numeric formula is the unit 1", tok)
                 operand = One()
-            elif tok.kind == "ident":
-                if tok.text == "all":
-                    raise ParseError("'all' is reserved; write (all x. A)", tok.span)
-                operand = Var(tok.text)
+            elif kind == "ident":
+                if text == "all":
+                    raise _error("'all' is reserved; write (all x. A)", tok)
+                operand = Var(text)
             else:
-                raise ParseError(f"expected a formula, found {_describe(tok)}", tok.span)
+                raise _error(f"expected a formula, found {_describe(tok)}", tok)
             while True:  # the operand is complete: hand it to what waits for it
                 while waiting and waiting[-1][0] in ("!", "*"):
                     op, left = waiting.pop()
                     operand = Bang(operand) if op == "!" else Tensor(left, operand)
-                kind = self.peek().kind
+                kind = self.peek()[0]
                 if kind in ("*", "-o"):  # * is left associative, -o right
-                    waiting.append((self.advance().kind, operand))
+                    waiting.append((self.advance()[0], operand))
                     break
                 while waiting and waiting[-1][0] == "-o":
                     operand = Lolli(waiting.pop()[1], operand)
@@ -198,9 +191,9 @@ class _Parser:
     def index(self) -> int:
         tok = self.expect("num", "a context index")
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # more digits than int() converts
-            raise ParseError("context index too long", tok.span) from None
+            raise _error("context index too long", tok) from None
 
     def proof(self) -> Proof:
         """One proof s-expression.  Open nodes wait on an explicit stack
@@ -210,11 +203,11 @@ class _Parser:
         while True:
             self.expect("(", "a proof '('")
             tok = self.advance()
-            if tok.kind not in ("kw", "ident"):
-                raise ParseError(f"expected a rule keyword, found {_describe(tok)}", tok.span)
-            if tok.text not in _RULES:
-                raise ParseError(f"unknown rule keyword '{tok.text}'", tok.span)
-            open_nodes.append((tok.text, []))
+            if tok[0] not in ("kw", "ident"):
+                raise _error(f"expected a rule keyword, found {_describe(tok)}", tok)
+            if tok[1] not in _RULES:
+                raise _error(f"unknown rule keyword '{tok[1]}'", tok)
+            open_nodes.append((tok[1], []))
             while True:
                 kw, args = open_nodes[-1]
                 shape, build = _RULES[kw]
@@ -234,7 +227,7 @@ class _Parser:
             return self.index()
         if kind == "f":
             return self.formula()
-        return self.expect("ident", "a binder name").text
+        return self.expect("ident", "a binder name")[1]
 
 
 # Lenient fallbacks: when a rule application does not fit its schema we
@@ -383,6 +376,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}: {err}") from None
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 class _ValueLexer:
     """Scanner for the value literals of the command line: coordinate
     lists ``[1/2, 3]`` and matrices ``[[..],[..]]``."""
@@ -409,12 +405,12 @@ class _ValueLexer:
 
     def rational(self) -> Fraction:
         self.skip_ws()
-        m = re.match(r"-?[0-9]+(?:/[0-9]+)?", self.text[self.pos :])
+        m = _RATIONAL_RE.match(self.text, self.pos)
         if m is None:
             raise ValueError(
                 f"expected a rational at offset {self.pos} in {self.text!r}"
             )
-        self.pos += m.end()
+        self.pos = m.end()
         return parse_rational(m.group())
 
 

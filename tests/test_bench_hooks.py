@@ -3,20 +3,21 @@
 `bench/tracing.py` replaces linlog functions by wrappers at the module
 attributes their callers look them up under, so renaming or reshaping
 one of those names silently takes a metric away.  This runs one
-promotion and one traced `linlog normalize` through the installed
-tracer and checks that the wrapped names are still the ones the
-evaluator, the rewrite engine and the CLI call.
+promotion, one `linlog normalize --trace` and one `linlog check`
+through the installed tracer and checks that the wrapped names are
+still the ones the evaluator, the rewrite engine and the CLI call.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
 from linlog import cli
 from linlog.coalgebra import BangElem, BaseSp, HomSp
-from linlog.encodings import mult_cut
+from linlog.encodings import church, mult_cut
 from linlog.formula import Var
 from linlog.semantics import BangVal, Scalar, apply_hom, den_apply, force
 from linlog.sexpr import print_proof
@@ -82,3 +83,14 @@ def test_the_bench_tracer_still_wraps_the_normalize_job(tmp_path, capsys):
     # one catalog call per step; the CLI and normalize validate the input once each
     assert names.count("rewrite.reduce_cut") == len(printed)
     assert names.count("proof.validate") == names.count("rewrite.guard.validate") == 1
+
+
+def test_the_bench_tracer_still_wraps_the_check_job(tmp_path, capsys):
+    f = tmp_path / "church7.llp"
+    f.write_text(print_proof(church(7, A)) + "\n")
+    t, code = _traced(lambda: cli.main(["check", str(f)]))
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == "⊢ !(A -o A) -o (A -o A)"
+    assert t.counts["sexpr.parse_bytes"] == f.stat().st_size
+    names = [span[0] for span in t.spans]
+    assert names.count("cli") == names.count("sexpr.parse") == names.count("proof.validate") == 1

@@ -217,6 +217,46 @@ def test_a_matrix_of_the_wrong_shape_is_a_domain_error(church2_file, capsys):
     assert json.loads(capsys.readouterr().out) == "[[1/1,2/1],[0/1,1/1]]"
 
 
+def test_a_matrix_point_on_a_space_that_is_not_hom_is_a_domain_error(tmp_path, capsys):
+    # (der 0 (ax A)) has hypothesis space A: a point there is a vector
+    f = tmp_path / "der.llp"
+    f.write_text("(der 0 (ax A))\n")
+    for argv in (
+        ["nl", str(f), "--assign", "A=2", "--point", "[[1],[2]]"],
+        ["nl", str(f), "--assign", "A=2", "--point", "[[1,2]]"],
+        ["tangent", str(f), "--assign", "A=2", "--point", "[1,2]", "--direction", "[[0,1]]"],
+    ):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "linlog: a matrix point needs a hom space, not A\n"
+    assert main(["nl", str(f), "--assign", "A=2", "--point", "[1,2]"]) == 0
+    assert json.loads(capsys.readouterr().out) == "[1/1,2/1]"
+
+
+def test_calls_in_one_process_do_not_share_flags(church2_file, mult2x2_file, tmp_path, capsys):
+    # the argument parser is built once per process
+    assert cli._build_parser() is cli._build_parser()
+    f = tmp_path / "ax.llp"
+    f.write_text("(ax A)\n")
+    assert main(["denote", str(f), "--assign", "A=2"]) == 0
+    assert json.loads(capsys.readouterr().out) == "[[1/1,0/1],[0/1,1/1]]"
+    assert main(["denote", str(f), "--assign", "B=1"]) == 1
+    assert capsys.readouterr().err == "linlog: no dimension assigned to variable A\n"
+    assert main(["normalize", mult2x2_file, "--max-steps", "3"]) == 1
+    assert "after 3 steps" in capsys.readouterr().err
+    assert main(["normalize", mult2x2_file]) == 0
+    assert capsys.readouterr().err == ""
+    for argv in (["normalize"], ["denote", church2_file, "--assign", "A=zero"]):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("usage: linlog")
+
+
 def test_a_negative_budget_is_a_usage_error(mult2x2_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", mult2x2_file, "--max-steps", "-3"])

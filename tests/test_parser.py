@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _tokref
 from linlog.formula import (
     INT,
     Bang,
@@ -51,7 +54,7 @@ from linlog.sexpr import (
     print_proof,
     step_json,
 )
-from linlog.sexpr import _node_args
+from linlog.sexpr import _node_args, _tokenize
 
 A = Var("A")
 
@@ -281,3 +284,41 @@ def test_printer_matches_the_recursive_reference():
     assert print_proof(lenient[4]) == "(all-l 4 (all x. x) A (ax A))"
     for t in lenient:
         assert parse_proof(print_proof(t)) == t
+
+
+def _ref_tokenize(text):
+    return [(tok.kind, tok.text, tok.span.start) for tok in _tokref._tokenize(text)]
+
+
+def _tokens_or_error(tokenize, text):
+    """``tokenize(text)``, or the message and span of its ParseError."""
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return err.message, err.span
+
+
+# Pieces of input: every token kind, whitespace and comments, and the
+# near misses of a hyphenated keyword or `-o`, characters that start no
+# token, and non-ASCII ones.
+_PIECES = [
+    *"()!*.", "-o", "-", "-x", "-oo", *RULE_KEYWORDS.values(), "ax", "all-r", "all",
+    "tensor-rx", "tensor-r-", "lolli-l'", "x", "A", "x'", "_y9", "0", "1", "42", "9" * 30,
+    " ", "  ", "\t", "\n", "\r\n", "; note", ";", ";;(ax A)\n", "\f", "\v", "é", "⊸", "λx",
+    "\x00", "@", "[", ",",
+]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=12))
+def test_tokenizer_matches_the_two_match_reference(pieces):
+    text = "".join(pieces)
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_ref_tokenize, text)
+
+
+def test_tokenizer_matches_the_reference_on_every_encoding():
+    for p in library().values():
+        text = print_proof(p) + "\n"  # as `linlog encode` prints it
+        tokens = _tokenize(text)
+        assert tokens == _ref_tokenize(text)
+        assert tokens[-1] == ("eof", "", len(text))

@@ -397,6 +397,8 @@ def test_float_inputs_are_refused_at_the_boundary():
         lambda: den_apply(mk_one_r(), Scalar(0.5), ASG),  # a Scalar input
         lambda: den_apply(comp(A), float_coeff, ASG),  # a Pair coefficient
         lambda: nl(church(2, A), [[1, 0.5], [0, 1]], ASG),  # a raw point
+        lambda: nl(church(2, A), [1, 0.5, 0, 1], ASG),  # a flat raw point
+        lambda: nl(mk_der(mk_axiom(A), 0), 1.5, {"A": 1}),  # a bare raw point
     ]
     for call in calls:
         with pytest.raises(SemanticsError, match="is not an exact rational"):
