@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .encodings import library
 from .formula import format_sequent
@@ -31,7 +30,7 @@ from .semantics import (
 )
 from .sexpr import (
     ParseError,
-    format_fraction,
+    format_coords,
     parse_proof,
     parse_value_literal,
     print_proof,
@@ -157,11 +156,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 def _cmd_denote(args: argparse.Namespace) -> int:
     asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
-    rows = den_matrix(p, asg)
-    text = "[" + ",".join(
-        "[" + ",".join(format_fraction(c) for c in row) + "]" for row in rows
-    ) + "]"
-    print(json.dumps(text))
+    print(json.dumps(format_coords(den_matrix(p, asg))))
     return 0
 
 
@@ -210,8 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except UsageError as e:
-        parser.error(str(e))  # exits 2
-        return 2
+        parser.error(str(e))  # the exit: error raises SystemExit(2) itself
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 1

@@ -271,9 +271,6 @@ class TensorElem:
     factors: tuple[Space, ...]
     terms: tuple[tuple[tuple[Descriptor, ...], Rational], ...]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def tensor_from_terms(
     factors: tuple[Space, ...], acc: dict[tuple[Descriptor, ...], Rational]

@@ -37,21 +37,23 @@ T = TypeVar("T")
 _INTERNED: WeakValueDictionary = WeakValueDictionary()
 
 
-def _intern(cls, *fields):
-    key = (cls, *fields)
-    node = _INTERNED.get(key)
-    if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
-        _INTERNED[key] = node
-    return node
-
-
 class _Interned:
-    """Identity equality and hashing; copies and pickles re-intern."""
+    """Identity equality and hashing; copies and pickles re-intern.  A
+    formula's constructor takes its fields positionally, in slot order."""
 
     __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:  # a key of the wrong length is never stored
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _INTERNED[key] = node
+        return node
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -62,16 +64,10 @@ class Var(_Interned):
     __slots__ = ("name",)
     name: str
 
-    def __new__(cls, name: str) -> Var:
-        return _intern(cls, name)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class One(_Interned):
     __slots__ = ()
-
-    def __new__(cls) -> One:
-        return _intern(cls)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -80,9 +76,6 @@ class Tensor(_Interned):
     left: Formula
     right: Formula
 
-    def __new__(cls, left: Formula, right: Formula) -> Tensor:
-        return _intern(cls, left, right)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Lolli(_Interned):
@@ -90,17 +83,11 @@ class Lolli(_Interned):
     ante: Formula
     cons: Formula
 
-    def __new__(cls, ante: Formula, cons: Formula) -> Lolli:
-        return _intern(cls, ante, cons)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Bang(_Interned):
     __slots__ = ("body",)
     body: Formula
-
-    def __new__(cls, body: Formula) -> Bang:
-        return _intern(cls, body)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -108,9 +95,6 @@ class Forall(_Interned):
     __slots__ = ("binder", "body")
     binder: str
     body: Formula
-
-    def __new__(cls, binder: str, body: Formula) -> Forall:
-        return _intern(cls, binder, body)
 
 
 Formula = Var | One | Tensor | Lolli | Bang | Forall

@@ -112,7 +112,7 @@ from .proof import (
     TensorR,
     Weakening,
 )
-from .sexpr import format_fraction
+from .sexpr import format_coords, format_fraction, format_ket
 
 
 class SemanticsError(Exception):
@@ -812,48 +812,17 @@ def probe_equal(p: Proof, q: Proof, asg: Mapping[str, int], depth: int = 2) -> b
 
 
 # ---------------------------------------------------------------------------
-# Rendering: vectors and matrices in the literal syntax the parser reads
-# back; kets as ket(base; args), for output only
+# Rendering, in the value-literal syntax of `sexpr`
 
 
 def value_literal(v: SemValue) -> str:
     if isinstance(v, Scalar):
         return format_fraction(v.value)
     if isinstance(v, Vector):
-        return "[" + ",".join(format_fraction(c) for c in v.vec.coords) + "]"
+        return format_coords(v.vec.coords)
     if isinstance(v, Matrix):
-        return (
-            "["
-            + ",".join(
-                "[" + ",".join(format_fraction(c) for c in row) + "]" for row in v.rows
-            )
-            + "]"
-        )
+        return format_coords(v.rows)
     if isinstance(v, BangVal):
-        if not v.elem.terms:
-            return "0/1"
-        parts = []
-        for (base, args), c in v.elem.terms:
-            ket_s = (
-                "ket(["
-                + ",".join(format_fraction(x) for x in base)
-                + "]"
-                + (
-                    "; "
-                    + ", ".join(
-                        "["
-                        + ",".join(
-                            format_fraction(Fraction(1 if i == a else 0))
-                            for i in range(len(base))
-                        )
-                        + "]"
-                        for a in args
-                    )
-                    if args
-                    else ""
-                )
-                + ")"
-            )
-            parts.append(ket_s if c == 1 else f"{format_fraction(c)} * {ket_s}")
-        return " + ".join(parts)
+        terms = [format_ket(c, base, args) for (base, args), c in v.elem.terms]
+        return " + ".join(terms) or format_fraction(Fraction(0))
     raise SemanticsError(f"no literal rendering for {type(v).__name__}")

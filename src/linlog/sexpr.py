@@ -1,4 +1,4 @@
-"""Text formats: formula grammar, proof s-expressions, JSON interchange.
+"""Text formats: formulas, proof s-expressions, value literals, JSON.
 
 Formula grammar (whitespace-insensitive, ``;`` comments to end of line)::
 
@@ -24,7 +24,11 @@ formula, ``all-l`` the quantified formula and the witness), except for
 written, with best-effort cached conclusions where a schema does not
 fit, and the caller decides what that means (see ``proof.validate``).
 Both grammars are read from explicit stacks, so nesting depth costs no
-recursion.  All spans are byte offsets into the input.
+recursion.  All spans are UTF-8 byte offsets into the input.
+
+Value literals are exact rational vectors ``[1/2, 3]`` and matrices
+``[[1, 0], [0, 1]]``, read as points and written as results, and the
+ket sums ``2/1 * ket([1/1,0/1]; [0/1,1/1])`` of ``!V``, written only.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Callable, Sequence, TypeVar
 
 from .formula import (
     Bang,
@@ -56,6 +61,8 @@ from .proof import (
     rule_arity,
 )
 from . import proof as _proof
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -299,18 +306,27 @@ _RULES = {
 # Entry points
 
 
+def _parse(text: str, read: Callable[[_Parser], T]) -> T:
+    """``read`` from the tokens of ``text``, which it must use up.  The
+    parser counts characters; a ParseError's span is turned into UTF-8
+    byte offsets only when it is raised."""
+    try:
+        parser = _Parser(text)
+        out = read(parser)
+        parser.expect_eof()
+        return out
+    except ParseError as e:
+        start = len(text[: e.span.start].encode("utf-8", "surrogatepass"))
+        end = start + len(text[e.span.start : e.span.end].encode("utf-8", "surrogatepass"))
+        raise ParseError(e.message, SourceSpan(start, end)) from None
+
+
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    out = parser.formula()
-    parser.expect_eof()
-    return out
+    return _parse(text, _Parser.formula)
 
 
 def parse_proof(text: str) -> Proof:
-    parser = _Parser(text)
-    out = parser.proof()
-    parser.expect_eof()
-    return out
+    return _parse(text, _Parser.proof)
 
 
 _WIDTH = 72
@@ -376,44 +392,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}: {err}") from None
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-class _ValueLexer:
-    """Scanner for the value literals of the command line: coordinate
-    lists ``[1/2, 3]`` and matrices ``[[..],[..]]``."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ValueError(
-                f"expected {ch!r} at offset {self.pos} in value literal {self.text!r}"
-            )
-        self.pos += 1
-
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        m = _RATIONAL_RE.match(self.text, self.pos)
-        if m is None:
-            raise ValueError(
-                f"expected a rational at offset {self.pos} in {self.text!r}"
-            )
-        self.pos = m.end()
-        return parse_rational(m.group())
-
-
 @dataclass(frozen=True)
 class CoordsLit:
     """A vector ``[a, b, …]`` or matrix ``[[…], […]]`` of exact rationals."""
@@ -422,29 +400,73 @@ class CoordsLit:
     is_matrix: bool
 
 
+# One match per value-literal token: the whitespace before it, then a
+# rational, a bracket or comma, the end of input, or any other character.
+_VALUE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<rat>-?[0-9]+(?:/[0-9]+)?)|(?P<op>[\[\],])|(?P<eof>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
+
+
 def parse_value_literal(text: str) -> CoordsLit:
-    """A vector or matrix literal; anything else is a ValueError."""
-    lexer = _ValueLexer(text)
-    out = _coords(lexer)
-    lexer.skip_ws()
-    if lexer.pos != len(lexer.text):
+    """A vector or matrix literal, read by index from the tokens of
+    ``_VALUE_TOKEN_RE``; anything else is a ValueError."""
+    tokens = []
+    for m in _VALUE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tokens.append((kind if kind != "op" else m[kind], m[kind], m.start(kind)))
+        if kind == "eof":
+            break
+    at = 0
+
+    def take(kind: str) -> str:
+        nonlocal at
+        found, tok, start = tokens[at]
+        if found != kind:
+            if kind == "rat":
+                raise ValueError(f"expected a rational at offset {start} in {text!r}")
+            raise ValueError(f"expected {kind!r} at offset {start} in value literal {text!r}")
+        at += 1
+        return tok
+
+    def listed(item) -> tuple:
+        """``[item, item, …]``"""
+        take("[")
+        out = [item()]
+        while tokens[at][0] == ",":
+            take(",")
+            out.append(item())
+        take("]")
+        return tuple(out)
+
+    def rational() -> Fraction:
+        return parse_rational(take("rat"))
+
+    is_matrix = [tok[0] for tok in tokens[:2]] == ["[", "["]
+    rows = listed(lambda: listed(rational)) if is_matrix else listed(rational)
+    if is_matrix and len({len(row) for row in rows}) > 1:
+        raise ValueError(f"matrix rows of unequal lengths in value literal {text!r}")
+    if tokens[at][0] != "eof":
         raise ValueError(f"trailing input in value literal {text!r}")
-    return out
+    return CoordsLit(rows, is_matrix)
 
 
-def _coords(lexer: _ValueLexer, nested: bool = True) -> CoordsLit:
-    """A vector, or (when ``nested``) a matrix given as a list of rows."""
-    lexer.eat("[")
-    is_matrix = nested and lexer.peek() == "["
-    item = (lambda: _coords(lexer, False).rows) if is_matrix else lexer.rational
-    entries = [item()]
-    while lexer.peek() == ",":
-        lexer.eat(",")
-        entries.append(item())
-    lexer.eat("]")
-    if is_matrix and len({len(row) for row in entries}) > 1:
-        raise ValueError(f"matrix rows of unequal lengths in value literal {lexer.text!r}")
-    return CoordsLit(tuple(entries), is_matrix)
+def format_coords(coords: Sequence) -> str:
+    """The literal `parse_value_literal` reads back: a vector of rationals,
+    or a matrix given as a sequence of rows."""
+    return "[" + ",".join(
+        format_coords(c) if isinstance(c, (tuple, list)) else format_fraction(c) for c in coords
+    ) + "]"
+
+
+def format_ket(coeff: Fraction, base: tuple, args: tuple[int, ...]) -> str:
+    """One term ``c * ket(base; e_i, …)`` of a ket sum, each argument the
+    standard basis vector of its index; a coefficient of 1 is left out."""
+    text = format_coords(base)
+    if args:
+        units = [tuple(Fraction(int(i == a)) for i in range(len(base))) for a in args]
+        text += "; " + ", ".join(map(format_coords, units))
+    return f"ket({text})" if coeff == 1 else f"{format_fraction(coeff)} * ket({text})"
 
 
 def step_json(rule_id: str, path: tuple[int, ...], size_before: int, size_after: int) -> dict:

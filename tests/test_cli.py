@@ -311,6 +311,15 @@ def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
     assert out.err.startswith(f"linlog: cannot read {f}: not UTF-8") and out.err.count("\n") == 1
 
 
+def test_a_parse_error_names_its_utf8_byte_range(tmp_path, capsys):
+    f = tmp_path / "accent.llp"
+    f.write_text("; é\n(ax @)\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "linlog: unexpected character '@' (bytes 9..10)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ import random
 import sys
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,12 @@ def test_copies_and_pickles_are_the_interned_formula():
     assert copy.copy(INT) is INT
     assert copy.deepcopy(INT) is INT
     assert pickle.loads(pickle.dumps(INT)) is INT
+
+
+def test_a_constructor_takes_exactly_its_fields():
+    for make in (lambda: Tensor(X), lambda: Var(), lambda: One(X), lambda: Bang(X, X)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_validate_of_a_numeral_never_compares_structurally(monkeypatch):

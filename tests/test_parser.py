@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _tokref
+import _valref
 from linlog.formula import (
     INT,
     Bang,
@@ -46,6 +47,7 @@ from linlog.proof import (
 from linlog.sexpr import (
     CoordsLit,
     ParseError,
+    format_coords,
     format_fraction,
     parse_formula,
     parse_proof,
@@ -223,6 +225,56 @@ def test_a_matrix_literal_needs_rows_of_one_length():
     # one column, or a single row, is still a matrix
     assert parse_value_literal("[[1],[1],[0],[1]]").rows == ((1,), (1,), (0,), (1,))
     assert parse_value_literal("[[1, 1, 0, 1]]").rows == ((1, 1, 0, 1),)
+
+
+def _literal_or_error(parse, text):
+    """``parse(text)``, or the message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        return str(err)
+
+
+# Pieces of a value literal: every token, a zero denominator, the near
+# misses of a rational, whitespace (ASCII and not), a character that
+# starts no token, and a non-ASCII one.
+_VALUE_PIECES = ["[", "]", ",", "1/2", "-3", "1/0", "-", "/", " ", "\t", "\n", "\xa0", "x", "é"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_VALUE_PIECES), max_size=16))
+def test_value_literals_match_the_scanner_reference(pieces):
+    text = "".join(pieces)
+    ours = _literal_or_error(parse_value_literal, text)
+    assert ours == _literal_or_error(_valref.parse_value_literal, text)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    vector=st.lists(st.fractions(), min_size=1, max_size=6),
+    matrix=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.fractions()] * n), min_size=1, max_size=4)
+    ),
+)
+def test_written_coordinates_read_back(vector, matrix):
+    for coords, is_matrix in ((vector, False), (matrix, True)):
+        text = format_coords(coords)
+        lit = CoordsLit(tuple(coords), is_matrix)
+        assert parse_value_literal(text) == lit == _valref.parse_value_literal(text)
+
+
+def test_parse_error_spans_are_utf8_byte_offsets():
+    # the parser counts characters; the span it raises counts bytes
+    with pytest.raises(ParseError) as err:
+        parse_proof("; é\n(ax @)")
+    assert (err.value.span.start, err.value.span.end) == (9, 10)
+    assert str(err.value) == "unexpected character '@' (bytes 9..10)"
+    with pytest.raises(ParseError) as err:
+        parse_formula("é")
+    assert (err.value.span.start, err.value.span.end) == (0, 2)
+    with pytest.raises(ParseError) as err:
+        parse_formula("A -o é")
+    assert (err.value.span.start, err.value.span.end) == (5, 7)
 
 
 def test_step_json():
