@@ -1,11 +1,18 @@
 """Proof trees and the deduction-rule checker.
 
 A proof is a rooted tree of rule applications.  Each node caches its
-conclusion sequent; :func:`validate` recomputes every conclusion
-bottom-up from the rule schemas and reports the nodes whose cache does
-not match.  The ``mk_*`` constructors are the strict face of the same
-schemas: they raise :class:`ProofError` instead of building an invalid
-node, so a tree assembled purely from constructors always validates.
+conclusion sequent.  The ``mk_*`` constructors are the strict face of
+the rule schemas: they raise :class:`ProofError` instead of building an
+invalid node, so a tree assembled purely from constructors always
+validates.  Such a tree carries a certificate, as a theorem does in
+LCF (Gordon, Milner and Wadsworth, *Edinburgh LCF*, 1979): a node's
+``checked`` flag says that every node of its subtree has been derived
+by the schemas, so no one derives it again.  A node built any other
+way (the parser's lenient nodes, a direct ``Proof(...)``,
+``dataclasses.replace``) starts unchecked, and :func:`validate`
+recomputes the conclusion of each unchecked node from the schemas,
+reports the nodes whose cache does not match, and certifies the tree
+when none does.  Each node is thus derived once, wherever it was built.
 
 A rule tag carries the rule's parameters in ``.llp`` argument order
 (see ``sexpr``): the ``at`` index, and for ``weak`` and ``all-l`` the
@@ -202,15 +209,24 @@ def rule_arity(tag: type) -> int:
 
 @dataclass(frozen=True, repr=False, eq=False)
 class Proof:
-    """One rule application; ``conclusion`` is cached and revalidated."""
+    """One rule application; ``conclusion`` is cached.
+
+    ``checked`` is the certificate: every node of this subtree fits its
+    schema (so every node below a checked one is checked too).  Only
+    :func:`_make`, :func:`_rebuilt`, :func:`validate` and the rewrite
+    guard set it, each on a node it has derived or whose premises it
+    knows to be derived; a new node starts unchecked.
+    """
 
     rule: RuleTag
     premises: tuple[Proof, ...]
     conclusion: Sequent
     size: int = field(init=False, compare=False)
     cut_count: int = field(init=False, compare=False)
+    checked: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "checked", False)
         object.__setattr__(self, "size", 1 + sum(p.size for p in self.premises))
         object.__setattr__(
             self,
@@ -395,10 +411,23 @@ def _rule_conclusion(
 
 
 def _make(rule: RuleTag, *premises: Proof, **hints: Formula | str) -> Proof:
-    """The node ``rule`` over ``premises``, its conclusion from the schema;
-    ``hints`` are :func:`_rule_conclusion`'s keywords."""
+    """The node ``rule`` over ``premises``, its conclusion from the schema,
+    checked if its premises are; ``hints`` are :func:`_rule_conclusion`'s
+    keywords."""
     sequents = tuple([p.conclusion for p in premises])
-    return Proof(rule, premises, _rule_conclusion(rule, sequents, **hints))
+    node = Proof(rule, premises, _rule_conclusion(rule, sequents, **hints))
+    # _certify, inlined, and a loop rather than all(): every node pays this
+    for p in premises:
+        if not p.checked:
+            return node
+    object.__setattr__(node, "checked", True)
+    return node
+
+
+def _certify(*nodes: Proof) -> None:
+    """Mark ``nodes`` checked: the caller has shown each subtree valid."""
+    for node in nodes:
+        object.__setattr__(node, "checked", True)
 
 
 def mk_axiom(a: Formula) -> Proof:
@@ -488,13 +517,35 @@ def _node_violation(p: Proof) -> str | None:
     return None
 
 
-def validate(p: Proof) -> list[tuple[tuple[int, ...], str]]:
-    """All schema violations as (path-from-root, message); empty means ok."""
+def _walk_unchecked(
+    p: Proof, at: tuple[int, ...] = ()
+) -> tuple[list[tuple[tuple[int, ...], str]], list[Proof]]:
+    """The schema violations among the unchecked nodes of ``p``, in
+    preorder, as (``at`` + path-from-``p``, message), and those nodes.
+    The walk does not enter checked subtrees, which have none."""
     out: list[tuple[tuple[int, ...], str]] = []
-    for path, node in preorder(p):
+    walked: list[Proof] = []
+    stack: list[tuple[tuple[int, ...], Proof]] = [(at, p)]
+    while stack:
+        path, node = stack.pop()
+        if node.checked:
+            continue
         msg = _node_violation(node)
         if msg is not None:
             out.append((path, msg))
+        walked.append(node)
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((path + (i,), node.premises[i]))
+    return out, walked
+
+
+def validate(p: Proof) -> list[tuple[tuple[int, ...], str]]:
+    """All schema violations as (path-from-root, message), in preorder;
+    empty means ok.  It derives only the unchecked nodes, and certifies
+    them when it finds no violation."""
+    out, walked = _walk_unchecked(p)
+    if not out:
+        _certify(*walked)
     return out
 
 
@@ -518,13 +569,29 @@ def get_at(p: Proof, path: tuple[int, ...]) -> Proof:
     return p
 
 
+def _rebuilt(parent: Proof, premises: tuple[Proof, ...]) -> Proof:
+    """``parent`` over ``premises``, keeping its cached conclusion.  It
+    stays checked if ``parent`` was and each new premise is checked and
+    concludes ``==`` what the premise it replaces did: the schema then
+    sees the sequents it saw before."""
+    node = Proof(parent.rule, premises, parent.conclusion)
+    old = parent.premises
+    if (
+        parent.checked
+        and len(premises) == len(old)
+        and all(q.checked and q.conclusion == o.conclusion for q, o in zip(premises, old))
+    ):
+        _certify(node)
+    return node
+
+
 def _with_premise(parent: Proof, i: int, sub: Proof) -> Proof:
-    """``parent`` with premise ``i`` replaced by ``sub``, keeping its
-    cached conclusion; ``parent`` itself if that premise is ``sub``."""
+    """``parent`` with premise ``i`` replaced by ``sub`` (see
+    :func:`_rebuilt`); ``parent`` itself if that premise is ``sub``."""
     prems = parent.premises
     if prems[i] is sub:
         return parent
-    return Proof(parent.rule, prems[:i] + (sub,) + prems[i + 1 :], parent.conclusion)
+    return _rebuilt(parent, prems[:i] + (sub,) + prems[i + 1 :])
 
 
 def replace_at(p: Proof, path: tuple[int, ...], sub: Proof) -> Proof:

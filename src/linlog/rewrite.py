@@ -25,13 +25,17 @@ against catalog bugs, not a proof obligation for callers.  Validity is
 a property of each node alone: its rule, its cached conclusion and its
 premises' cached conclusions.  :func:`normalize` validates its input
 once, so after a step only two kinds of node can be invalid: the nodes
-the replacement newly built, and the ancestors rebuilt around it.  An
-ancestor can break only when the replacement's conclusion is an
-alpha-variant of the old one rather than equal to it; otherwise it
-sees the premise conclusions it saw before.  The guard (:func:`_guard`)
-checks the built nodes after every step, and all the ancestors after a
+of the replacement that no schema derived, and the ancestors rebuilt
+around it.  The catalog builds its replacements with the strict
+constructors, which derive each node they build and certify it
+(``Proof.checked``), so a replacement it builds has nothing left to
+check; a node built any other way is unchecked.  An ancestor can break
+only when the replacement's conclusion is an alpha-variant of the old
+one rather than equal to it; otherwise it sees the premise conclusions
+it saw before.  The guard (:func:`_guard`) checks the unchecked nodes
+of the replacement after every step, and all the ancestors after a
 step whose conclusion came back only alpha-equal, so it proves what
-validating the whole tree would.
+validating the whole tree would; it certifies what it proves.
 
 :func:`normalize` is the only code that steps a proof.  It keeps its
 place as a zipper, seeks the cut :func:`find_redex` would pick from the
@@ -61,8 +65,11 @@ from .proof import (
     TensorL,
     TensorR,
     Weakening,
+    _certify,
     _make,
     _node_violation,
+    _rebuilt,
+    _walk_unchecked,
     _with_premise,
     fold,
     free_vars_proof,
@@ -298,28 +305,26 @@ def find_redex(p: Proof) -> tuple[int, ...] | None:
 
 
 def _guard(
-    ancestors: list[Proof], path: tuple[int, ...], redex: Proof, replacement: Proof
+    ancestors: list[Proof], path: tuple[int, ...], replacement: Proof
 ) -> list[tuple[tuple[int, ...], str]]:
     """Violations, in preorder, among ``ancestors`` (the nodes above
-    ``path``, root first) and the nodes ``replacement`` built for the
-    cut ``redex`` at ``path``: its walk stops at the nodes reused from
-    the redex (its premises and their premises, matched by identity)."""
+    ``path``, root first) and the unchecked nodes of ``replacement``,
+    the subtree now at ``path``.  With none, it certifies the nodes of
+    ``replacement`` it checked, then each ancestor, deepest first, whose
+    premises are all checked."""
     out = []
     for depth, node in enumerate(ancestors):
         msg = _node_violation(node)
         if msg is not None:
             out.append((path[:depth], msg))
-    reused = {id(q) for prem in redex.premises for q in (prem, *prem.premises)}
-    stack: list[tuple[tuple[int, ...], Proof]] = [((), replacement)]
-    while stack:
-        rel, node = stack.pop()
-        if id(node) in reused:
-            continue
-        msg = _node_violation(node)
-        if msg is not None:
-            out.append((path + rel, msg))
-        for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((rel + (i,), node.premises[i]))
+    bad, walked = _walk_unchecked(replacement, path)
+    out += bad
+    if not out:
+        _certify(*walked)
+        for node in reversed(ancestors):
+            if not all(q.checked for q in node.premises):
+                break
+            _certify(node)
     return out
 
 
@@ -351,7 +356,7 @@ def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
             for k in range(len(parents) - 1, -1, -1):
                 node = parents[k] = _with_premise(parents[k], path[k], node)
             ancestors = parents
-        bad = _guard(ancestors, where, cur, replacement)
+        bad = _guard(ancestors, where, replacement)
         if bad:
             raise RewriteError(f"{rule_id} at {where} broke validity: {bad[:3]}")
         after = size - cur.size + replacement.size
@@ -409,7 +414,7 @@ def exchange_normalize(p: Proof) -> Proof:
 def _exchange_node(p: Proof, premises: list[Proof]) -> Proof:
     """One node of :func:`exchange_normalize`, given its premises' results."""
     if tuple(premises) != p.premises:
-        p = Proof(p.rule, tuple(premises), p.conclusion)
+        p = _rebuilt(p, tuple(premises))
     if not isinstance(p.rule, Exchange):
         return p
     swaps: list[int] = []

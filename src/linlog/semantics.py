@@ -532,6 +532,10 @@ def _bang_in(x: BangElem, inner: Space) -> BangElem:
     return BangElem(inner, _bang_terms(x, _exact_in))
 
 
+def _coordinates(n: int) -> str:
+    return f"{n} coordinate" if n == 1 else f"{n} coordinates"
+
+
 def _internal(v: SemValue, space: Space) -> Value:
     """The plan representation of a public value in a slot of ``space``."""
     if type(v) is BangVal and isinstance(space, BangSp):
@@ -549,7 +553,7 @@ def _internal(v: SemValue, space: Space) -> Value:
     d = _require_finite(space, "an explicit value")
     if len(coords) != d:
         raise SemanticsError(
-            f"value has {len(coords)} coordinates but {space_label(space)} has dimension {d}"
+            f"value has {_coordinates(len(coords))} but {space_label(space)} has dimension {d}"
         )
     return tuple(map(_exact_in, coords))
 
@@ -714,7 +718,7 @@ def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
             raise SemanticsError(f"point on {space_label(space)} is not a {n} by {m} matrix")
     if len(coords) != d:
         raise SemanticsError(
-            f"point has {len(coords)} coordinates but {space_label(space)} "
+            f"point has {_coordinates(len(coords))} but {space_label(space)} "
             f"has dimension {space_dim(space)}"
         )
     return coords

@@ -20,9 +20,11 @@ the fields of the rule's tag, in order (``weak`` carries the inserted
 formula, ``all-l`` the quantified formula and the witness), except for
 ``ax`` and ``all-r``, whose argument is part of the conclusion.
 
-`parse_proof` never runs the rule checker: the tree comes back as
-written, with best-effort cached conclusions where a schema does not
-fit, and the caller decides what that means (see ``proof.validate``).
+`parse_proof` rejects no tree for its rules.  It builds each node
+that fits its schema with the strict constructor, which certifies it
+(``Proof.checked``); a node that does not fit comes back as written,
+unchecked, with a best-effort cached conclusion, and the caller decides
+what that means (see ``proof.validate``).
 Both grammars are read from explicit stacks, so nesting depth costs no
 recursion.  All spans are UTF-8 byte offsets into the input.
 
@@ -388,7 +390,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or a bare integer."""
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as err:
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational literal {text!r}: zero denominator") from None
+    except ValueError as err:
         raise ValueError(f"bad rational literal {text!r}: {err}") from None
 
 
@@ -423,9 +427,8 @@ def parse_value_literal(text: str) -> CoordsLit:
         nonlocal at
         found, tok, start = tokens[at]
         if found != kind:
-            if kind == "rat":
-                raise ValueError(f"expected a rational at offset {start} in {text!r}")
-            raise ValueError(f"expected {kind!r} at offset {start} in value literal {text!r}")
+            want = "a rational" if kind == "rat" else repr(kind)
+            raise ValueError(f"expected {want} at offset {start} in value literal {text!r}")
         at += 1
         return tok
 

@@ -34,7 +34,7 @@ def step_violations(
         for i in path:
             ancestors.append(node)
             node = node.premises[i]
-    return _guard(ancestors, path, redex, replacement)
+    return _guard(ancestors, path, replacement)
 
 
 def apply_rule_at(p: Proof, path: tuple[int, ...]) -> tuple[Proof, StepInfo]:

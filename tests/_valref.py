@@ -46,7 +46,7 @@ class _ValueLexer:
         m = _RATIONAL_RE.match(self.text, self.pos)
         if m is None:
             raise ValueError(
-                f"expected a rational at offset {self.pos} in {self.text!r}"
+                f"expected a rational at offset {self.pos} in value literal {self.text!r}"
             )
         self.pos = m.end()
         return parse_rational(m.group())

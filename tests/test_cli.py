@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linlog import cli
+import _kernelref
+from linlog import cli, proof, rewrite
 from linlog.cli import main
 from linlog.encodings import add_cut, church, church2, comp, library, mult_cut, plain_body
 from linlog.formula import INT, Var, int_type
-from linlog.proof import mk_axiom, mk_cut, mk_forall_l, proof_eq
+from linlog.proof import mk_axiom, mk_cut, mk_forall_l, proof_eq, validate
 from linlog.rewrite import RewriteError, is_cut_free
 from linlog.sexpr import parse_proof, print_proof
 
@@ -190,6 +191,28 @@ def test_a_zero_denominator_is_a_bad_point(church2_file, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "bad point literal" in capsys.readouterr().err
+
+
+def test_a_bad_rational_names_its_fault_without_python_reprs(church2_file, capsys):
+    for point, message in (
+        ("[1/0,3]", "bad rational literal '1/0': zero denominator"),
+        ("[x]", "expected a rational at offset 1 in value literal '[x]'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["nl", church2_file, "--assign", "A=2", "--point", point])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"linlog: error: bad point literal {point!r}: {message}\n")
+
+
+def test_a_point_of_the_wrong_dimension_is_a_domain_error(tmp_path, capsys):
+    f = tmp_path / "church-0.llp"
+    f.write_text(print_proof(church(0, A)) + "\n")
+    for point, count in (("[1]", "1 coordinate"), ("[1,2]", "2 coordinates")):
+        assert main(["nl", str(f), "--assign", "A=2", "--point", point]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"linlog: point has {count} but Hom(A, A) has dimension 4\n"
 
 
 def test_a_point_that_is_not_a_vector_or_matrix_is_a_bad_point(church2_file, capsys):
@@ -466,3 +489,46 @@ def test_output_does_not_depend_on_the_hash_seed(mult2x2_file):
         runs = [_run(argv, PYTHONHASHSEED=seed) for seed in ("0", "1", "4242")]
         assert all(r.returncode == 0 and r.stderr == b"" for r in runs)
         assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+
+
+# Lenient parses: each names a rule application that does not fit its schema
+_INVALID_FILES = (
+    "(cut 0 (ax A) (ax B))",
+    "(ex 5 (ax A))",
+    "(prom (ax A))",
+    "(weak 9 !A (ax A))",
+    "(weak 0 A (ax A))",
+    "(all-r x (ax x))",
+    "(all-l 0 (all x. x -o x) B (ax A))",
+    "(all-l 4 (all x. x) A (ax A))",
+    "(lolli-r (tensor-r (ex 3 (ax A)) (prom (der 0 (ax B)))))",
+    "(lolli-r (weak 7 !(A -o A) (all-l 2 (all x. !(x -o x) -o (x -o x)) "
+    "(A -o A) (ax !(A -o A) -o (A -o A)))))",
+    "(cut 0 (one-r) (tensor-l 0 (ctr 0 (ax !A))))",
+)
+
+
+def test_invalid_files_report_what_the_full_walk_reports(tmp_path, capsys):
+    f = tmp_path / "bad.llp"
+    for text in _INVALID_FILES:
+        f.write_text(text + "\n")
+        problems = _kernelref.validate(parse_proof(text))
+        assert problems, text
+        assert validate(parse_proof(text)) == problems
+        where, msg = problems[0]
+        for command in ("check", "normalize"):
+            assert main([command, str(f)]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"linlog: invalid proof at node {list(where)}: {msg}\n"
+
+
+def test_check_derives_no_node_of_a_parsed_file_again(church2_file, monkeypatch, capsys):
+    def forbidden(node):
+        raise AssertionError("a certified node was derived again")
+
+    monkeypatch.setattr(proof, "_node_violation", forbidden)
+    monkeypatch.setattr(rewrite, "_node_violation", forbidden)
+    assert main(["check", church2_file]) == 0
+    assert main(["normalize", church2_file]) == 0
+    capsys.readouterr()

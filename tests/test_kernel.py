@@ -1,11 +1,13 @@
-from dataclasses import fields
+import copy
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _kernelref
 from linlog import formula, proof
-from linlog.encodings import church
+from linlog.encodings import add_cut, church, hypexp_cut, library, mult_cut
 from linlog.formula import (
     INT,
     Bang,
@@ -639,3 +641,89 @@ def test_tag_conditions_are_checked_before_the_index():
         assert _outcome(schema, ForallL(5, B, A), (s,), {}) == (
             "all-l principal formula B is not quantified"
         )
+
+
+# ---------------------------------------------------------------------------
+# The certificate: validate skips what the schemas derived, and reports
+# what the full walk reports
+
+
+def _forge(node, kind):
+    """A node built past the schemas, to stand where ``node`` stood."""
+    s = node.conclusion
+    if kind == "at" and hasattr(node.rule, "at"):
+        return Proof(replace(node.rule, at=node.rule.at + 1), node.premises, s)
+    if kind == "promotion":
+        # a box over a premise with the unbanged hypothesis A
+        body = mk_tensor_r(node, mk_axiom(A))
+        t = body.conclusion
+        return Proof(Promotion(), (body,), Sequent(t.context, Bang(t.conclusion)))
+    if kind == "copy":  # valid, but not derived
+        return Proof(node.rule, node.premises, s)
+    return Proof(node.rule, node.premises, Sequent(s.context, Tensor(s.conclusion, B)))
+
+
+_FORGERIES = ("at", "conclusion", "promotion", "copy")
+_STRICT_TREES = [
+    *library().values(),
+    add_cut(1, 2, A),
+    mult_cut(2, 2, A),
+    hypexp_cut(1),
+    mk_prom(mk_ctr(mk_weak(mk_der(mk_axiom(A), 0), 1, Bang(A)), 0)),
+]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_validate_matches_the_full_walk_on_forged_trees(data):
+    tree = data.draw(st.sampled_from(_STRICT_TREES))
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from([path for path, _ in preorder(tree)]))
+        kind = data.draw(st.sampled_from(_FORGERIES))
+        tree = replace_at(tree, path, _forge(get_at(tree, path), kind))
+        if data.draw(st.booleans()):
+            tree = mk_tensor_r(tree, mk_axiom(B))  # a strict node over forged premises
+    want = _kernelref.validate(tree)
+    assert validate(tree) == want
+    assert tree.checked == (want == [])
+    assert validate(tree) == want
+    for _path, node in preorder(tree):
+        if node.checked:
+            assert _kernelref.validate(node) == []
+
+
+def test_only_the_strict_constructors_certify_a_node():
+    p = mk_lolli_r(mk_der(mk_axiom(A), 0))
+    assert p.checked and all(q.checked for _, q in preorder(p))
+    with pytest.raises(TypeError):
+        Proof(p.rule, p.premises, p.conclusion, checked=True)
+    bad = replace(p, conclusion=Sequent((), Lolli(Bang(A), B)))
+    assert not bad.checked and bad.premises[0].checked
+    assert validate(bad) == _kernelref.validate(bad) == [
+        ((), "cached conclusion ⊢ !A -o B differs from rule result ⊢ !A -o A")
+    ]
+    assert not bad.checked
+    for raw in (replace(p), Proof(p.rule, p.premises, p.conclusion)):
+        assert not raw.checked and raw == p
+        assert validate(raw) == [] and raw.checked
+    # a strict node over an unchecked premise is unchecked
+    over = mk_prom(mk_lolli_r(Proof(Axiom(), (), Sequent((A,), A))))
+    assert not over.checked
+    assert validate(over) == [] and over.checked
+
+
+def test_a_deep_copy_of_a_certified_tree_still_validates():
+    p = church(3, A)
+    copied = copy.deepcopy(p)
+    assert copied is not p and copied == p
+    assert validate(copied) == [] == _kernelref.validate(copied)
+
+
+def test_a_certified_tree_is_not_derived_again(monkeypatch):
+    p = church(40, A)
+
+    def forbidden(node):
+        raise AssertionError("a certified node was derived again")
+
+    monkeypatch.setattr(proof, "_node_violation", forbidden)
+    assert validate(p) == []

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import linlog.proof as proof
 import linlog.rewrite as rewrite
 from linlog.encodings import (
     add_cut,
@@ -30,6 +31,7 @@ from linlog.proof import (
     Exchange,
     ForallL,
     LolliL,
+    LolliR,
     Promotion,
     Proof,
     get_at,
@@ -415,6 +417,89 @@ def test_alpha_variant_replacement_rechecks_the_ancestors(monkeypatch):
     assert any(isinstance(n.rule, Promotion) for n in checked)
     assert validate(res.proof) == []
     assert res.proof.conclusion == p.conclusion
+
+
+def _alpha_variant_cut():
+    """A box over a cut whose first step, forall-r-commute, renames its
+    binder: the replacement's conclusion is only alpha-equal."""
+    x, y = Var("x"), Var("y")
+    left = mk_lolli_r(mk_weak(mk_axiom(y), 1, Bang(x)))  # !x ⊢ y ⊸ y
+    right = mk_forall_r(
+        mk_tensor_r(mk_axiom(Lolli(y, y)), mk_lolli_r(mk_axiom(x))), "x"
+    )  # y ⊸ y ⊢ ∀x. (y ⊸ y) ⊗ (x ⊸ x)
+    return mk_prom(mk_cut(left, right, 0))
+
+
+def test_a_forged_replacement_with_a_bad_conclusion_breaks_validity(monkeypatch):
+    def forged(node):
+        # an "axiom" caching the cut's conclusion, which is no axiom sequent
+        return "forged", Proof(Axiom(), (), node.conclusion)
+
+    monkeypatch.setattr(rewrite, "reduce_cut", forged)
+    with pytest.raises(
+        RewriteError, match=r"forged at \(\) broke validity: \[\(\(\), 'cached conclusion"
+    ):
+        normalize(mult_cut(2, 2, A))
+
+
+def test_the_guard_derives_a_replacement_built_past_the_schemas(monkeypatch):
+    want = normalize(exp_cut(2, 2, A))
+    real = rewrite.reduce_cut
+    derived = []
+    real_violation = proof._node_violation
+
+    def raw_copy(node):
+        rule_id, rep = real(node)
+        return rule_id, Proof(rep.rule, rep.premises, rep.conclusion)
+
+    def recording(node):
+        derived.append(node)
+        return real_violation(node)
+
+    monkeypatch.setattr(rewrite, "reduce_cut", raw_copy)
+    monkeypatch.setattr(proof, "_node_violation", recording)
+    res = normalize(exp_cut(2, 2, A))
+    assert res.trace == want.trace
+    # each step derives its raw root once; the strict nodes below it and
+    # the raw roots of earlier steps are certified
+    assert len(derived) == len(res.trace.steps)
+    assert res.proof.checked
+
+
+def test_normalize_derives_no_node_the_constructors_built(monkeypatch):
+    def forbidden(node):
+        raise AssertionError("a certified node was derived again")
+
+    monkeypatch.setattr(rewrite, "_node_violation", forbidden)
+    monkeypatch.setattr(proof, "_node_violation", forbidden)
+    for p in (exp_cut(2, 3, A), hypexp_cut(2), add_cut(2, 3, A), mult_cut(3, 2, A)):
+        res = normalize(p)
+        assert res.proof.checked and validate(res.proof) == []
+        assert exchange_normalize(res.proof).checked
+
+
+def test_the_guard_certifies_the_ancestors_it_proves():
+    res = normalize(_alpha_variant_cut())
+    assert res.trace.steps[0].rule_id == "forall-r-commute"
+    assert res.proof.checked
+    # an ancestor over a premise built past the schemas stays unchecked
+    sibling = Proof(Axiom(), (), Sequent((B,), B))  # valid, but not derived
+    out, info = apply_rule_at(mk_tensor_r(_alpha_variant_cut(), sibling), (0, 0))
+    assert info.rule_id == "forall-r-commute"
+    assert out.premises[0].checked and not out.checked
+    assert validate(out) == [] and out.checked
+
+
+def test_exchange_normalization_keeps_the_certificate():
+    base = mk_tensor_r(mk_axiom(A), mk_axiom(B))
+    twice = mk_exchange(mk_exchange(base, 0), 0)
+    out = exchange_normalize(mk_lolli_r(twice))
+    assert out == mk_lolli_r(base) and out.checked
+    # a parent built past the schemas is not certified by the rebuild
+    raw = Proof(LolliR(), (twice,), out.conclusion)
+    out = exchange_normalize(raw)
+    assert out == mk_lolli_r(base) and not out.checked
+    assert validate(out) == [] and out.checked
 
 
 def test_guard_agrees_with_full_validation_on_every_step():

@@ -800,3 +800,11 @@ def test_boxes_with_zero_to_three_context_formulas_match_the_reference_phi():
         plan = _plan(box, _asg_key(asg))
         for env in itertools.product(*map(_depth_two_kets, spaces)):
             assert plan(env) == _ref_box(box, env, asg), (box.conclusion, env)
+
+
+def test_a_value_of_the_wrong_dimension_counts_its_coordinates():
+    two = Vector(Vect(BaseSp("A", 2), (Fraction(1), Fraction(0))))
+    for value, count in ((Scalar(Fraction(1)), "1 coordinate"), (two, "2 coordinates")):
+        message = f"^value has {count} but Hom\\(A, A\\) has dimension 4$"
+        with pytest.raises(SemanticsError, match=message):
+            flatten(value, E_SPACE)
