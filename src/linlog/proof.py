@@ -570,16 +570,14 @@ def get_at(p: Proof, path: tuple[int, ...]) -> Proof:
 
 
 def _rebuilt(parent: Proof, premises: tuple[Proof, ...]) -> Proof:
-    """``parent`` over ``premises``, keeping its cached conclusion.  It
+    """``parent`` over ``premises``, as many as it had, keeping its
+    cached conclusion.  It
     stays checked if ``parent`` was and each new premise is checked and
     concludes ``==`` what the premise it replaces did: the schema then
     sees the sequents it saw before."""
     node = Proof(parent.rule, premises, parent.conclusion)
-    old = parent.premises
-    if (
-        parent.checked
-        and len(premises) == len(old)
-        and all(q.checked and q.conclusion == o.conclusion for q, o in zip(premises, old))
+    if parent.checked and all(
+        q.checked and q.conclusion == o.conclusion for q, o in zip(premises, parent.premises)
     ):
         _certify(node)
     return node

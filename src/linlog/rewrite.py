@@ -35,7 +35,9 @@ one rather than equal to it; otherwise it sees the premise conclusions
 it saw before.  The guard (:func:`_guard`) checks the unchecked nodes
 of the replacement after every step, and all the ancestors after a
 step whose conclusion came back only alpha-equal, so it proves what
-validating the whole tree would; it certifies what it proves.
+validating the whole tree would.  It certifies the replacement's nodes
+it derived, but not those ancestors: such a step is rare (none on the
+benchmark's cuts), and :func:`validate` certifies them when asked.
 
 :func:`normalize` is the only code that steps a proof.  It keeps its
 place as a zipper, seeks the cut :func:`find_redex` would pick from the
@@ -310,8 +312,7 @@ def _guard(
     """Violations, in preorder, among ``ancestors`` (the nodes above
     ``path``, root first) and the unchecked nodes of ``replacement``,
     the subtree now at ``path``.  With none, it certifies the nodes of
-    ``replacement`` it checked, then each ancestor, deepest first, whose
-    premises are all checked."""
+    ``replacement`` it checked; the ancestors stay unchecked."""
     out = []
     for depth, node in enumerate(ancestors):
         msg = _node_violation(node)
@@ -321,10 +322,6 @@ def _guard(
     out += bad
     if not out:
         _certify(*walked)
-        for node in reversed(ancestors):
-            if not all(q.checked for q in node.premises):
-                break
-            _certify(node)
     return out
 
 

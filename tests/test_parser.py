@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _kernelref
 import _tokref
 import _valref
 from linlog.formula import (
@@ -122,7 +123,7 @@ def _one_of_everything():
 
 def test_print_parse_round_trip():
     for p in _one_of_everything():
-        assert validate(p) == []
+        assert _kernelref.validate(p) == []
         assert parse_proof(print_proof(p)) == p
 
 
@@ -192,7 +193,7 @@ def test_parse_proof_with_comments_and_layout():
           (lolli-r (lolli-l 0 (ax A) (lolli-l 0 (ax A) (ax A)))))))
     """
     p = parse_proof(text)
-    assert validate(p) == []
+    assert _kernelref.validate(p) == []
     assert parse_proof(print_proof(p)) == p
 
 

@@ -67,6 +67,7 @@ from linlog.rewrite import (
 )
 from linlog.semantics import den_matrix, probe_equal
 
+import _kernelref
 from _stepref import apply_rule_at, step, step_violations
 
 A = Var("A")
@@ -90,7 +91,7 @@ def test_two_times_two_golden_trace():
     res = normalize(mult_cut(2, 2, A))
     assert not res.exhausted
     assert is_cut_free(res.proof)
-    assert validate(res.proof) == []
+    assert _kernelref.validate(res.proof) == []
     ids = [s.rule_id for s in res.trace.steps]
     assert ids[:4] == ["lolli-r-commute", "lolli-l-principal", "prom-ctr", "prom-der"]
     assert len(res.trace.steps) == 27  # regression pin for the fixed strategy
@@ -143,7 +144,7 @@ def test_every_step_preserves_conclusion_and_validity():
         p, info = nxt
         seen += 1
         assert p.conclusion == want
-        assert validate(p) == []
+        assert _kernelref.validate(p) == []
     assert seen > 10 and is_cut_free(p)
 
 
@@ -204,7 +205,7 @@ def test_exchange_commute_case():
 def _one_step(p):
     """The first step on the cut ``p`` (guarded), and its normal form."""
     out, info = apply_rule_at(p, ())
-    assert out.conclusion == p.conclusion and validate(out) == []
+    assert out.conclusion == p.conclusion and _kernelref.validate(out) == []
     nf = normalize(p).proof
     assert is_cut_free(nf) and nf.conclusion == p.conclusion
     return info.rule_id, out, nf
@@ -270,7 +271,7 @@ def test_budget_exhaustion_reports_partial_trace():
     assert res.exhausted
     assert len(res.trace.steps) == 3
     assert not is_cut_free(res.proof)
-    assert validate(res.proof) == []
+    assert _kernelref.validate(res.proof) == []
     assert res.trace.terminal == res.proof
 
 
@@ -415,19 +416,11 @@ def test_alpha_variant_replacement_rechecks_the_ancestors(monkeypatch):
     # the promotion is never part of a replacement: only the ancestor
     # re-check reaches it
     assert any(isinstance(n.rule, Promotion) for n in checked)
-    assert validate(res.proof) == []
+    assert _kernelref.validate(res.proof) == []
+    # the guard leaves the ancestors it re-checked uncertified
+    assert not res.proof.checked
+    assert validate(res.proof) == [] and res.proof.checked
     assert res.proof.conclusion == p.conclusion
-
-
-def _alpha_variant_cut():
-    """A box over a cut whose first step, forall-r-commute, renames its
-    binder: the replacement's conclusion is only alpha-equal."""
-    x, y = Var("x"), Var("y")
-    left = mk_lolli_r(mk_weak(mk_axiom(y), 1, Bang(x)))  # !x ⊢ y ⊸ y
-    right = mk_forall_r(
-        mk_tensor_r(mk_axiom(Lolli(y, y)), mk_lolli_r(mk_axiom(x))), "x"
-    )  # y ⊸ y ⊢ ∀x. (y ⊸ y) ⊗ (x ⊸ x)
-    return mk_prom(mk_cut(left, right, 0))
 
 
 def test_a_forged_replacement_with_a_bad_conclusion_breaks_validity(monkeypatch):
@@ -478,18 +471,6 @@ def test_normalize_derives_no_node_the_constructors_built(monkeypatch):
         assert exchange_normalize(res.proof).checked
 
 
-def test_the_guard_certifies_the_ancestors_it_proves():
-    res = normalize(_alpha_variant_cut())
-    assert res.trace.steps[0].rule_id == "forall-r-commute"
-    assert res.proof.checked
-    # an ancestor over a premise built past the schemas stays unchecked
-    sibling = Proof(Axiom(), (), Sequent((B,), B))  # valid, but not derived
-    out, info = apply_rule_at(mk_tensor_r(_alpha_variant_cut(), sibling), (0, 0))
-    assert info.rule_id == "forall-r-commute"
-    assert out.premises[0].checked and not out.checked
-    assert validate(out) == [] and out.checked
-
-
 def test_exchange_normalization_keeps_the_certificate():
     base = mk_tensor_r(mk_axiom(A), mk_axiom(B))
     twice = mk_exchange(mk_exchange(base, 0), 0)
@@ -510,7 +491,7 @@ def test_guard_agrees_with_full_validation_on_every_step():
     for p in cases:
         for before, path, after in _unguarded_steps(p):
             assert step_violations(before, path, after) == []
-            assert validate(after) == []
+            assert _kernelref.validate(after) == []
             checked += 1
     assert checked > 1000
 
@@ -522,7 +503,7 @@ def test_guard_reports_a_corrupted_splice_like_validate():
     corrupted = replace_at(p, path, _broken_premise(rep))
     bad = step_violations(p, path, corrupted)
     assert [where for where, _msg in bad] == [path + (0,)]
-    assert bad == validate(corrupted)
+    assert bad == _kernelref.validate(corrupted) == validate(corrupted)
     # a replacement proving another sequent breaks its parent instead
     before, path, _after = next(
         (b, q, a) for b, q, a in _unguarded_steps(p) if q
@@ -530,7 +511,24 @@ def test_guard_reports_a_corrupted_splice_like_validate():
     foreign = replace_at(before, path, mk_axiom(B))
     bad = step_violations(before, path, foreign)
     assert [where for where, _msg in bad] == [path[:-1]]
-    assert bad == validate(foreign)
+    assert bad == _kernelref.validate(foreign) == validate(foreign)
+    # the same two splices at every step of three cuts: the certificate
+    # walk skips the splice's certified nodes and reports what deriving
+    # every node reports
+    compared = 0
+    for p in (mult_cut(2, 2, A), exp_cut(2, 2, A), hypexp_cut(1)):
+        for before, path, after in _unguarded_steps(p):
+            rep = get_at(after, path)
+            splices = [_broken_premise(rep)] if rep.premises else []
+            if path:
+                splices.append(mk_axiom(B))
+            for sub in splices:
+                corrupted = replace_at(before, path, sub)
+                want = _kernelref.validate(corrupted)
+                assert step_violations(before, path, corrupted) == want
+                assert validate(corrupted) == want
+                compared += bool(want)
+    assert compared > 100
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,7 @@ def test_an_exhausted_budget_stops_where_the_reference_loop_does():
         steps, tree = _reference(p, budget)
         assert res.trace.steps == steps
         assert res.proof == tree and res.exhausted == (budget < total)
-        assert validate(res.proof) == []
+        assert _kernelref.validate(res.proof) == []
 
 
 def test_normalize_does_no_work_from_the_root(monkeypatch):
