@@ -138,8 +138,16 @@ def exact(q: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
+def coordinates(n: int) -> str:
+    """``n`` coordinates, counted in words: "1 coordinate", "2 coordinates"."""
+    return f"{n} coordinate" if n == 1 else f"{n} coordinates"
+
+
 @dataclass(frozen=True)
 class Vect:
+    """An element of a finite space, flat over its standard basis; an
+    element of a hom space is its matrix, rows first (see `rows`)."""
+
     space: Space
     coords: tuple[Rational, ...]
 
@@ -148,9 +156,13 @@ class Vect:
         if d is None:
             raise ValueError(f"vectors need a finite space, got {space_label(self.space)}")
         if len(self.coords) != d:
-            raise ValueError(
-                f"{len(self.coords)} coordinates for a {d}-dimensional space"
-            )
+            raise ValueError(f"{coordinates(len(self.coords))} for a {d}-dimensional space")
+
+    @property
+    def rows(self) -> tuple[tuple[Rational, ...], ...]:
+        """A hom-space element's matrix: ``rows[i][j]`` is at codomain index i, domain index j."""
+        dd = space_dim(self.space.dom)
+        return tuple(self.coords[i : i + dd] for i in range(0, len(self.coords), dd))
 
 
 def vect(space: Space, coords: Iterable) -> Vect:

@@ -15,8 +15,8 @@ dimension or a quantified formula raises exactly where evaluation
 needs it.  A plan maps a context tuple (one value per slot) to the
 value of the node's conclusion, and restores multilinearity by
 branching: contraction over the coproduct's terms, tensor-left over
-coordinates, `den_apply` over the pure terms of a `Pair`.  A zero slot
-value makes the result zero, so those branches are pruned.
+coordinates, `den_apply` over the pure terms of a `TensorElem`.  A zero
+slot value makes the result zero, so those branches are pruned.
 
 Inside plans a value's representation is fixed by its static space:
 
@@ -35,15 +35,14 @@ Inside plans a value's representation is fixed by its static space:
 
 The public functions (`den_apply`, `apply_hom`, `force`, `flatten`,
 `den_matrix`, `nl`, `tangent`, `probe_equal`) take and return
-`SemValue`s, checking each input against its slot's space.  Numbers
-come in as `int`s or `Fraction`s (anything else, a float say, is a
-`SemanticsError`) and go out as `Fraction`s:
+`coalgebra`'s values and the two above, checking each input against
+its slot's space.  Numbers come in as `int`s or `Fraction`s (anything
+else, a float say, is a `SemanticsError`) and go out as `Fraction`s:
 
-  Scalar     element of the ground field
-  Vector     element of a finite base/tensor space (explicit coords)
-  Matrix     element of a finite hom space (rows indexed by codomain)
-  BangVal    element of !V, V finite (canonical ket combination)
-  Pair       element of a product of context slots (sum of pure terms)
+  Vect        element of a finite space: the unit, a base, tensor or
+              hom space (a hom rows first, as `Vect.rows` reads it)
+  BangElem    element of !V, V finite (canonical ket combination)
+  TensorElem  element of a product of context slots (sum of pure terms)
   Suspended, ZeroMap  as above
 
 There are no floats and no tolerances anywhere.
@@ -77,6 +76,7 @@ from .coalgebra import (
     Vect,
     bang_add,
     bang_scale,
+    coordinates,
     coproduct,
     counit,
     exact,
@@ -202,32 +202,6 @@ def _zero(space: Space) -> Value:
 
 
 @dataclass(frozen=True)
-class Scalar:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Vector:
-    vec: Vect
-
-
-@dataclass(frozen=True)
-class Matrix:
-    space: HomSp
-    rows: tuple[tuple[Fraction, ...], ...]  # rows[i][j]: cod index i, dom index j
-
-
-@dataclass(frozen=True)
-class BangVal:
-    elem: BangElem
-
-
-@dataclass(frozen=True)
-class Pair:
-    elem: TensorElem
-
-
-@dataclass(frozen=True)
 class Suspended:
     """An unapplied abstraction.  Two closures over the same node and
     context differ when their assignments do; the plan is derived from
@@ -247,25 +221,25 @@ class ZeroMap:
     space: HomSp
 
 
-SemValue = Scalar | Vector | Matrix | BangVal | Pair | Suspended | ZeroMap
+SemValue = Vect | BangElem | TensorElem | Suspended | ZeroMap
 #: A value inside the plans (see the module docstring).
 Value = tuple | BangElem | Suspended | ZeroMap
 
 
-def matrix(space: HomSp, rows: Sequence[Sequence]) -> Matrix:
-    return Matrix(space, tuple(tuple(Fraction(c) for c in row) for row in rows))
+def Scalar(q: Rational) -> Vect:
+    """``q`` as an element of the ground field."""
+    return Vect(UnitSp(), (q,))
 
 
-def unflatten(coords: Sequence[Fraction], space: Space) -> SemValue:
-    if isinstance(space, UnitSp):
-        return Scalar(coords[0])
-    if isinstance(space, HomSp):
-        dd = space_dim(space.dom)
-        rows = tuple(
-            tuple(coords[i * dd : (i + 1) * dd]) for i in range(space_dim(space.cod))
-        )
-        return Matrix(space, rows)
-    return Vector(Vect(space, tuple(coords)))
+def matrix(space: HomSp, rows: Sequence[Sequence]) -> Vect:
+    """The element of a hom space with these rows (indexed by the codomain)."""
+    return Vect(space, tuple(Fraction(c) for row in rows for c in row))
+
+
+def BangVal(x: BangElem) -> BangElem:
+    """``x`` itself.  Kept only because the benchmark's workloads still
+    wrap their kets in it; it goes when they stop (see ROADMAP)."""
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -532,43 +506,34 @@ def _bang_in(x: BangElem, inner: Space) -> BangElem:
     return BangElem(inner, _bang_terms(x, _exact_in))
 
 
-def _coordinates(n: int) -> str:
-    return f"{n} coordinate" if n == 1 else f"{n} coordinates"
-
-
 def _internal(v: SemValue, space: Space) -> Value:
-    """The plan representation of a public value in a slot of ``space``."""
-    if type(v) is BangVal and isinstance(space, BangSp):
-        return _bang_in(v.elem, space.inner)
+    """The plan representation of a public value in a slot of ``space``.
+    Only a `Vect`'s number of coordinates is checked against the slot."""
+    if type(v) is BangElem and isinstance(space, BangSp):
+        return _bang_in(v, space.inner)
     if type(v) in (Suspended, ZeroMap) and isinstance(space, HomSp):
         return v
-    if type(v) is Scalar:
-        coords: tuple = (v.value,)
-    elif type(v) is Vector:
-        coords = v.vec.coords
-    elif type(v) is Matrix:
-        coords = tuple(itertools.chain.from_iterable(v.rows))
-    else:
+    if type(v) is not Vect:
         raise SemanticsError(f"a {type(v).__name__} is not an element of {space_label(space)}")
     d = _require_finite(space, "an explicit value")
-    if len(coords) != d:
+    if len(v.coords) != d:
         raise SemanticsError(
-            f"value has {_coordinates(len(coords))} but {space_label(space)} has dimension {d}"
+            f"value has {coordinates(len(v.coords))} but {space_label(space)} has dimension {d}"
         )
-    return tuple(map(_exact_in, coords))
+    return tuple(map(_exact_in, v.coords))
 
 
 def _public(v: Value, space_of: Callable[[], Space]) -> SemValue:
     if type(v) is tuple:
-        return unflatten(tuple(map(Fraction, v)), space_of())
+        return Vect(space_of(), tuple(map(Fraction, v)))
     if type(v) is BangElem:
-        return BangVal(BangElem(v.space, _bang_terms(v, Fraction)))
+        return BangElem(v.space, _bang_terms(v, Fraction))
     return v
 
 
 def _desc_value(desc, space: Space) -> Value:
-    """The slot value a `Pair` term descriptor names: a basis vector, or
-    a ket on a ! slot."""
+    """The slot value a `TensorElem` term descriptor names: a basis
+    vector, or a ket on a ! slot."""
     if isinstance(space, BangSp):
         return _bang_in(BangElem(space.inner, ((desc, 1),)), space.inner)
     basis = _basis(space)
@@ -580,18 +545,16 @@ def _desc_value(desc, space: Space) -> Value:
 def _hom_space(psi: SemValue) -> HomSp:
     if type(psi) is Suspended:
         return _den_formula(psi.node.conclusion.conclusion, psi.asg)
-    if type(psi) in (ZeroMap, Matrix):
+    if type(psi) in (Vect, ZeroMap) and isinstance(psi.space, HomSp):
         return psi.space
-    if type(psi) is Vector and isinstance(psi.vec.space, HomSp):
-        return psi.vec.space
     raise SemanticsError(f"cannot apply a {type(psi).__name__} as a hom value")
 
 
 def force(v: SemValue, space: Space) -> SemValue:
-    """Canonical representative of a value in its space: Scalar for the
-    unit, Vector for base/tensor, Matrix for finite homs, BangVal for
-    !V.  Materializes a Suspended abstraction; in an infinite hom space
-    that raises UnsupportedSpace."""
+    """Canonical representative of a value in its space: a `Vect` over
+    ``space`` when it is finite, a `BangElem` for !V.  Materializes a
+    Suspended abstraction; in an infinite hom space that raises
+    UnsupportedSpace."""
     x = _internal(v, space)
     if type(x) is not BangElem:
         x = _flat(x, space)
@@ -617,28 +580,28 @@ def _ctx_spaces(seq: Sequent, asg: AsgKey) -> list[Space]:
 def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
     """Evaluate ⟦p⟧ on one element of ⟦context⟧.
 
-    For an empty context pass a Scalar; for a single hypothesis, the
-    bare value; for several, a Pair whose terms span the slots.
+    For an empty context pass a `Scalar`; for a single hypothesis, the
+    bare value; for several, a `TensorElem` whose terms span the slots.
     """
     key = _asg_key(asg)
     ctx = p.conclusion.context
     branches: list[tuple[Rational, tuple]]
     if len(ctx) == 0:
-        if type(input) is not Scalar:
+        if type(input) is not Vect or type(input.space) is not UnitSp:
             raise SemanticsError("empty context takes a Scalar input")
-        branches = [(_exact_in(input.value), ())]
-    elif type(input) is Pair:
+        branches = [(_exact_in(input.coords[0]), ())]
+    elif type(input) is TensorElem:
         spaces = _ctx_spaces(p.conclusion, key)
-        if len(input.elem.factors) != len(ctx):
+        if len(input.factors) != len(ctx):
             raise SemanticsError("input arity does not match the context")
         branches = [
             (_exact_in(c), tuple(_desc_value(d, s) for d, s in zip(k, spaces)))
-            for k, c in input.elem.terms
+            for k, c in input.terms
         ]
     elif len(ctx) == 1:
         branches = [(1, (_internal(input, _den_formula(ctx[0], key)),))]
     else:
-        raise SemanticsError("multi-hypothesis contexts take a Pair input")
+        raise SemanticsError("multi-hypothesis contexts take a TensorElem input")
     cs = _once(lambda: _den_formula(p.conclusion.conclusion, key))
     out = None
     for c, env in branches:
@@ -689,10 +652,10 @@ def _bang_hypothesis_space(p: Proof, asg: Mapping[str, int]) -> tuple[Space, boo
 def _apply_bang(p: Proof, x: BangElem, asg: Mapping[str, int], curried: bool) -> SemValue:
     if curried:
         h = den_apply(p, Scalar(Fraction(1)), asg)
-        out = apply_hom(h, BangVal(x))
+        out = apply_hom(h, x)
         space = den_formula(p.conclusion.conclusion.cons, asg)
     else:
-        out = den_apply(p, BangVal(x), asg)
+        out = den_apply(p, x, asg)
         space = den_formula(p.conclusion.conclusion, asg)
     return force(out, space)
 
@@ -700,9 +663,9 @@ def _apply_bang(p: Proof, x: BangElem, asg: Mapping[str, int], curried: bool) ->
 def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
     """Coordinates of a point given either as a semantic value or as a
     raw rational / sequence / matrix of rationals.  A matrix is read
-    only on a hom space, as :func:`unflatten` writes one: dim cod rows
-    of dim dom entries each."""
-    if isinstance(point, (Scalar, Vector, Matrix, BangVal, Pair, Suspended, ZeroMap)):
+    only on a hom space, as `Vect.rows` writes one: dim cod rows of dim
+    dom entries each."""
+    if isinstance(point, SemValue):
         return flatten(point, space)
     seq = (list, tuple)
     rows = point if isinstance(point, seq) else [point]
@@ -718,8 +681,7 @@ def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
             raise SemanticsError(f"point on {space_label(space)} is not a {n} by {m} matrix")
     if len(coords) != d:
         raise SemanticsError(
-            f"point has {_coordinates(len(coords))} but {space_label(space)} "
-            f"has dimension {space_dim(space)}"
+            f"point has {coordinates(len(coords))} but {space_label(space)} has dimension {d}"
         )
     return coords
 
@@ -767,7 +729,7 @@ def standard_probes(space: Space, depth: int = 2) -> list[BangElem]:
 def probe_inputs(p: Proof, asg: Mapping[str, int], depth: int = 2) -> list[SemValue]:
     """The standard probe set for ⟦context⟧: full standard bases on
     finite slots, `standard_probes` kets on bang slots, combined
-    slot-wise into Pair inputs."""
+    slot-wise into `TensorElem` inputs."""
     spaces = _ctx_spaces(p.conclusion, _asg_key(asg))
     if not spaces:
         return [Scalar(Fraction(1))]
@@ -782,7 +744,7 @@ def probe_inputs(p: Proof, asg: Mapping[str, int], depth: int = 2) -> list[SemVa
         if len(spaces) == 1:
             values.append(_public(_desc_value(combo[0], spaces[0]), lambda: spaces[0]))
         else:
-            values.append(Pair(tensor_from_terms(tuple(spaces), {combo: Fraction(1)})))
+            values.append(tensor_from_terms(tuple(spaces), {combo: Fraction(1)}))
     return values
 
 
@@ -793,8 +755,8 @@ def values_agree(a: SemValue, b: SemValue, space: Space, depth: int = 2) -> bool
         return force(a, space) == force(b, space)
     if isinstance(space, HomSp) and isinstance(space.dom, BangSp):
         for e in standard_probes(space.dom.inner, depth):
-            ra = apply_hom(a, BangVal(e))
-            rb = apply_hom(b, BangVal(e))
+            ra = apply_hom(a, e)
+            rb = apply_hom(b, e)
             if not values_agree(ra, rb, space.cod, depth):
                 return False
         return True
@@ -820,13 +782,11 @@ def probe_equal(p: Proof, q: Proof, asg: Mapping[str, int], depth: int = 2) -> b
 
 
 def value_literal(v: SemValue) -> str:
-    if isinstance(v, Scalar):
-        return format_fraction(v.value)
-    if isinstance(v, Vector):
-        return format_coords(v.vec.coords)
-    if isinstance(v, Matrix):
-        return format_coords(v.rows)
-    if isinstance(v, BangVal):
-        terms = [format_ket(c, base, args) for (base, args), c in v.elem.terms]
+    if type(v) is Vect and type(v.space) is UnitSp:
+        return format_fraction(v.coords[0])
+    if type(v) is Vect:
+        return format_coords(v.rows if type(v.space) is HomSp else v.coords)
+    if type(v) is BangElem:
+        terms = [format_ket(c, base, args) for (base, args), c in v.terms]
         return " + ".join(terms) or format_fraction(Fraction(0))
     raise SemanticsError(f"no literal rendering for {type(v).__name__}")

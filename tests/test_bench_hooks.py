@@ -6,6 +6,8 @@ one of those names silently takes a metric away.  This runs one
 promotion, one `linlog normalize --trace` and one `linlog check`
 through the installed tracer and checks that the wrapped names are
 still the ones the evaluator, the rewrite engine and the CLI call.
+It also runs the `probe` and `lift` jobs of `bench/workloads.py`,
+which reach the evaluator through `Scalar`, `BangVal` and `Vect.rows`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from linlog.sexpr import print_proof
 A = Var("A")
 ASG = {"A": 2}
 E_SPACE = HomSp(BaseSp("A", 2), BaseSp("A", 2))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+def _load_bench(name):
+    path = BENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,7 +48,7 @@ def _lift_job():
 def _traced(job):
     """(tracer, result) of ``job()`` run under the installed bench tracer;
     checks that uninstalling puts back every attribute it patched."""
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     t = tracing.Tracer()
     tracing.install(t)
     patched = list(t._patched)
@@ -94,3 +97,17 @@ def test_the_bench_tracer_still_wraps_the_check_job(tmp_path, capsys):
     assert t.counts["sexpr.parse_bytes"] == f.stat().st_size
     names = [span[0] for span in t.spans]
     assert names.count("cli") == names.count("sexpr.parse") == names.count("proof.validate") == 1
+
+
+def test_the_bench_ket_jobs_still_reach_the_evaluator(monkeypatch):
+    # one depth-two `probe` ket on a cut-free numeral, one four-argument
+    # `lift` ket on an unnormalized cut, each against the bench's oracle
+    monkeypatch.syspath_prepend(str(BENCH))  # for the workloads' `import oracle`
+    workloads = _load_bench("workloads")
+    base = tuple(map(Fraction, (1, 2, -1, 3)))
+    probe = BangElem(E_SPACE, (((base, (0, 3)), Fraction(1)),))
+    lift = BangElem(E_SPACE, (((base, (0, 1, 2, 3)), Fraction(1)),))
+    for p, k, x in ((church(5, A), 5, probe), (mult_cut(2, 2, A), 4, lift)):
+        got = workloads.ket_value(p, x, E_SPACE, ASG)
+        assert len(got) == 4 and all(type(c) is Fraction for c in got)
+        assert got == workloads.expected_value(k, x)

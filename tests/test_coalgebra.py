@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -426,8 +427,6 @@ def test_merge_shifts_argument_indices():
 
 
 def test_split_rejects_entangled_sums():
-    import pytest
-
     U, W = BaseSp("A", 1), BaseSp("B", 1)
     e0 = bang_add(
         merge([vacuum(vect(U, [1])), vacuum(vect(W, [2]))]),
@@ -438,8 +437,6 @@ def test_split_rejects_entangled_sums():
 
 
 def test_split_refuses_zero_and_non_sums():
-    import pytest
-
     U, W = BaseSp("A", 1), BaseSp("B", 2)
     for x in (
         zero_bang(SumSp((U, W))),
@@ -449,3 +446,9 @@ def test_split_refuses_zero_and_non_sums():
         with pytest.raises(ValueError):
             split(x)
     assert split(merge([])) == ()
+
+
+def test_a_vector_of_the_wrong_length_counts_its_coordinates():
+    for coords, count in (([1], "1 coordinate"), ([1, 2, 3], "3 coordinates")):
+        with pytest.raises(ValueError, match=f"^{count} for a 2-dimensional space$"):
+            vect(BaseSp("A", 2), coords)

@@ -55,14 +55,10 @@ from linlog.proof import (
 )
 from linlog.rewrite import normalize
 from linlog.semantics import (
-    BangVal,
-    Matrix,
-    Pair,
     Scalar,
     SemanticsError,
     Suspended,
     UnsupportedSpace,
-    Vector,
     ZeroMap,
     _acc,
     _asg_key,
@@ -133,7 +129,7 @@ def _ket_table(p, base, arg_sets, asg=ASG):
     out = []
     for args in arg_sets:
         x = BangElem(space, (((base, tuple(args)), Fraction(1)),))
-        out.append(force(apply_hom(h, BangVal(x)), space).rows)
+        out.append(force(apply_hom(h, x), space).rows)
     return out
 
 
@@ -147,7 +143,7 @@ def _mat_value(rows):
 
 def _as_rows(v):
     m = force(v, E_SPACE)
-    assert isinstance(m, Matrix)
+    assert type(m) is Vect and isinstance(m.space, HomSp)
     return [list(r) for r in m.rows]
 
 
@@ -215,11 +211,11 @@ def test_composition_at_dimension_one_is_multiplication():
 
 def test_units_scale_and_unit_proof_is_one():
     p = mk_one_l(mk_axiom(A), 0)
-    got = den_apply(p, Pair(tensor_from_terms(
+    got = den_apply(p, tensor_from_terms(
         (UnitSp(), BaseSp("A", 2)),
         {(0, 1): Fraction(3)},
-    )), ASG)
-    assert force(got, BaseSp("A", 2)) == Vector(Vect(BaseSp("A", 2), (Fraction(0), Fraction(3))))
+    ), ASG)
+    assert force(got, BaseSp("A", 2)) == Vect(BaseSp("A", 2), (Fraction(0), Fraction(3)))
     assert den_apply(mk_one_r(), Scalar(Fraction(2)), ASG) == Scalar(Fraction(2))
 
 
@@ -239,7 +235,7 @@ def test_tensor_left_then_right_is_identity():
 
 def test_two_body_on_vacuum_is_the_square():
     alpha = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    got = den_apply(church_body(2, A), BangVal(vacuum(_mat_vect(alpha))), ASG)
+    got = den_apply(church_body(2, A), vacuum(_mat_vect(alpha)), ASG)
     assert _as_rows(got) == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
     assert _as_rows(got) == _matmul(alpha, alpha)
 
@@ -250,13 +246,13 @@ def test_two_body_ket_table_on_random_triples():
         al, nu, mu = (_rand_mat(rng) for _ in range(3))
         base = _mat_vect(al)
         body = church_body(2, A)
-        assert _as_rows(den_apply(body, BangVal(vacuum(base)), ASG)) == _matmul(al, al)
-        one = den_apply(body, BangVal(ket(base, [_mat_vect(nu)])), ASG)
+        assert _as_rows(den_apply(body, vacuum(base), ASG)) == _matmul(al, al)
+        one = den_apply(body, ket(base, [_mat_vect(nu)]), ASG)
         assert _as_rows(one) == [
             [a + b for a, b in zip(ra, rb)]
             for ra, rb in zip(_matmul(nu, al), _matmul(al, nu))
         ]
-        two = den_apply(body, BangVal(ket(base, [_mat_vect(nu), _mat_vect(mu)])), ASG)
+        two = den_apply(body, ket(base, [_mat_vect(nu), _mat_vect(mu)]), ASG)
         assert _as_rows(two) == [
             [a + b for a, b in zip(ra, rb)]
             for ra, rb in zip(_matmul(nu, mu), _matmul(mu, nu))
@@ -276,7 +272,7 @@ def test_two_separate_bangs_compose_one_use_each():
         for kx, cx in x.terms:
             for ky, cy in y.terms:
                 acc[(kx, ky)] = acc.get((kx, ky), Fraction(0)) + cx * cy
-        return Pair(tensor_from_terms(spaces, acc))
+        return tensor_from_terms(spaces, acc)
 
     got = den_apply(p, pair_of(vacuum(va), ket(vm, [vm])), ASG)
     assert _as_rows(got) == _matmul(mu, al)
@@ -295,10 +291,10 @@ def test_dereliction_cancels_promotion():
     for _ in range(6):
         base = _mat_vect(_rand_mat(rng))
         x = ket(base, [_mat_vect(_rand_mat(rng))])
-        out = den_apply(boxed, BangVal(x), ASG)
-        assert isinstance(out, BangVal)
-        inner = den_apply(church_body(2, A), BangVal(x), ASG)
-        assert dereliction(out.elem) == Vect(E_SPACE, flatten(inner, E_SPACE))
+        out = den_apply(boxed, x, ASG)
+        assert type(out) is BangElem
+        inner = den_apply(church_body(2, A), x, ASG)
+        assert dereliction(out) == Vect(E_SPACE, flatten(inner, E_SPACE))
 
 
 def test_a_contracted_box_scales_and_adds_elements_of_the_bang_space():
@@ -311,11 +307,11 @@ def test_a_contracted_box_scales_and_adds_elements_of_the_bang_space():
         return tuple(x * y for x in u for y in v)
 
     base, nu = (Fraction(1, 2), Fraction(3)), (Fraction(-1), Fraction(2, 3))
-    got = den_apply(p, BangVal(bang_scale(2, ket(Vect(a, base), [Vect(a, nu)]))), ASG)
+    got = den_apply(p, bang_scale(2, ket(Vect(a, base), [Vect(a, nu)])), ASG)
     sym = tuple(x + y for x, y in zip(pair(nu, base), pair(base, nu)))
-    assert got == BangVal(bang_scale(2, ket(Vect(aa, pair(base, base)), [Vect(aa, sym)])))
-    got = den_apply(p, BangVal(vacuum(Vect(a, base))), ASG)
-    assert got == BangVal(vacuum(Vect(aa, pair(base, base))))
+    assert got == bang_scale(2, ket(Vect(aa, pair(base, base)), [Vect(aa, sym)]))
+    got = den_apply(p, vacuum(Vect(a, base)), ASG)
+    assert got == vacuum(Vect(aa, pair(base, base)))
 
 
 def test_den_apply_is_linear_in_the_input():
@@ -326,9 +322,9 @@ def test_den_apply_is_linear_in_the_input():
         y = ket(_mat_vect(_rand_mat(rng)), [])
         a, b = Fraction(2), Fraction(-1, 2)
         mixed = bang_add(bang_scale(a, x), bang_scale(b, y))
-        lhs = _as_rows(den_apply(body, BangVal(mixed), ASG))
-        rx = _as_rows(den_apply(body, BangVal(x), ASG))
-        ry = _as_rows(den_apply(body, BangVal(y), ASG))
+        lhs = _as_rows(den_apply(body, mixed, ASG))
+        rx = _as_rows(den_apply(body, x, ASG))
+        ry = _as_rows(den_apply(body, y, ASG))
         assert lhs == [
             [a * p + b * q for p, q in zip(rp, rq)] for rp, rq in zip(rx, ry)
         ]
@@ -345,7 +341,7 @@ def test_cut_composes_denotations():
     import itertools
 
     for combo in itertools.product(*[range(d) for d in dims]):
-        inp = Pair(tensor_from_terms(tuple(spaces), {combo: Fraction(1)}))
+        inp = tensor_from_terms(tuple(spaces), {combo: Fraction(1)})
         got = den_apply(p, inp, asg)
         # oracle: α then β applied to the vector, i.e. (β∘α)(v)
         v = [Fraction(1 if i == combo[0] else 0) for i in range(2)]
@@ -355,7 +351,7 @@ def test_cut_composes_denotations():
         be[combo[2] // 2][combo[2] % 2] = Fraction(1)
         prod = _matmul(be, al)
         want = [sum((prod[i][j] * v[j] for j in range(2)), Fraction(0)) for i in range(2)]
-        assert force(got, BaseSp("A", 2)) == Vector(Vect(BaseSp("A", 2), tuple(want)))
+        assert force(got, BaseSp("A", 2)) == Vect(BaseSp("A", 2), tuple(want))
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +385,13 @@ def test_nl_rejects_other_shapes():
 def test_float_inputs_are_refused_at_the_boundary():
     V = BaseSp("A", 2)
     base = _mat_vect([[1, 0.5], [0, 1]]).coords
-    float_ket = BangVal(BangElem(E_SPACE, (((base, ()), 1),)))
-    float_coeff = Pair(tensor_from_terms((E_SPACE, E_SPACE), {(0, 1): 0.5}))
+    float_ket = BangElem(E_SPACE, (((base, ()), 1),))
+    float_coeff = tensor_from_terms((E_SPACE, E_SPACE), {(0, 1): 0.5})
     calls = [
-        lambda: den_apply(mk_axiom(A), Vector(Vect(V, (1.5, 2))), ASG),  # a coordinate
+        lambda: den_apply(mk_axiom(A), Vect(V, (1.5, 2)), ASG),  # a coordinate
         lambda: den_apply(mk_axiom(Bang(endo(A))), float_ket, ASG),  # a ket's base point
         lambda: den_apply(mk_one_r(), Scalar(0.5), ASG),  # a Scalar input
-        lambda: den_apply(comp(A), float_coeff, ASG),  # a Pair coefficient
+        lambda: den_apply(comp(A), float_coeff, ASG),  # a TensorElem coefficient
         lambda: nl(church(2, A), [[1, 0.5], [0, 1]], ASG),  # a raw point
         lambda: nl(church(2, A), [1, 0.5, 0, 1], ASG),  # a flat raw point
         lambda: nl(mk_der(mk_axiom(A), 0), 1.5, {"A": 1}),  # a bare raw point
@@ -450,7 +446,7 @@ def test_value_literals_render_and_reparse():
     assert value_literal(m) == "[[1/1,2/1],[0/1,1/1]]"
     lit = parse_value_literal(value_literal(m))
     assert lit.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))
-    v = BangVal(ket(Vect(BaseSp("A", 2), (Fraction(1), Fraction(0))), []))
+    v = ket(Vect(BaseSp("A", 2), (Fraction(1), Fraction(0))), [])
     assert value_literal(v) == "ket([1/1,0/1])"
 
 
@@ -510,7 +506,7 @@ def test_comp_matrix_and_add_on_kets_match_the_matrix_oracle():
             for args in ((), (nu,)):
                 flat = [Vect(space, tuple(c for row in v for c in row)) for v in args]
                 x = ket(Vect(space, base), flat)
-                got = force(apply_hom(h, BangVal(x)), space).rows
+                got = force(apply_hom(h, x), space).rows
                 assert [list(r) for r in got] == _ket_coefficient(m + n, alpha, list(args))
 
 
@@ -530,13 +526,13 @@ def test_zero_in_an_infinite_hom_space_is_a_map_to_zero():
     P = _mat_vect([[1, 2], [3, 4]])
     units = [_mat_vect(_unit_matrix(2, i)) for i in range(2)]
     # dereliction kills a two-argument ket, so the result is the zero map
-    h = den_apply(p, BangVal(ket(P, units)), ASG)
-    got = apply_hom(h, BangVal(vacuum(P)))
+    h = den_apply(p, ket(P, units), ASG)
+    got = apply_hom(h, vacuum(P))
     assert _as_rows(got) == [[Fraction(0)] * 2 for _ in range(2)]
     # one argument survives dereliction: the map sends the vacuum to e₀
-    h1 = den_apply(p, BangVal(ket(P, units[:1])), ASG)
-    assert _as_rows(apply_hom(h1, BangVal(vacuum(P)))) == _unit_matrix(2, 0)
-    assert values_agree(h, den_apply(p, BangVal(bang_scale(Fraction(0), vacuum(P))), ASG),
+    h1 = den_apply(p, ket(P, units[:1]), ASG)
+    assert _as_rows(apply_hom(h1, vacuum(P))) == _unit_matrix(2, 0)
+    assert values_agree(h, den_apply(p, bang_scale(Fraction(0), vacuum(P)), ASG),
                         den_formula(Lolli(Bang(e), e), ASG))
 
 
@@ -558,7 +554,7 @@ def _rational_ket_value(p, alpha, nus):
     """⟦p⟧ of a closed numeral on |ν₁…ν_s⟩_α, as rows."""
     h = den_apply(p, Scalar(Fraction(1)), ASG)
     x = ket(_mat_vect(alpha), [_mat_vect(nu) for nu in nus])
-    return [list(r) for r in force(apply_hom(h, BangVal(x)), E_SPACE).rows]
+    return [list(r) for r in force(apply_hom(h, x), E_SPACE).rows]
 
 
 @functools.cache
@@ -598,14 +594,10 @@ def test_nl_and_tangent_at_rational_points_match_matrix_powers(k, alpha, nu):
 def _numbers(v):
     """Every number a public value holds: its coordinates, or the base
     points and coefficients of its kets."""
-    if isinstance(v, Scalar):
-        return [v.value]
-    if isinstance(v, Vector):
-        return list(v.vec.coords)
-    if isinstance(v, Matrix):
-        return [c for row in v.rows for c in row]
-    if isinstance(v, BangVal):
-        return [n for (base, _), c in v.elem.terms for n in (*base, c)]
+    if isinstance(v, Vect):
+        return list(v.coords)
+    if isinstance(v, BangElem):
+        return [n for (base, _), c in v.terms for n in (*base, c)]
     return [n for item in v for n in (_numbers(item) if isinstance(item, list) else [item])]
 
 
@@ -614,27 +606,27 @@ def test_public_outputs_hold_only_fractions(num):
     V = BaseSp("A", 2)
     P = [[num(1), num(2)], [num(0), num(3)]]
     nu = [[num(0), num(1)], [num(-2), num(0)]]
-    x = BangVal(ket(_mat_vect(P), [_mat_vect(nu)]))
-    m = Matrix(E_SPACE, ((num(1), num(2)), (num(3), num(4))))
+    x = ket(_mat_vect(P), [_mat_vect(nu)])
+    m = Vect(E_SPACE, (num(1), num(2), num(3), num(4)))
     h = den_apply(church(2, A), Scalar(num(1)), ASG)
-    pair = Pair(tensor_from_terms((E_SPACE, E_SPACE), {(0, 1): num(3), (2, 2): num(1)}))
+    pair = tensor_from_terms((E_SPACE, E_SPACE), {(0, 1): num(3), (2, 2): num(1)})
     outputs = [
         den_apply(mk_one_r(), Scalar(num(2)), ASG),
-        den_apply(mk_axiom(A), Vector(Vect(V, (num(1), num(2)))), ASG),
+        den_apply(mk_axiom(A), Vect(V, (num(1), num(2))), ASG),
         den_apply(mk_axiom(Bang(endo(A))), x, ASG),
         den_apply(mk_prom(church_body(2, A)), x, ASG),
         den_apply(comp(A), pair, ASG),
         apply_hom(h, x),
-        apply_hom(m, Vector(Vect(V, (num(1), num(-1))))),
+        apply_hom(m, Vect(V, (num(1), num(-1)))),
         force(m, E_SPACE),
         force(den_apply(mk_lolli_r(mk_axiom(A)), Scalar(num(1)), ASG), E_SPACE),
         force(x, BangSp(E_SPACE)),
         flatten(m, E_SPACE),
         den_matrix(comp(A), ASG),
         nl(church(2, A), [[num(1), num(2)], [num(0), num(1)]], ASG),
-        tangent(church(3, A), P, Matrix(E_SPACE, tuple(map(tuple, nu))), ASG),
+        tangent(church(3, A), P, _mat_vect(nu), ASG),
     ]
-    assert {type(v).__name__ for v in outputs[:10]} == {"Scalar", "Vector", "BangVal", "Matrix"}
+    assert {type(v).__name__ for v in outputs[:10]} == {"Vect", "BangElem"}
     for out in outputs:
         numbers = _numbers(out)
         assert numbers and all(type(c) is Fraction for c in numbers), out
@@ -642,7 +634,7 @@ def test_public_outputs_hold_only_fractions(num):
 
 # ---------------------------------------------------------------------------
 # Branches only unusual inputs reach: a zero ket, weakening a one-argument
-# ket into an infinite hom space, a hom given as a Vector
+# ket into an infinite hom space, a hom given as a flat vector
 
 
 def _idle_copy():
@@ -654,9 +646,9 @@ def _idle_copy():
 def test_a_copy_and_drop_is_the_identity_and_keeps_the_zero_ket():
     V = BaseSp("A", 2)
     x = ket(Vect(V, (Fraction(1, 2), 3)), [basis_vec(V, 0)])
-    assert den_apply(_idle_copy(), BangVal(x), ASG) == BangVal(x)
-    zero = den_apply(_idle_copy(), BangVal(zero_bang(V)), ASG)
-    assert zero == BangVal(zero_bang(V))
+    assert den_apply(_idle_copy(), x, ASG) == x
+    zero = den_apply(_idle_copy(), zero_bang(V), ASG)
+    assert zero == zero_bang(V)
     assert value_literal(zero) == "0/1"
     # different conclusions are never probe-equal
     assert not probe_equal(_idle_copy(), church(1, A), ASG)
@@ -671,12 +663,12 @@ def test_weakening_a_one_argument_ket_into_a_hom_is_the_zero_map():
     two = den_apply(church(2, A), Scalar(Fraction(1)), ASG)
 
     def on(terms):
-        return den_apply(p, Pair(tensor_from_terms((V,), terms)), ASG)
+        return den_apply(p, tensor_from_terms((V,), terms), ASG)
 
     only = on({(((1, 2), (0,)),): 3})
     assert isinstance(only, ZeroMap) and only.space == space
     P = _mat_vect([[1, 0], [2, 1]])
-    assert _as_rows(apply_hom(only, BangVal(vacuum(P)))) == [[0, 0], [0, 0]]
+    assert _as_rows(apply_hom(only, vacuum(P))) == [[0, 0], [0, 0]]
     # the ZeroMap term first, then the vacuum's numeral; and the reverse
     first = on({(((0, 0), (0,)),): 2, (((1, 1), ()),): 1})
     last = on({(((1, 1), ()),): 1, (((1, 1), (1,)),): 3})
@@ -687,18 +679,18 @@ def test_weakening_a_one_argument_ket_into_a_hom_is_the_zero_map():
 
 def test_a_hom_given_as_a_vector_applies_as_its_matrix():
     V = BaseSp("A", 2)
-    arg = Vector(Vect(V, (1, Fraction(-1, 2))))
-    as_vector = apply_hom(Vector(Vect(E_SPACE, (1, 2, 3, 4))), arg)
+    arg = Vect(V, (1, Fraction(-1, 2)))
+    as_vector = apply_hom(Vect(E_SPACE, (1, 2, 3, 4)), arg)
     assert as_vector == apply_hom(matrix(E_SPACE, [[1, 2], [3, 4]]), arg)
-    assert as_vector == Vector(Vect(V, (Fraction(0), Fraction(1))))
+    assert as_vector == Vect(V, (Fraction(0), Fraction(1)))
 
 
 def test_value_literals_of_vectors_and_kets_with_arguments():
     V = BaseSp("A", 2)
-    assert value_literal(Vector(Vect(V, (Fraction(1, 2), Fraction(-3))))) == "[1/2,-3/1]"
+    assert value_literal(Vect(V, (Fraction(1, 2), Fraction(-3)))) == "[1/2,-3/1]"
     P = Vect(V, (Fraction(1), Fraction(0)))
     x = bang_add(ket(P, [basis_vec(V, 1)]), bang_scale(Fraction(2, 3), ket(P, [P, P])))
-    assert value_literal(BangVal(x)) == (
+    assert value_literal(x) == (
         "2/3 * ket([1/1,0/1]; [1/1,0/1], [1/1,0/1]) + ket([1/1,0/1]; [0/1,1/1])"
     )
 
@@ -803,8 +795,86 @@ def test_boxes_with_zero_to_three_context_formulas_match_the_reference_phi():
 
 
 def test_a_value_of_the_wrong_dimension_counts_its_coordinates():
-    two = Vector(Vect(BaseSp("A", 2), (Fraction(1), Fraction(0))))
+    two = Vect(BaseSp("A", 2), (Fraction(1), Fraction(0)))
     for value, count in ((Scalar(Fraction(1)), "1 coordinate"), (two, "2 coordinates")):
         message = f"^value has {count} but Hom\\(A, A\\) has dimension 4$"
         with pytest.raises(SemanticsError, match=message):
             flatten(value, E_SPACE)
+
+
+# ---------------------------------------------------------------------------
+# The input checks at the public boundary.  Each test pins the exception's
+# type and its message, the space it names included, but no class name;
+# a unit slot and a tensor slot reach both compound space labels.
+
+AA = TensorSp(BaseSp("A", 2), BaseSp("A", 2))
+
+
+def _refused(call, exc, message):
+    with pytest.raises(exc, match=message) as err:
+        call()
+    assert type(err.value) is exc
+
+
+def test_a_ket_based_in_an_infinite_space_is_unsupported():
+    x = BangElem(UnitSp(), ((((1,), ()), 1),))
+    _refused(lambda: den_apply(mk_axiom(Bang(Bang(One()))), x, ASG), UnsupportedSpace,
+             r"^no ket may be based in !k$")
+
+
+def test_a_ket_over_the_wrong_space_is_refused():
+    short = BangElem(BaseSp("A", 2), ((((1, 2), ()), 1),))  # 2 base coordinates of 4
+    far = BangElem(AA, ((((1, 2, 3, 4), (4,)), 1),))  # argument index 4 of 4
+    for x in (short, far):
+        _refused(lambda: den_apply(mk_axiom(Bang(Tensor(A, A))), x, ASG), SemanticsError,
+                 r"^ket does not live over \(A \(x\) A\)$")
+
+
+def test_a_value_of_the_wrong_kind_for_its_slot_is_refused():
+    x = vacuum(Vect(BaseSp("A", 2), (1, 2)))
+    two = den_apply(church(2, A), Scalar(Fraction(1)), ASG)  # an unapplied abstraction
+    for p, value, label in ((mk_axiom(One()), x, "k"),
+                            (mk_axiom(Tensor(A, A)), two, r"\(A \(x\) A\)")):
+        _refused(lambda: den_apply(p, value, ASG), SemanticsError,
+                 rf"^a \w+ is not an element of {label}$")
+
+
+def test_a_basis_index_out_of_range_is_refused():
+    p = mk_one_l(mk_axiom(Tensor(A, A)), 0)  # 1, A⊗A ⊢ A⊗A
+    for key, dim in (((1, 0), 1), ((0, 4), 4)):
+        inp = tensor_from_terms((UnitSp(), AA), {key: Fraction(1)})
+        _refused(lambda: den_apply(p, inp, ASG), SemanticsError,
+                 rf"^basis index {max(key)} out of range for dimension {dim}$")
+
+
+def test_applying_a_value_that_is_not_a_hom_is_refused():
+    # a ket over a hom space is an element of !Hom(A, A), not of Hom(A, A)
+    ket_over_hom = vacuum(_mat_vect([[1, 0], [0, 1]]))
+    for psi in (Scalar(Fraction(1)), Vect(AA, (1, 0, 0, 1)), ket_over_hom):
+        _refused(lambda: apply_hom(psi, Scalar(Fraction(1))), SemanticsError,
+                 r"^cannot apply a \w+ as a hom value$")
+
+
+def test_an_empty_context_takes_only_a_scalar():
+    one_dim = Vect(BaseSp("A", 1), (Fraction(2),))  # one coordinate, not of k
+    for value in (one_dim, vacuum(Vect(UnitSp(), (1,)))):
+        _refused(lambda: den_apply(mk_one_r(), value, ASG), SemanticsError,
+                 r"^empty context takes a \w+ input$")
+
+
+def test_a_product_input_must_match_the_context_arity():
+    one_slot = tensor_from_terms((E_SPACE,), {(0,): Fraction(1)})
+    _refused(lambda: den_apply(comp(A), one_slot, ASG), SemanticsError,
+             r"^input arity does not match the context$")
+
+
+def test_a_multi_slot_context_takes_only_a_product_input():
+    _refused(lambda: den_apply(comp(A), _mat_value([[1, 0], [0, 1]]), ASG), SemanticsError,
+             r"^multi-hypothesis contexts take a \w+ input$")
+
+
+def test_a_value_with_no_literal_is_refused():
+    two = den_apply(church(2, A), Scalar(Fraction(1)), ASG)
+    pair = tensor_from_terms((UnitSp(),), {(0,): Fraction(1)})
+    for v in (two, ZeroMap(den_formula(int_type(A), ASG)), pair):
+        _refused(lambda: value_literal(v), SemanticsError, r"^no literal rendering for \w+$")
