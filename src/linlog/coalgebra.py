@@ -31,14 +31,34 @@ The structure maps implemented here:
   φ : !W → V, computed as a sum over *set partitions* of the ket
   arguments: each partition contributes the ket whose arguments are
   the φ-images of its blocks, based at φ|o⟩_P;
-* `merge`/`split` — the isomorphism !W₁ ⊗ … ⊗ !W_g ≅ !(W₁ ⊕ … ⊕ W_g),
-  which reduces boxing a multi-hypothesis proof to the one-hypothesis
-  lifting above: `merge` embeds a tuple of elements, and `split` is
-  its inverse on one ket, which is all `lift` hands φ.
+* `merge`/`split` — the isomorphism !W₁ ⊗ … ⊗ !W_g ≅ !(W₁ ⊕ … ⊕ W_g):
+  `merge` embeds a tuple of elements, and `split` is its inverse on
+  one ket.
 
 Set partitions are enumerated by restricted-growth strings in
 lexicographic order, so summand order is deterministic (handy when
 debugging; canonicalization collapses it anyway).
+
+Group-like elements.  Over the ring R = ℚ[t₁, t₂, …]/(t₁², t₂², …) a
+ket is a coefficient: with g(x) the group-like element at an R-point x
+(Δg = g ⊗ g, ε(g) = 1, d(g) = x),
+
+    g(P + Σᵢ tᵢνᵢ) = Σ_S t^S |ν_S⟩_P     over the subsets S of the tᵢ,
+
+so |ν₁, …, ν_s⟩_P is the t₁⋯t_s coefficient of g(P + Σ tᵢνᵢ): the s-th
+mixed derivative at P.  An element of V over R is a *jet*: a tuple of
+(monomial, coordinates) pairs, the monomial a bitmask of variables,
+with no pair whose coordinates are all zero.  `semantics` evaluates
+proofs on group-like elements, where contraction copies, weakening
+counts 1, dereliction reads the point, and the lift over φ maps g(x) to
+g(φ(g(x))) (Sweedler, *Hopf Algebras*, 1969; Ehrhard and Regnier, "The
+differential lambda-calculus", 2003).  The evaluator meets set
+partitions in one place only, `grouplike_kets`, which reads an
+R-combination of group-like elements back as kets: for x = P + n, the
+t^S coefficient of g(x) sums |n_{B₁}, …, n_{B_l}⟩_P over the set
+partitions of S whose blocks B₁ … B_l are all monomials of n.  The
+ket-level maps above (`coproduct`, `lift`, `merge`, `split`) are what
+the tests check it against.
 """
 
 from __future__ import annotations
@@ -47,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +411,37 @@ def lift(
                 acc[key] = acc.get(key, 0) + c * c2
     if space is None:
         raise ValueError("lifting the zero element needs an explicit target space")
+    return bang_from_terms(space, acc)
+
+
+def _monomial_partitions(rest: int, monomials: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The set partitions of the variables of ``rest`` into blocks that
+    are all among ``monomials``; each block is the one that holds the
+    lowest variable still uncovered."""
+    if not rest:
+        yield ()
+        return
+    low = rest & -rest
+    for m in monomials:
+        if m & low and m & rest == m:
+            for more in _monomial_partitions(rest ^ m, monomials):
+                yield (m,) + more
+
+
+def grouplike_kets(space: Space, terms: Iterable[tuple], top: int) -> BangElem:
+    """The t^top coefficient of Σ c·g(x) over the (jet x, scalar jet c)
+    pairs in ``terms``, as canonical kets over ``space`` (see the module
+    docstring); a scalar jet is a jet over the unit space."""
+    acc: dict[BangKey, Rational] = {}
+    for point, coef in terms:
+        parts = dict(point)
+        base = Vect(space, parts.pop(0, (0,) * space_dim(space)))
+        for mc, (c,) in coef:
+            if mc & top != mc:
+                continue
+            for blocks in _monomial_partitions(top ^ mc, parts):
+                for key, c2 in ket(base, [Vect(space, parts[m]) for m in blocks]).terms:
+                    acc[key] = acc.get(key, 0) + c * c2
     return bang_from_terms(space, acc)
 
 

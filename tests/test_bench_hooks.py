@@ -66,11 +66,11 @@ def test_the_bench_tracer_still_wraps_merge_split_and_lift():
     want = _lift_job()
     t, got = _traced(_lift_job)
     assert got == want
-    # one lift, φ once per distinct block of three distinct arguments
-    # (2³ with the vacuum), and one merge plus one split per φ call
+    # one lift, φ once on the one group-like element the ket enters as,
+    # and no merge or split: the evaluator no longer calls them
     assert t.counts["coalgebra.lift_calls"] == 1
-    assert t.counts["coalgebra.lift_phi_calls"] == 8
-    assert [span[0] for span in t.spans].count("coalgebra.merge_split") == 9
+    assert t.counts["coalgebra.lift_phi_calls"] == 1
+    assert [span[0] for span in t.spans].count("coalgebra.merge_split") == 0
 
 
 def test_the_bench_tracer_still_wraps_the_normalize_job(tmp_path, capsys):
