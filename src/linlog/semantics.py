@@ -320,13 +320,9 @@ def _outer(x: tuple[Rational, ...], y: tuple[Rational, ...]) -> tuple[Rational, 
     return tuple([a * b for a in x for b in y])
 
 
-def _scaled(c: tuple[Rational], y: tuple[Rational, ...]) -> tuple[Rational, ...]:
-    return tuple([c[0] * b for b in y])
-
-
 def _times(c: Jet, v: Jet) -> Jet:
     """The product of a scalar jet and a jet."""
-    return v if c == _ONE else _bilinear(_scaled, c, v)
+    return v if c == _ONE else _bilinear(lambda a, y: tuple([a[0] * b for b in y]), c, v)
 
 
 def _coords(v: Jet, top: int, d: int) -> tuple[Rational, ...]:
