@@ -40,9 +40,12 @@ Inside plans a value's representation is fixed by its static space:
   BangJet      element of !V over R, V finite: Σ c·g(x) over pairs of a
                point x (a jet) and a coefficient c (a scalar jet)
   Suspended    element of a hom space as an unapplied abstraction: the
-               ⊸R node, its captured context, the assignment, the plan
-               of its body and a scalar jet it is scaled by; materialized
-               to a jet only when it is added or read as coordinates
+               ⊸R node, its captured context, the assignment and the
+               plan of its body, times a scalar jet, plus the
+               abstractions added to it.  In a finite hom space it is
+               materialized to a jet when it is scaled, added or read
+               as coordinates; a space with no matrix keeps sums and
+               multiples unapplied
   ZeroMap      the zero of a hom space that has no matrix
 
 The public functions (`den_apply`, `apply_hom`, `force`, `flatten`,
@@ -94,8 +97,6 @@ from .coalgebra import (
     TensorSp,
     UnitSp,
     Vect,
-    bang_add,
-    bang_scale,
     coordinates,
     exact,
     grouplike_kets,
@@ -241,19 +242,22 @@ class BangJet(NamedTuple):
 
 @dataclass(frozen=True)
 class Suspended:
-    """An unapplied abstraction, times a scalar.  Two closures over the
-    same node and context differ when their assignments do; the plan is
-    derived from the node and the assignment, so it takes no part in
-    equality.  A public value stands for the coefficient of the monomial
-    ``top`` of the closure, whose context holds that monomial's
-    variables."""
+    """An unapplied abstraction: scale·λa.body(a, env), plus the
+    abstractions in ``more``.  A hom space with no matrix scales and
+    adds its values so, unapplied; a finite one materializes them.  Two
+    closures over the same node and context differ when their
+    assignments do; the plan is derived from the node and the
+    assignment, so it takes no part in equality.  A public value stands
+    for the coefficient of the monomial ``top``, whose variables its
+    context holds."""
 
     node: Proof  # a validated abstraction (⊸R) node
     env: tuple["Value", ...]  # the captured context, in plan representation
     asg: AsgKey
     plan: Callable[[tuple], "Value"] = field(compare=False, repr=False)
     top: int = 0
-    scale: Jet = _ONE  # multiplies every value the closure gives
+    scale: Jet = _ONE
+    more: tuple["Suspended", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -334,8 +338,16 @@ def _coords(v: Jet, top: int, d: int) -> tuple[Rational, ...]:
 
 
 def _call(f: Suspended, a: Value) -> Value:
-    """f(a): the body's plan on a and the captured context, scaled."""
-    return _scale(f.scale, f.plan((a,) + f.env))
+    """f(a): the body's plan on a and the captured context, scaled, plus
+    the abstractions added to f on a."""
+    out = f.plan((a,) + f.env)
+    if f.scale == _ONE and not f.more:
+        return out
+    cod = _hom_space(f).cod
+    out = _scale(f.scale, out, cod)
+    for g in f.more:
+        out = _add(out, _call(g, a), cod)
+    return out
 
 
 def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
@@ -374,16 +386,17 @@ def _flat(v: Value, space: Space) -> Jet:
     raise UnsupportedSpace(f"no coordinates over {space_label(space)}")
 
 
-def _scale(c: Jet, v: Value) -> Value:
-    """c·v for a scalar jet c; an abstraction is scaled unapplied."""
+def _scale(c: Jet, v: Value, space: Space) -> Value:
+    """c·v for a scalar jet c (see `Suspended` for abstractions)."""
     if c == _ONE or type(v) is ZeroMap:
         return v
     if type(v) is BangJet:
         terms = ((x, _times(c, k)) for x, k in v.terms)
         return BangJet(v.space, tuple([(x, k) for x, k in terms if k]))
-    if type(v) is Suspended:
-        return replace(v, scale=_times(c, v.scale))
-    return _times(c, v)
+    if type(v) is Suspended and not is_finite(space):
+        more = tuple(_scale(c, g, space) for g in v.more)
+        return replace(v, scale=_times(c, v.scale), more=more)
+    return _times(c, _flat(v, space))
 
 
 def _add(a: Value, b: Value, space: Space) -> Value:
@@ -393,6 +406,8 @@ def _add(a: Value, b: Value, space: Space) -> Value:
         return b
     if type(b) is ZeroMap:
         return a
+    if type(a) is Suspended and not is_finite(space):
+        return replace(a, more=a.more + (b,))
     return _collect(_flat(a, space) + _flat(b, space))
 
 
@@ -521,7 +536,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
         def drop(env):
             c = weight(env[at])
             r = body(env[:at] + env[at + 1 :])
-            return _scale(c, r) if c else zero()
+            return _scale(c, r, cs()) if c else zero()
 
         return drop
     if kind is TensorR:
@@ -550,7 +565,8 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
                 for idx, c in enumerate(y):
                     if c:
                         i, j = divmod(idx, len(right))
-                        r = _scale(((k, (c,)),), body(head + (left[i], right[j]) + tail))
+                        r = body(head + (left[i], right[j]) + tail)
+                        r = _scale(((k, (c,)),), r, cs())
                         out = r if out is None else _add(out, r, cs())
             return zero() if out is None else out
 
@@ -637,7 +653,8 @@ def _shifted(v: Value, k: int) -> Value:
         return BangJet(v.space, tuple((_shifted(x, k), _shifted(c, k)) for x, c in v.terms))
     if type(v) is Suspended:
         env = tuple(_shifted(x, k) for x in v.env)
-        return Suspended(v.node, env, v.asg, v.plan, v.top << k, _shifted(v.scale, k))
+        more = tuple(_shifted(g, k) for g in v.more)
+        return replace(v, env=env, top=v.top << k, scale=_shifted(v.scale, k), more=more)
     return v
 
 
@@ -676,8 +693,7 @@ def _support(v: Suspended) -> int:
     while stack:
         x = stack.pop()
         if type(x) is Suspended:
-            stack.extend(x.env)
-            stack.append(x.scale)
+            stack.extend((*x.env, x.scale, *x.more))
         elif type(x) is BangJet:
             stack.extend(j for term in x.terms for j in term)
         elif type(x) is tuple:
@@ -702,26 +718,6 @@ def _extract(v: Value, top: int, space_of: Callable[[], Space]) -> SemValue:
             return _extract(_zero(space_of()), 0, space_of)
         return replace(v, top=top)
     return v
-
-
-def _sum(
-    out: SemValue | None, c: Rational, v: SemValue, space_of: Callable[[], Space]
-) -> SemValue | None:
-    """out + c·v on public values of ``space``, out None before the
-    first term.  A zero map adds nothing, and an abstraction is
-    materialized only when it is scaled or added."""
-    if type(v) is ZeroMap or c == 0:
-        return out
-    if type(v) is BangElem:
-        v = bang_scale(c, v)
-        return v if out is None else bang_add(out, v)
-    if out is None and c == 1:
-        return v
-    space = space_of()
-    coords = [c * q for q in flatten(v, space)]
-    if out is not None:
-        coords = map(add, flatten(out, space), coords)
-    return Vect(space, tuple(coords))
 
 
 def _desc_value(desc, space: Space) -> SemValue:
@@ -801,18 +797,24 @@ def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
         slots = [(1, (input,))]
     else:
         raise SemanticsError("multi-hypothesis contexts take a TensorElem input")
-    branches = []
+    # every branch gets its own variables, and its coefficient is times
+    # the monomial of all the others', so that one sum is read off once
+    branches, top = [], 0
     for c, values in slots:
-        env, top = [], 0
+        env, first = [], top
         for v, s in zip(values, spaces):
             x, top = _enter(v, s, top)
             env.append(x)
-        branches.append((c, tuple(env), top))
+        branches.append((c, tuple(env), top ^ first))
     cs = _once(lambda: _den_formula(p.conclusion.conclusion, key))
     out = None
-    for c, env, top in branches:
-        out = _sum(out, c, _extract(_den_env(p, env, key), top, cs), cs)
-    return _extract(_zero(cs()), 0, cs) if out is None else out
+    for c, env, own in branches:
+        r = _den_env(p, env, key)
+        k = ((top ^ own, (c,)),)
+        if k != _ONE:
+            r = _scale(k, r, cs())
+        out = r if out is None else _add(out, r, cs())
+    return _extract(_zero(cs()) if out is None else out, top, cs)
 
 
 # ---------------------------------------------------------------------------
