@@ -626,9 +626,10 @@ def _bang_in(x: BangElem, inner: Space, top: int) -> tuple[BangJet, int]:
     d = space_dim(inner)
     if x.terms and d is None:
         raise UnsupportedSpace(f"no ket may be based in {space_label(inner)}")
-    for (base, args), _c in x.terms:
-        if x.space != inner or len(base) != d or any(not 0 <= i < d for i in args):
-            raise SemanticsError(f"ket does not live over {space_label(inner)}")
+    if x.space != inner or any(
+        len(base) != d or any(not 0 <= i < d for i in args) for (base, args), _c in x.terms
+    ):
+        raise SemanticsError(f"ket does not live over {space_label(inner)}")
     basis = _basis(inner) if x.terms else ()
     lo = nxt = top.bit_length()
     points = []

@@ -22,6 +22,7 @@ from linlog.coalgebra import (
     coproduct,
     counit,
     dereliction,
+    grouplike_kets,
     ket,
     lift,
     merge,
@@ -281,6 +282,24 @@ def test_lift_is_a_coalgebra_morphism():
             for key, c2 in _tensor2(fl, fr).terms:
                 acc[key] = acc.get(key, Fraction(0)) + c * c2
         assert lhs == tensor_from_terms(lhs.factors, acc)
+
+
+def test_grouplike_kets_by_hand():
+    # x = P + t0·a + t1·b + t0t1·c: its t0t1 coefficient sums the two set
+    # partitions of {t0, t1} whose blocks are monomials of x
+    V = BaseSp("A", 2)
+    P, a, b, c = (1, 2), (1, 0), (0, 1), (3, 5)
+    x = ((0, P), (1, a), (2, b), (3, c))
+    one, t1 = ((0, (1,)),), ((2, (2,)),)
+    base = vect(V, P)
+    want = bang_add(ket(base, [vect(V, a), vect(V, b)]), ket(base, [vect(V, c)]))
+    assert grouplike_kets(V, [(x, one)], 3) == want
+    # a coefficient takes its variables out of the partitions
+    assert grouplike_kets(V, [(x, t1)], 3) == bang_scale(2, ket(base, [vect(V, a)]))
+    # a coefficient with a variable outside the monomial adds nothing
+    assert grouplike_kets(V, [(x, t1)], 1) == zero_bang(V)
+    # the point's constant term is the base point, zero when absent
+    assert grouplike_kets(V, [(((1, a),), one)], 0) == vacuum(zero_vec(V))
 
 
 def test_lift_on_vacuum_and_singleton_by_hand():

@@ -688,6 +688,20 @@ def test_weakening_a_one_argument_ket_into_a_hom_is_the_zero_map():
         assert values_agree(got, two, space)
 
 
+def test_a_zero_term_adds_nothing_to_an_abstraction():
+    # !E ⊢ !E ⊸ E derelicts before it abstracts, so a vacuum at 0 gives the
+    # zero map, which adds nothing to the other term's closure, before or after
+    e = endo(A)
+    p = mk_der(mk_lolli_r(mk_weak(mk_axiom(e), 0, Bang(e))), 0)
+    space = den_formula(int_type(A), ASG)
+    origin = ((0, 0, 0, 0), ())
+    for base in ((1, 2, 0, 1), (-1, 2, 0, 1)):  # sorted after the origin, then before
+        alone = den_apply(p, vacuum(Vect(E_SPACE, base)), ASG)
+        both = tensor_from_terms((BangSp(E_SPACE),), {(origin,): 1, ((base, ()),): 1})
+        got = den_apply(p, both, ASG)
+        assert isinstance(got, Suspended) and values_agree(got, alone, space)
+
+
 def test_a_hom_given_as_a_vector_applies_as_its_matrix():
     V = BaseSp("A", 2)
     arg = Vect(V, (1, Fraction(-1, 2)))
@@ -821,7 +835,8 @@ def test_boxes_with_zero_to_three_context_formulas_match_the_reference_phi():
 # The jet evaluator against the ket-branching reference.  `tests/_semref.py`
 # keeps the plans that ran each contraction once per coproduct term and each
 # box over set partitions; every value the jet evaluator gives must be the
-# one they give.  An infinite hom value is compared by applying it to drawn
+# one they give, or, on an input they refuse, the sum of what they give on
+# its pure terms.  An infinite hom value is compared by applying it to drawn
 # arguments: kets, closed numerals, and int-valued closures over a ket.
 
 
@@ -920,7 +935,7 @@ def _draw_input(data, space):
 def _draw_context_input(data, spaces):
     """The whole context: a Scalar, one slot's value, or a TensorElem of
     1–3 pure terms over finite and ! slots (one ! slot too)."""
-    if not spaces:  # a scale other than 1 materializes an abstraction, as it must
+    if not spaces:  # mostly 1: the reference refuses to scale an abstraction of int
         c = Scalar(data.draw(st.sampled_from((1, 1, 1, Fraction(-3, 2)))))
         return c, c
     if len(spaces) == 1 and not (isinstance(spaces[0], BangSp) and data.draw(st.booleans())):
@@ -1082,6 +1097,13 @@ def test_a_product_input_over_other_spaces_is_refused():
     inp = tensor_from_terms((other, other), {(0, 1): Fraction(1)})
     _refused(lambda: den_apply(comp(A), inp, ASG), SemanticsError,
              r"^input factors do not match the context's spaces$")
+
+
+def test_an_abstraction_of_another_space_is_refused():
+    two_b = den_apply(church(2, Var("B")), Scalar(Fraction(1)), {"B": 2})
+    _refused(lambda: den_apply(mk_axiom(int_type(A)), two_b, ASG), SemanticsError,
+             r"^a value of Hom\(!Hom\(B, B\), Hom\(B, B\)\) is not an element of "
+             r"Hom\(!Hom\(A, A\), Hom\(A, A\)\)$")
 
 
 def test_a_ket_over_the_wrong_space_is_refused():
