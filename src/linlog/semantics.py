@@ -798,8 +798,9 @@ def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
         slots = [(1, (input,))]
     else:
         raise SemanticsError("multi-hypothesis contexts take a TensorElem input")
-    # every branch gets its own variables, and its coefficient is times
-    # the monomial of all the others', so that one sum is read off once
+    # every branch gets its own variables, and its coefficient is
+    # multiplied by the monomial of all the others' variables, so that
+    # the sum of the branches is read off once
     branches, top = [], 0
     for c, values in slots:
         env, first = [], top
