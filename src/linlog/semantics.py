@@ -39,18 +39,17 @@ Inside plans a value's representation is fixed by its static space:
                the unit space
   BangJet      element of !V over R, V finite: Σ c·g(x) over pairs of a
                point x (a jet) and a coefficient c (a scalar jet)
-  Suspended    element of a hom space as an unapplied abstraction: the
-               ⊸R node, its captured context, the assignment and the
-               plan of its body, times a scalar jet, plus the
-               abstractions added to it.  In a finite hom space it is
-               materialized to a jet when it is scaled, added or read
-               as coordinates; a space with no matrix keeps sums and
-               multiples unapplied
-  ZeroMap      the zero of a hom space that has no matrix
+  Suspended    element of a hom space as unapplied abstractions: Σ c·f
+               over pairs of a `Closure` f (a ⊸R node, its captured
+               context, the assignment and the plan of its body) and a
+               coefficient c (a scalar jet), the zero having no pairs.
+               In a finite hom space it is materialized to a jet when
+               it is scaled, added or read as coordinates; a space with
+               no matrix keeps sums and multiples unapplied
 
 The public functions (`den_apply`, `apply_hom`, `force`, `flatten`,
 `den_matrix`, `nl`, `tangent`, `probe_equal`) take and return
-`coalgebra`'s values and the two last above, checking each input's
+`coalgebra`'s values and the last above, checking each input's
 space against its slot's.  Numbers come in as `int`s or `Fraction`s
 (anything else, a float say, is a `SemanticsError`) and go out as
 `Fraction`s:
@@ -65,7 +64,6 @@ space against its slot's.  Numbers come in as `int`s or `Fraction`s
   Suspended   as above, standing for the coefficient of one monomial,
               its ``top``: `apply_hom` puts its argument's variables
               above that monomial, and `force` materializes it once
-  ZeroMap     as above
 
 There are no floats and no tolerances anywhere.
 
@@ -218,7 +216,7 @@ def _zero(space: Space) -> Value:
     if is_finite(space):
         return ()
     if isinstance(space, HomSp):
-        return ZeroMap(space)
+        return Suspended(space, ())
     raise UnsupportedSpace(f"zero value needs a finite space, got {space_label(space)}")
 
 
@@ -241,36 +239,32 @@ class BangJet(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Suspended:
-    """An unapplied abstraction: scale·λa.body(a, env), plus the
-    abstractions in ``more``.  A hom space with no matrix scales and
-    adds its values so, unapplied; a finite one materializes them.  Two
-    closures over the same node and context differ when their
-    assignments do; the plan is derived from the node and the
-    assignment, so it takes no part in equality.  A public value stands
-    for the coefficient of the monomial ``top``, whose variables its
-    context holds."""
+class Closure:
+    """λa.body(a, env), unapplied.  Two closures over the same node and
+    context differ when their assignments do; the plan is derived from
+    the node and the assignment, so it takes no part in equality."""
 
     node: Proof  # a validated abstraction (⊸R) node
     env: tuple["Value", ...]  # the captured context, in plan representation
     asg: AsgKey
     plan: Callable[[tuple], "Value"] = field(compare=False, repr=False)
-    top: int = 0
-    scale: Jet = _ONE
-    more: tuple["Suspended", ...] = ()
 
 
-@dataclass(frozen=True)
-class ZeroMap:
-    """The zero of a hom space that has no matrix (an infinite one):
-    applied to anything, it gives the zero of the codomain."""
+class Suspended(NamedTuple):
+    """Σ c·f: an R-combination of closures, an element of the hom space
+    ``space``.  A hom space with no matrix scales and adds its values
+    so, unapplied; a finite one materializes them.  A public value
+    stands for the coefficient of the monomial ``top``, whose variables
+    its closures' contexts and coefficients hold."""
 
     space: HomSp
+    terms: tuple[tuple[Closure, Jet], ...]  # (closure, coefficient) pairs
+    top: int = 0
 
 
-SemValue = Vect | BangElem | TensorElem | Suspended | ZeroMap
+SemValue = Vect | BangElem | TensorElem | Suspended
 #: A value inside the plans (see the module docstring).
-Value = tuple | BangJet | Suspended | ZeroMap
+Value = tuple | BangJet | Suspended
 
 
 def Scalar(q: Rational) -> Vect:
@@ -338,16 +332,13 @@ def _coords(v: Jet, top: int, d: int) -> tuple[Rational, ...]:
 
 
 def _call(f: Suspended, a: Value) -> Value:
-    """f(a): the body's plan on a and the captured context, scaled, plus
-    the abstractions added to f on a."""
-    out = f.plan((a,) + f.env)
-    if f.scale == _ONE and not f.more:
-        return out
-    cod = _hom_space(f).cod
-    out = _scale(f.scale, out, cod)
-    for g in f.more:
-        out = _add(out, _call(g, a), cod)
-    return out
+    """f(a) = Σ c·body(a, env) over f's terms: each closure's plan on a
+    and its captured context, scaled."""
+    cod, out = f.space.cod, None
+    for g, c in f.terms:
+        r = _scale(c, g.plan((a,) + g.env), cod)
+        out = r if out is None else _add(out, r, cod)
+    return _zero(cod) if out is None else out
 
 
 def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
@@ -355,14 +346,11 @@ def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
     materialize an abstraction passed as the argument of a matrix."""
     if type(psi) is Suspended:
         return _call(psi, a)
-    if type(psi) is ZeroMap:
-        return _zero(psi.space.cod)
     return _bilinear(_matvec, psi, a if type(a) is tuple else _flat(a, dom_of()))
 
 
-def _materialize(v: Suspended, space: Space) -> Jet:
-    if not isinstance(space, HomSp):
-        raise SemanticsError("abstraction value in a non-hom space")
+def _materialize(v: Suspended) -> Jet:
+    space = v.space
     _require_finite(space.dom, "materializing an abstraction")
     _require_finite(space.cod, "materializing an abstraction")
     cols = [_flat(_call(v, e), space.cod) for e in _basis_jets(space.dom)]
@@ -381,33 +369,24 @@ def _flat(v: Value, space: Space) -> Jet:
     """A plan value of a finite ``space`` as a jet."""
     if type(v) is tuple:
         return v
-    if type(v) is Suspended:
-        return _materialize(v, space)
+    if type(v) is Suspended and (v.terms or is_finite(space)):
+        return _materialize(v)
     raise UnsupportedSpace(f"no coordinates over {space_label(space)}")
 
 
 def _scale(c: Jet, v: Value, space: Space) -> Value:
-    """c·v for a scalar jet c (see `Suspended` for abstractions)."""
-    if c == _ONE or type(v) is ZeroMap:
+    """c·v for a scalar jet c; an R-combination scales its coefficients."""
+    if c == _ONE:
         return v
-    if type(v) is BangJet:
+    if type(v) is BangJet or type(v) is Suspended and not is_finite(space):
         terms = ((x, _times(c, k)) for x, k in v.terms)
-        return BangJet(v.space, tuple([(x, k) for x, k in terms if k]))
-    if type(v) is Suspended and not is_finite(space):
-        more = tuple(_scale(c, g, space) for g in v.more)
-        return replace(v, scale=_times(c, v.scale), more=more)
+        return v._replace(terms=tuple([(x, k) for x, k in terms if k]))
     return _times(c, _flat(v, space))
 
 
 def _add(a: Value, b: Value, space: Space) -> Value:
-    if type(a) is BangJet:
-        return BangJet(a.space, a.terms + b.terms)
-    if type(a) is ZeroMap:
-        return b
-    if type(b) is ZeroMap:
-        return a
-    if type(a) is Suspended and not is_finite(space):
-        return replace(a, more=a.more + (b,))
+    if type(a) is BangJet or type(a) is Suspended and not is_finite(space):
+        return a._replace(terms=a.terms + b.terms)
     return _collect(_flat(a, space) + _flat(b, space))
 
 
@@ -486,7 +465,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
     if kind in (ForallR, ForallL):
         return _second_order
     if kind is LolliR:
-        return lambda env: Suspended(p, env, asg, body)
+        return lambda env: Suspended(cs(), ((Closure(p, env, asg, body), _ONE),))
     if kind is Exchange:
         return lambda env: body(env[:at] + (env[at + 1], env[at]) + env[at + 2 :])
     if kind is Cut:
@@ -650,13 +629,10 @@ def _shifted(v: Value, k: int) -> Value:
     """``v`` with each variable tᵢ renamed t_{i+k}."""
     if type(v) is tuple:
         return tuple([(m << k, y) for m, y in v])
-    if type(v) is BangJet:
-        return BangJet(v.space, tuple((_shifted(x, k), _shifted(c, k)) for x, c in v.terms))
-    if type(v) is Suspended:
-        env = tuple(_shifted(x, k) for x in v.env)
-        more = tuple(_shifted(g, k) for g in v.more)
-        return replace(v, env=env, top=v.top << k, scale=_shifted(v.scale, k), more=more)
-    return v
+    if type(v) is Closure:
+        return replace(v, env=tuple(_shifted(x, k) for x in v.env))
+    v = v._replace(terms=tuple((_shifted(x, k), _shifted(c, k)) for x, c in v.terms))
+    return v._replace(top=v.top << k) if type(v) is Suspended else v
 
 
 def _enter(v: SemValue, space: Space, top: int) -> tuple[Value, int]:
@@ -664,14 +640,12 @@ def _enter(v: SemValue, space: Space, top: int) -> tuple[Value, int]:
     variables above those of ``top``; returns it with the new top."""
     if type(v) is BangElem and isinstance(space, BangSp):
         return _bang_in(v, space.inner, top)
-    if type(v) in (Suspended, ZeroMap) and isinstance(space, HomSp):
-        if _hom_space(v) != space:
+    if type(v) is Suspended and isinstance(space, HomSp):
+        if v.space != space:
             raise SemanticsError(
-                f"a value of {space_label(_hom_space(v))} is not an element of {space_label(space)}"
+                f"a value of {space_label(v.space)} is not an element of {space_label(space)}"
             )
-        if type(v) is ZeroMap or not v.top:
-            return v, top
-        if top:
+        if top and v.top:
             v = _shifted(v, top.bit_length())
         return v, top | v.top
     if type(v) is not Vect:
@@ -689,24 +663,25 @@ def _enter(v: SemValue, space: Space, top: int) -> tuple[Value, int]:
 
 
 def _support(v: Suspended) -> int:
-    """The variables a closure's captured context and scale hold."""
+    """The variables the closures' captured contexts and coefficients hold."""
     mask, stack = 0, [v]
     while stack:
         x = stack.pop()
-        if type(x) is Suspended:
-            stack.extend((*x.env, x.scale, *x.more))
-        elif type(x) is BangJet:
-            stack.extend(j for term in x.terms for j in term)
-        elif type(x) is tuple:
+        if type(x) is tuple:
             for m, _y in x:
                 mask |= m
+        elif type(x) is Closure:
+            stack.extend(x.env)
+        else:  # an R-combination
+            stack.extend(j for term in x.terms for j in term)
     return mask
 
 
 def _extract(v: Value, top: int, space_of: Callable[[], Space]) -> SemValue:
     """The t^top coefficient of a plan value, as a public value; the
-    space is resolved only for a vector or a zero.  A closure whose
-    context lacks some of those variables has a zero coefficient."""
+    space is resolved only for a vector or a zero.  A combination whose
+    closures and coefficients lack some of those variables has a zero
+    coefficient."""
     if type(v) is tuple:
         space = space_of()
         return Vect(space, tuple(map(Fraction, _coords(v, top, space_dim(space)))))
@@ -714,11 +689,9 @@ def _extract(v: Value, top: int, space_of: Callable[[], Space]) -> SemValue:
         x = grouplike_kets(v.space, v.terms, top)
         terms = (((tuple(map(Fraction, b)), a), Fraction(c)) for (b, a), c in x.terms)
         return BangElem(x.space, tuple(terms))
-    if type(v) is Suspended:
-        if top & ~_support(v):
-            return _extract(_zero(space_of()), 0, space_of)
-        return replace(v, top=top)
-    return v
+    if top & ~_support(v):
+        return _extract(_zero(space_of()), 0, space_of)
+    return v._replace(top=top)
 
 
 def _desc_value(desc, space: Space) -> SemValue:
@@ -733,9 +706,7 @@ def _desc_value(desc, space: Space) -> SemValue:
 
 
 def _hom_space(psi: SemValue) -> HomSp:
-    if type(psi) is Suspended:
-        return _den_formula(psi.node.conclusion.conclusion, psi.asg)
-    if type(psi) in (Vect, ZeroMap) and isinstance(psi.space, HomSp):
+    if type(psi) in (Vect, Suspended) and isinstance(psi.space, HomSp):
         return psi.space
     raise SemanticsError(f"cannot apply a {type(psi).__name__} as a hom value")
 

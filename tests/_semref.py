@@ -11,7 +11,7 @@ plans a finite value is a flat tuple of exact rationals.
 
 `den_apply`, `apply_hom` and `force` mirror the public functions of the
 same name; the tests check that the jet evaluator gives what they give.
-Their Suspended values are this module's own.
+Their Suspended and ZeroMap values are this module's own.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from linlog.proof import (
     TensorR,
     Weakening,
 )
-from linlog.semantics import SemanticsError, UnsupportedSpace, ZeroMap, _asg_key, _den_formula
+from linlog.semantics import SemanticsError, UnsupportedSpace, _asg_key, _den_formula
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,11 @@ class Suspended:
     env: tuple
     asg: tuple
     plan: Callable = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class ZeroMap:
+    space: HomSp
 
 
 def _basis(space):

@@ -135,6 +135,34 @@ def test_tangent_evaluates_the_product_rule(church2_file, capsys):
     assert json.loads(capsys.readouterr().out) == "[[1/1,0/1],[2/1,1/1]]"
 
 
+def test_tangent_refuses_the_zero_map_of_a_space_with_no_matrix(tmp_path, capsys):
+    # the one-argument ket's counit is zero, so the weakened numeral gives
+    # the zero of int_A, which has no coordinates
+    f = tmp_path / "weak2.llp"
+    f.write_text(f"(weak 0 !A {print_proof(church(2, A))})\n")
+    argv = ["tangent", str(f), "--assign", "A=2", "--point", "[1,2]", "--direction", "[1,0]"]
+    assert main(argv) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == "linlog: no coordinates over Hom(!Hom(A, A), Hom(A, A))\n"
+
+
+def test_denote_refuses_a_cut_on_a_quantified_formula(tmp_path, capsys):
+    # the abstraction's space is resolved as it is built, and its
+    # formula, the cut formula, is quantified
+    f = tmp_path / "cut2.llp"
+    f.write_text(
+        "(cut 0 (lolli-r (ax (all x. x -o x))) (lolli-l 0 (all-r x (lolli-r (ax x)))"
+        " (all-l 0 (all x. x -o x) A (ax (A -o A)))))\n"
+    )
+    assert main(["check", str(f)]) == 0
+    capsys.readouterr()
+    assert main(["denote", str(f), "--assign", "A=2"]) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == "linlog: quantified formulas have no finite denotation\n"
+
+
 def test_denote_prints_an_exact_matrix(tmp_path, capsys):
     f = tmp_path / "comp2.llp"
     f.write_text(print_proof(plain_body(2, A)) + "\n")

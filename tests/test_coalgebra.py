@@ -471,3 +471,9 @@ def test_a_vector_of_the_wrong_length_counts_its_coordinates():
     for coords, count in (([1], "1 coordinate"), ([1, 2, 3], "3 coordinates")):
         with pytest.raises(ValueError, match=f"^{count} for a 2-dimensional space$"):
             vect(BaseSp("A", 2), coords)
+
+
+def test_a_vector_of_an_infinite_space_is_refused():
+    with pytest.raises(ValueError, match=r"^vectors need a finite space, got !A$") as err:
+        Vect(BangSp(BaseSp("A", 2)), ())
+    assert type(err.value) is ValueError

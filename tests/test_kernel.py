@@ -228,6 +228,12 @@ def test_proof_eq_up_to_binder_renaming():
     assert not proof_eq(mk_axiom(A), mk_axiom(B))
 
 
+def test_a_proof_is_never_equal_to_a_non_proof():
+    p = church(1, A)
+    assert p.__eq__(1) is NotImplemented
+    assert (p == 1) is False and p != 1
+
+
 def test_proof_eq_compares_rule_formulas_up_to_renaming():
     bx, by = Bang(Forall("x", X)), Bang(Forall("y", Var("y")))
     p, q = mk_weak(mk_axiom(A), 0, bx), mk_weak(mk_axiom(A), 0, by)

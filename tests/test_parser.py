@@ -96,6 +96,18 @@ def test_parse_formula_errors_carry_spans():
         parse_formula("A B")
 
 
+def test_all_is_refused_as_a_binder_name():
+    with pytest.raises(ParseError, match=r"^'all' cannot be a binder name") as err:
+        parse_formula("(all all. x)")
+    assert type(err.value) is ParseError
+
+
+def test_a_proof_node_must_open_with_a_rule_keyword():
+    with pytest.raises(ParseError, match=r"^expected a rule keyword, found '\('") as err:
+        parse_proof("((ax A))")
+    assert type(err.value) is ParseError
+
+
 def test_parse_proof_axiom():
     p = parse_proof("(ax A)")
     assert p == mk_axiom(A)

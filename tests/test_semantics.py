@@ -76,7 +76,6 @@ from linlog.semantics import (
     SemanticsError,
     Suspended,
     UnsupportedSpace,
-    ZeroMap,
     apply_hom,
     den_apply,
     den_formula,
@@ -526,8 +525,9 @@ def test_suspended_values_remember_their_assignment():
     one = den_apply(p, Scalar(Fraction(1)), {"A": 1})
     two = den_apply(p, Scalar(Fraction(1)), {"A": 2})
     assert isinstance(one, Suspended) and isinstance(two, Suspended)
-    assert one.node == two.node == p and one.env == two.env
-    assert one != two
+    ((f1, c1),), ((f2, c2),) = one.terms, two.terms
+    assert f1.node == f2.node == p and f1.env == f2.env and c1 == c2
+    assert f1 != f2 and one != two
     assert one == den_apply(p, Scalar(Fraction(1)), {"A": 1})
 
 
@@ -667,7 +667,8 @@ def test_a_copy_and_drop_is_the_identity_and_keeps_the_zero_ket():
 
 def test_weakening_a_one_argument_ket_into_a_hom_is_the_zero_map():
     # !A ⊢ int_A: the counit of a one-argument ket is 0, and int_A has no
-    # matrix, so that term is a ZeroMap; den_apply scales it and adds it
+    # matrix, so that term is the empty combination; den_apply scales it
+    # and adds it
     p = mk_weak(church(2, A), 0, Bang(A))
     V = BangSp(BaseSp("A", 2))
     space = den_formula(int_type(A), ASG)
@@ -677,10 +678,10 @@ def test_weakening_a_one_argument_ket_into_a_hom_is_the_zero_map():
         return den_apply(p, tensor_from_terms((V,), terms), ASG)
 
     only = on({(((1, 2), (0,)),): 3})
-    assert isinstance(only, ZeroMap) and only.space == space
+    assert only == Suspended(space, ())
     P = _mat_vect([[1, 0], [2, 1]])
     assert _as_rows(apply_hom(only, vacuum(P))) == [[0, 0], [0, 0]]
-    # the ZeroMap term first, then the vacuum's numeral; and the reverse
+    # the zero term first, then the vacuum's numeral; and the reverse
     first = on({(((0, 0), (0,)),): 2, (((1, 1), ()),): 1})
     last = on({(((1, 1), ()),): 1, (((1, 1), (1,)),): 3})
     for got in (first, last):
@@ -1160,5 +1161,30 @@ def test_a_multi_slot_context_takes_only_a_product_input():
 def test_a_value_with_no_literal_is_refused():
     two = den_apply(church(2, A), Scalar(Fraction(1)), ASG)
     pair = tensor_from_terms((UnitSp(),), {(0,): Fraction(1)})
-    for v in (two, ZeroMap(den_formula(int_type(A), ASG)), pair):
+    for v in (two, Suspended(den_formula(int_type(A), ASG), ()), pair):
         _refused(lambda: value_literal(v), SemanticsError, r"^no literal rendering for \w+$")
+
+
+def test_values_of_a_hom_into_a_bang_space_cannot_be_compared():
+    space = HomSp(BaseSp("A", 2), BangSp(BaseSp("A", 2)))
+    one = Scalar(Fraction(1))  # never looked at: the space is refused first
+    _refused(lambda: values_agree(one, one, space), UnsupportedSpace,
+             r"^cannot compare values over Hom\(A, !A\)$")
+
+
+def test_the_zero_map_of_a_space_with_no_matrix_has_no_coordinates():
+    # a one-argument ket's counit is zero, so the weakened numeral's value
+    # is the zero of int_A, which has no matrix to read coordinates from
+    p = mk_weak(church(2, A), 0, Bang(A))
+    V = BaseSp("A", 2)
+    h = den_apply(p, ket(Vect(V, (1, 2)), [Vect(V, (1, 0))]), ASG)
+    space = den_formula(int_type(A), ASG)
+    for read in (force, flatten):
+        _refused(lambda: read(h, space), UnsupportedSpace,
+                 r"^no coordinates over Hom\(!Hom\(A, A\), Hom\(A, A\)\)$")
+
+
+def test_the_empty_combination_of_a_finite_hom_space_is_its_zero():
+    zero = Suspended(E_SPACE, ())
+    assert force(zero, E_SPACE) == Vect(E_SPACE, (Fraction(0),) * 4)
+    assert apply_hom(zero, basis_vec(BaseSp("A", 2), 1)) == Vect(BaseSp("A", 2), (0, 0))

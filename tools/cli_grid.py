@@ -1,0 +1,127 @@
+"""The CLI's answers on a fixed grid of commands, for diffing two checkouts.
+
+    python3 tools/cli_grid.py > grid.json
+
+Run from the root of a checkout; linlog is imported from ``src/`` there
+and nowhere else.  The script writes a fixed set of proofs to a
+temporary directory and runs ``linlog.cli.main`` on each command of the
+grid, in this one process.  It prints one JSON document: a list of
+records of argv, exit code, stdout and stderr, with the temporary
+directory written ``<tmp>``.  Two checkouts answer alike when their
+documents are byte-identical.
+
+The grid: every ``linlog encode`` entry, the dereliction ``(der 0 (ax
+A))``, the numeral 2 under a weakening of ``!A``, and a cut on a
+quantified formula; ``check`` on each; ``denote``, ``nl`` and
+``tangent`` on each at A = 1 and 2, over `POINTS` and `DIRECTIONS`;
+``normalize --trace`` on the exponentiation cuts 2^1 … 2^5.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from linlog import cli  # noqa: E402
+from linlog.encodings import exp_cut, library  # noqa: E402
+from linlog.formula import Var  # noqa: E402
+from linlog.sexpr import print_proof  # noqa: E402
+
+#: Point literals: well-formed vectors and matrices of several shapes and
+#: dimensions, so that each proof meets a right one, a wrong shape and a
+#: wrong dimension, and malformed ones.
+POINTS = (
+    "[1]",
+    "[1,2]",
+    "[1/2,-3]",
+    "[[2]]",
+    "[[1,1],[0,1]]",
+    "[[1/2,0],[3,-1]]",
+    "[[1,2,3],[4,5,6]]",
+    "[[1,2],[3]]",
+    "[1,2,3,4]",
+    "7",
+    "[[1,1],[0,1]",
+    "x",
+)
+#: Tangent directions, taken at every point.
+DIRECTIONS = ("[1]", "[1,0]", "[[1]]", "[[0,0],[1,0]]", "[0,1")
+
+#: A cut whose cut formula is quantified: it checks, and has no denotation.
+SECOND_ORDER_CUT = (
+    "(cut 0 (lolli-r (ax (all x. x -o x))) (lolli-l 0 (all-r x (lolli-r (ax x)))"
+    " (all-l 0 (all x. x -o x) A (ax (A -o A)))))"
+)
+
+
+def proofs() -> dict[str, str]:
+    """The grid's proofs as text, by file name."""
+    lib = library()
+    out = {f"{name}.llp": print_proof(p) for name, p in lib.items()}
+    out["der-ax.llp"] = "(der 0 (ax A))"
+    out["weak-church-2.llp"] = f"(weak 0 !A {print_proof(lib['church-2'])})"
+    out["second-order-cut.llp"] = SECOND_ORDER_CUT
+    return out
+
+
+def commands(files: list[str]) -> list[list[str]]:
+    """The grid's argument lists, over proof files ``files``."""
+    grid = [["check", f] for f in files]
+    for f in files:
+        for dim in ("1", "2"):
+            asg = ["--assign", f"A={dim}"]
+            grid.append(["denote", f, *asg])
+            for point in POINTS:
+                grid.append(["nl", f, *asg, "--point", point])
+                for direction in DIRECTIONS:
+                    grid.append(["tangent", f, *asg, "--point", point, "--direction", direction])
+    return grid
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """``linlog argv`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # a usage error exits from argparse
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def save(name: str, text: str) -> str:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return path
+
+        files = [save(name, text) for name, text in proofs().items()]
+        cuts = [save(f"exp-cut-2-{n}.llp", print_proof(exp_cut(2, n, Var("A")))) for n in range(1, 6)]
+        grid = commands(files) + [["normalize", f, "--trace"] for f in cuts]
+        records = []
+        for argv in grid:
+            code, out, err = run(argv)
+            records.append(
+                {
+                    "argv": [a.replace(tmp, "<tmp>") for a in argv],
+                    "code": code,
+                    "stdout": out.replace(tmp, "<tmp>"),
+                    "stderr": err.replace(tmp, "<tmp>"),
+                }
+            )
+    json.dump(records, sys.stdout, indent=1, ensure_ascii=False)
+    print()
+
+
+if __name__ == "__main__":
+    main()
