@@ -34,7 +34,7 @@ from .sexpr import (
     parse_proof,
     parse_value_literal,
     print_proof,
-    step_json,
+    step_line,
 )
 
 
@@ -144,7 +144,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     res = normalize(p, max_steps=args.max_steps)
     if args.trace:
         for s in res.trace.steps:
-            print(json.dumps(step_json(s.rule_id, s.path, s.size_before, s.size_after)))
+            print(step_line(s.rule_id, s.path, s.size_before, s.size_after))
     if res.exhausted:
         return _domain_error(
             f"normalization ran out of budget after {args.max_steps} steps"

@@ -24,7 +24,7 @@ formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, eq
 from typing import Callable, Iterable, Iterator, TypeVar
 from weakref import WeakKeyDictionary, WeakValueDictionary
@@ -290,19 +290,19 @@ def _surface(a: Formula, top: bool) -> list:
     return infix if top else ["(", *infix, ")"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
-    """An ordered hypothesis list and a single conclusion formula."""
+    """An ordered hypothesis list and a single conclusion formula.  The
+    hash is computed on the first ``hash()`` and kept."""
 
     context: tuple[Formula, ...]
     conclusion: Formula
-
-    def __post_init__(self) -> None:
-        # hashed once: proof nodes hash their conclusion on construction
-        object.__setattr__(self, "_hash", hash((self.context, self.conclusion)))
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.context, self.conclusion)))
+        return self._hash
 
     def __str__(self) -> str:
         return format_sequent(self)

@@ -207,7 +207,7 @@ def rule_arity(tag: type) -> int:
 # Proof nodes
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Proof:
     """One rule application; ``conclusion`` is cached.
 
@@ -216,31 +216,51 @@ class Proof:
     :func:`_make`, :func:`_rebuilt`, :func:`validate` and the rewrite
     guard set it, each on a node it has derived or whose premises it
     knows to be derived; a new node starts unchecked.
+
+    Building a node costs a few slot stores: ``size`` and ``cut_count``
+    add up the (at most two) premises', and the hash waits for the
+    first ``hash()`` (``_hash`` is None until then), which nothing on
+    the rewrite path asks for.
     """
 
     rule: RuleTag
     premises: tuple[Proof, ...]
     conclusion: Sequent
-    size: int = field(init=False, compare=False)
-    cut_count: int = field(init=False, compare=False)
-    checked: bool = field(init=False, compare=False)
+    size: int = field(init=False)
+    cut_count: int = field(init=False)
+    checked: bool = field(init=False)
+    _hash: int | None = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "checked", False)
-        object.__setattr__(self, "size", 1 + sum(p.size for p in self.premises))
-        object.__setattr__(
-            self,
-            "cut_count",
-            (1 if isinstance(self.rule, Cut) else 0)
-            + sum(p.cut_count for p in self.premises),
-        )
-        # premise hashes are already cached, so this is O(1) amortized
-        object.__setattr__(
-            self, "_hash", hash((self.rule, self.premises, self.conclusion))
-        )
+    def __init__(self, rule: RuleTag, premises: tuple[Proof, ...], conclusion: Sequent) -> None:
+        _set_rule(self, rule)
+        _set_premises(self, premises)
+        _set_conclusion(self, conclusion)
+        size, cuts = 1, 1 if isinstance(rule, Cut) else 0
+        for p in premises:
+            size += p.size
+            cuts += p.cut_count
+        _set_size(self, size)
+        _set_cut_count(self, cuts)
+        _set_checked(self, False)
+        _set_hash(self, None)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        if self._hash is None:
+            # the premises first, from an explicit stack, so depth costs
+            # no recursion; each node of the tree is hashed once
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                todo = [q for q in node.premises if q._hash is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                _set_hash(
+                    node,
+                    hash((node.rule, tuple([q._hash for q in node.premises]), node.conclusion)),
+                )
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Proof):
@@ -252,7 +272,7 @@ class Proof:
             if p is q:
                 continue
             if (
-                p._hash != q._hash  # type: ignore[attr-defined]
+                hash(p) != hash(q)
                 or p.rule != q.rule
                 or p.conclusion != q.conclusion
                 or len(p.premises) != len(q.premises)
@@ -264,6 +284,17 @@ class Proof:
     def __repr__(self) -> str:
         kw = RULE_KEYWORDS[type(self.rule)]
         return f"<{kw} proof of {format_sequent(self.conclusion)}; {self.size} nodes>"
+
+
+# The slots' own setters: the class is frozen, and these skip the
+# attribute lookup that ``object.__setattr__`` makes on every store.
+_set_rule = Proof.rule.__set__
+_set_premises = Proof.premises.__set__
+_set_conclusion = Proof.conclusion.__set__
+_set_size = Proof.size.__set__
+_set_cut_count = Proof.cut_count.__set__
+_set_checked = Proof.checked.__set__
+_set_hash = Proof._hash.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +370,17 @@ def _rule_conclusion(
     rather than in the premises or the tag (the axiom's formula, the
     all-r binder).
     """
-    want = rule_arity(type(rule))
+    kind = type(rule)
+    want = rule_arity(kind)
     if len(premises) != want:
-        raise ProofError(
-            f"{RULE_KEYWORDS[type(rule)]} takes {want} premise(s), got {len(premises)}"
-        )
+        raise ProofError(f"{RULE_KEYWORDS[kind]} takes {want} premise(s), got {len(premises)}")
 
-    edit = _EDITS.get(type(rule))
+    edit = _EDITS.get(kind)
     if edit is not None:
         # the side conditions that read only the tag precede the range check
-        if isinstance(rule, Weakening) and not isinstance(rule.formula, Bang):
+        if kind is Weakening and not isinstance(rule.formula, Bang):
             raise ProofError(f"weakening of {format_formula(rule.formula)}: not banged")
-        if isinstance(rule, ForallL) and not isinstance(rule.quantified, Forall):
+        if kind is ForallL and not isinstance(rule.quantified, Forall):
             raise ProofError(
                 f"all-l principal formula {format_formula(rule.quantified)} is not quantified"
             )
@@ -420,14 +450,14 @@ def _make(rule: RuleTag, *premises: Proof, **hints: Formula | str) -> Proof:
     for p in premises:
         if not p.checked:
             return node
-    object.__setattr__(node, "checked", True)
+    _set_checked(node, True)
     return node
 
 
 def _certify(*nodes: Proof) -> None:
     """Mark ``nodes`` checked: the caller has shown each subtree valid."""
     for node in nodes:
-        object.__setattr__(node, "checked", True)
+        _set_checked(node, True)
 
 
 def mk_axiom(a: Formula) -> Proof:

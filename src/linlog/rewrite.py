@@ -376,7 +376,7 @@ def _seek(cur: Proof, parents: list[Proof], path: list[int]) -> Proof:
     while not cur.cut_count and parents:
         cur = _with_premise(parents.pop(), path.pop(), cur)
     while cur.cut_count and not (isinstance(cur.rule, Cut) and cur.cut_count == 1):
-        i = next(j for j, q in enumerate(cur.premises) if q.cut_count)
+        i = 0 if cur.premises[0].cut_count else 1  # at most two premises
         parents.append(cur)
         path.append(i)
         cur = cur.premises[i]

@@ -16,11 +16,21 @@ from hypothesis import strategies as st
 import _kernelref
 from linlog import cli, proof, rewrite
 from linlog.cli import main
-from linlog.encodings import add_cut, church, church2, comp, library, mult_cut, plain_body
+from linlog.encodings import (
+    add_cut,
+    church,
+    church2,
+    comp,
+    exp_cut,
+    hypexp_cut,
+    library,
+    mult_cut,
+    plain_body,
+)
 from linlog.formula import INT, Var, int_type
 from linlog.proof import mk_axiom, mk_cut, mk_forall_l, proof_eq, validate
-from linlog.rewrite import RewriteError, is_cut_free
-from linlog.sexpr import parse_proof, print_proof
+from linlog.rewrite import RewriteError, is_cut_free, normalize
+from linlog.sexpr import parse_proof, print_proof, step_json
 
 A = Var("A")
 
@@ -100,6 +110,42 @@ def test_normalize_trace_streams_step_objects(mult2x2_file, capsys):
     assert set(steps[0]) == {"rule", "path", "sizes"}
     # what remains is the proof itself
     assert is_cut_free(parse_proof("\n".join(lines)))
+
+
+#: The add/mult grid cuts the normalize benchmark runs, as (encoding, m, n).
+_TRACE_GRID = (
+    (add_cut, 1, 1), (add_cut, 2, 2), (add_cut, 3, 3), (add_cut, 2, 5),
+    (add_cut, 5, 2), (add_cut, 4, 3), (add_cut, 1, 6), (add_cut, 6, 1),
+    (mult_cut, 1, 1), (mult_cut, 2, 2), (mult_cut, 1, 4), (mult_cut, 4, 1),
+    (mult_cut, 2, 3), (mult_cut, 3, 2), (mult_cut, 3, 3), (mult_cut, 2, 5),
+)
+_TRACE_INPUTS = {
+    **{f"exp-2-{n}": print_proof(exp_cut(2, n, A)) for n in range(1, 6)},
+    **{f"hypexp-{n}": print_proof(hypexp_cut(n)) for n in range(4)},
+    **{f"{f.__name__}-{m}-{n}": print_proof(f(m, n, A)) for f, m, n in _TRACE_GRID},
+    "root-redex": "(cut 0 (ax A) (ax A))",
+}
+
+
+@pytest.mark.parametrize("text", list(_TRACE_INPUTS.values()), ids=list(_TRACE_INPUTS))
+def test_each_trace_line_is_the_json_of_its_step(text, tmp_path, capsys):
+    f = tmp_path / "cut.llp"
+    f.write_text(text + "\n")
+    res = normalize(parse_proof(text))
+    assert main(["normalize", str(f), "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    steps = res.trace.steps
+    assert lines[: len(steps)] == [
+        json.dumps(step_json(s.rule_id, s.path, s.size_before, s.size_after)) for s in steps
+    ]
+    assert "\n".join(lines[len(steps) :]) == print_proof(res.proof)
+
+
+def test_a_redex_at_the_root_traces_an_empty_path(tmp_path, capsys):
+    f = tmp_path / "cut.llp"
+    f.write_text(_TRACE_INPUTS["root-redex"])
+    assert main(["normalize", str(f), "--trace"]) == 0
+    assert capsys.readouterr().out == '{"rule": "ax-left", "path": [], "sizes": [3, 1]}\n(ax A)\n'
 
 
 def test_normalize_budget_exhaustion_is_a_domain_error(mult2x2_file, capsys):

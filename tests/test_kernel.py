@@ -1,12 +1,13 @@
 import copy
-from dataclasses import fields, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _kernelref
-from linlog import formula, proof
+from linlog import formula, proof, semantics
 from linlog.encodings import add_cut, church, hypexp_cut, library, mult_cut
 from linlog.formula import (
     INT,
@@ -344,6 +345,43 @@ def test_deep_walkers_take_no_recursion():
     assert q.conclusion == Sequent((), int_type(B))
     assert proof_eq(p, church(2000, A))
     assert not proof_eq(church(1500, A), church(1501, A))
+
+
+def _raw_copy(p):
+    """``p`` rebuilt node by node with ``Proof(...)``: equal, distinct,
+    unchecked and not yet hashed."""
+    return fold(p, lambda node, premises: Proof(node.rule, tuple(premises), node.conclusion))
+
+
+def test_hash_and_eq_of_a_deep_fresh_tree_take_no_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    p = church(2000, A)
+    raw = _raw_copy(p)
+    # neither tree has been hashed: the first hash() walks all 4,000 levels
+    assert p._hash is None and raw._hash is None and not raw.checked
+    assert hash(raw) == hash(p)
+    assert raw == p and p == raw and raw is not p
+    assert raw != church(1999, A)
+    other = _raw_copy(church(2000, B))
+    assert hash(other) != hash(p) and other != p
+
+
+def test_the_plan_cache_finds_an_equal_but_distinct_proof():
+    p = church(3, A)
+    asg = semantics._asg_key({"A": 2})
+    plan = semantics._plan(p, asg)
+    raw = _raw_copy(p)
+    assert raw is not p and raw._hash is None
+    assert semantics._plan(raw, asg) is plan
+
+
+def test_a_foreign_tag_is_an_unknown_rule():
+    @dataclass(frozen=True)
+    class Foreign:
+        at: int
+
+    with pytest.raises(ProofError, match=r"^unknown rule .*Foreign\(at=0\)$"):
+        _rule_conclusion(Foreign(0), (Sequent((A,), A),))
 
 
 def test_fold_visits_a_shared_subtree_once():

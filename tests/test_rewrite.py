@@ -306,6 +306,31 @@ def test_replay_rejects_a_step_off_the_strategy(edit):
         replay(p, Trace(tuple(steps), res.trace.terminal))
 
 
+def test_replay_rejects_a_foreign_terminal():
+    p = mult_cut(2, 2, A)
+    res = normalize(p)
+    with pytest.raises(RewriteError, match="^replay did not reproduce the terminal proof$"):
+        replay(p, Trace(res.trace.steps, church(5, A)))
+    # a trace with one step more than normalization takes
+    with pytest.raises(RewriteError, match="^replay did not reproduce the terminal proof$"):
+        replay(p, Trace(res.trace.steps + res.trace.steps[-1:], res.proof))
+
+
+def test_reduce_cut_refuses_a_node_that_is_not_a_cut():
+    with pytest.raises(RewriteError, match="^reduce_cut called on a non-cut node$"):
+        reduce_cut(church(2, A))
+
+
+def test_a_step_that_changes_the_conclusion_is_refused(monkeypatch):
+    def wrong(node):
+        # a valid proof, of B ⊢ B, where the cut concluded something else
+        return "wrong", mk_axiom(B)
+
+    monkeypatch.setattr(rewrite, "reduce_cut", wrong)
+    with pytest.raises(RewriteError, match=r"^wrong changed the conclusion at \(\)$"):
+        normalize(mult_cut(2, 2, A))
+
+
 def test_exchange_normalize_cancels_double_swaps():
     c = comp(A)
     assert exchange_normalize(mk_exchange(mk_exchange(c, 0), 0)) == c

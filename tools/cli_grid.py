@@ -14,7 +14,9 @@ The grid: every ``linlog encode`` entry, the dereliction ``(der 0 (ax
 A))``, the numeral 2 under a weakening of ``!A``, and a cut on a
 quantified formula; ``check`` on each; ``denote``, ``nl`` and
 ``tangent`` on each at A = 1 and 2, over `POINTS` and `DIRECTIONS`;
-``normalize --trace`` on the exponentiation cuts 2^1 … 2^5.
+``normalize --trace`` on the exponentiation cuts 2^1 … 2^5, the tower
+cuts ``hypexp_cut(0..3)``, the sixteen add/mult cuts of `GRID_CUTS`
+and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from linlog import cli  # noqa: E402
-from linlog.encodings import exp_cut, library  # noqa: E402
+from linlog.encodings import add_cut, church, exp_cut, hypexp_cut, library, mult_cut  # noqa: E402
 from linlog.formula import Var  # noqa: E402
 from linlog.sexpr import print_proof  # noqa: E402
 
@@ -59,6 +61,18 @@ SECOND_ORDER_CUT = (
     "(cut 0 (lolli-r (ax (all x. x -o x))) (lolli-l 0 (all-r x (lolli-r (ax x)))"
     " (all-l 0 (all x. x -o x) A (ax (A -o A)))))"
 )
+
+
+#: The add/mult cuts the normalize benchmark runs, as (encoding, m, n).
+GRID_CUTS = (
+    (add_cut, 1, 1), (add_cut, 2, 2), (add_cut, 3, 3), (add_cut, 2, 5),
+    (add_cut, 5, 2), (add_cut, 4, 3), (add_cut, 1, 6), (add_cut, 6, 1),
+    (mult_cut, 1, 1), (mult_cut, 2, 2), (mult_cut, 1, 4), (mult_cut, 4, 1),
+    (mult_cut, 2, 3), (mult_cut, 3, 2), (mult_cut, 3, 3), (mult_cut, 2, 5),
+)
+
+#: A cut whose one step, ax-left, is at the root: the trace's empty path.
+ROOT_REDEX = "(cut 0 (ax A) (ax A))"
 
 
 def proofs() -> dict[str, str]:
@@ -106,8 +120,15 @@ def main() -> None:
             return path
 
         files = [save(name, text) for name, text in proofs().items()]
-        cuts = [save(f"exp-cut-2-{n}.llp", print_proof(exp_cut(2, n, Var("A")))) for n in range(1, 6)]
-        grid = commands(files) + [["normalize", f, "--trace"] for f in cuts]
+        a = Var("A")
+        cuts = [save(f"exp-cut-2-{n}.llp", print_proof(exp_cut(2, n, a))) for n in range(1, 6)]
+        cuts += [save(f"hypexp-cut-{n}.llp", print_proof(hypexp_cut(n))) for n in range(4)]
+        cuts += [
+            save(f"{f.__name__}-{m}-{n}.llp", print_proof(f(m, n, a))) for f, m, n in GRID_CUTS
+        ]
+        cuts.append(save("root-redex.llp", ROOT_REDEX))
+        deep = save("church-421.llp", print_proof(church(421, a)))
+        grid = commands(files) + [["normalize", f, "--trace"] for f in cuts] + [["check", deep]]
         records = []
         for argv in grid:
             code, out, err = run(argv)
