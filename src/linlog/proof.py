@@ -282,7 +282,7 @@ class Proof:
         return True
 
     def __repr__(self) -> str:
-        kw = RULE_KEYWORDS[type(self.rule)]
+        kw = RULE_KEYWORDS.get(type(self.rule)) or repr(self.rule)
         return f"<{kw} proof of {format_sequent(self.conclusion)}; {self.size} nodes>"
 
 
@@ -371,9 +371,12 @@ def _rule_conclusion(
     all-r binder).
     """
     kind = type(rule)
+    keyword = RULE_KEYWORDS.get(kind)
+    if keyword is None:
+        raise ProofError(f"unknown rule {rule!r}")
     want = rule_arity(kind)
     if len(premises) != want:
-        raise ProofError(f"{RULE_KEYWORDS[kind]} takes {want} premise(s), got {len(premises)}")
+        raise ProofError(f"{keyword} takes {want} premise(s), got {len(premises)}")
 
     edit = _EDITS.get(kind)
     if edit is not None:
@@ -421,19 +424,17 @@ def _rule_conclusion(
                 )
         return Sequent(s.context, Bang(s.conclusion))
 
-    if isinstance(rule, ForallR):
-        (s,) = premises
-        if binder is None:
-            raise ProofError("all-r needs its binder")
-        for i, f in enumerate(s.context):
-            if binder in free_vars(f):
-                raise ProofError(
-                    f"all-r binder {binder} occurs free in hypothesis {i} "
-                    f"({format_formula(f)})"
-                )
-        return Sequent(s.context, Forall(binder, s.conclusion))
-
-    raise ProofError(f"unknown rule {rule!r}")
+    # all-r, the one rule left
+    (s,) = premises
+    if binder is None:
+        raise ProofError("all-r needs its binder")
+    for i, f in enumerate(s.context):
+        if binder in free_vars(f):
+            raise ProofError(
+                f"all-r binder {binder} occurs free in hypothesis {i} "
+                f"({format_formula(f)})"
+            )
+    return Sequent(s.context, Forall(binder, s.conclusion))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,17 @@ branches over coordinates, and `den_apply` over the pure terms of a
 `TensorElem`.  A zero slot value makes the result zero, so those
 branches are pruned.
 
+Arithmetic over R.  A product of two jets (a matrix on a vector in ⊸L,
+a tensor pairing, a scalar multiple) is a subset convolution over the
+monomials' bitmasks: only pairs of terms whose monomials share no
+variable meet, since tᵢ² = 0.  Products and sums are added in place
+into one list of running coordinates per monomial, and a monomial whose
+sum comes to zero is dropped.  Zero coordinates and zero matrix entries
+are skipped, which the probe kets make common: a dereliction yields
+P + Σ tᵢνᵢ with sparse νᵢ, and a materialization starts from basis
+vectors.  Where a matrix term has no zero entry and a vector term is
+long and dense, the product goes row by row instead (`_ROWS_FROM`).
+
 Inside plans a value's representation is fixed by its static space:
 
   jet          element of a finite space over R (the unit, a base or
@@ -80,6 +91,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 from weakref import WeakKeyDictionary
@@ -287,13 +299,29 @@ def BangVal(x: BangElem) -> BangElem:
 # Arithmetic over R
 
 
+#: Sums of jets are formed in place, in a dict from each monomial to the
+#: list of its running coordinates; `_jet` reads one back, dropping the
+#: monomials whose sum came to zero.
+Sums = dict[int, list]
+
+
+def _jet(acc: Sums) -> Jet:
+    """The jet of some running sums, without the all-zero ones."""
+    return tuple([(k, tuple(z)) for k, z in acc.items() if any(z)])
+
+
 def _collect(pairs: Iterable[tuple[int, tuple[Rational, ...]]]) -> Jet:
     """The jet of a sum of (monomial, coordinates) pairs."""
-    acc: dict[int, tuple] = {}
-    for k, z in pairs:
-        prev = acc.get(k)
-        acc[k] = z if prev is None else tuple(map(add, prev, z))
-    return tuple([(k, z) for k, z in acc.items() if any(z)])
+    acc: Sums = {}
+    for k, y in pairs:
+        z = acc.get(k)
+        if z is None:
+            acc[k] = list(y)
+            continue
+        for i, yi in enumerate(y):
+            if yi:
+                z[i] += yi
+    return _jet(acc)
 
 
 def _total(jets: Iterable[Jet]) -> Jet:
@@ -302,25 +330,80 @@ def _total(jets: Iterable[Jet]) -> Jet:
     return jets[0] if len(jets) == 1 else _collect(pair for jet in jets for pair in jet)
 
 
-def _bilinear(f: Callable, a: Jet, b: Jet) -> Jet:
-    """The bilinear map ``f`` on coordinates, extended to jets: products
-    of monomials that share a variable vanish, since tᵢ² = 0."""
-    return _collect((ma | mb, f(x, y)) for ma, x in a for mb, y in b if not ma & mb)
-
-
-def _matvec(m: tuple[Rational, ...], x: tuple[Rational, ...]) -> tuple[Rational, ...]:
-    """m·x for a hom value m (flat, rows first) and coordinates x."""
-    dd = len(x)
-    return tuple([sum(map(mul, m[i : i + dd], x)) for i in range(0, len(m), dd)])
-
-
-def _outer(x: tuple[Rational, ...], y: tuple[Rational, ...]) -> tuple[Rational, ...]:
-    return tuple([a * b for a in x for b in y])
+def _tensor(a: Jet, b: Jet) -> Jet:
+    """a ⊗ b for jets, the coordinates of a slowest: products of terms
+    whose monomials share a variable vanish, since tᵢ² = 0, and zero
+    coordinates are skipped."""
+    acc: Sums = {}
+    for ma, x in a:
+        for mb, y in b:
+            if ma & mb:
+                continue
+            k, n = ma | mb, len(y)
+            z = acc.get(k)
+            if z is None:
+                z = acc[k] = [0] * (len(x) * n)
+            for at, xi in enumerate(x):
+                if xi:
+                    for i, yi in enumerate(y, at * n):
+                        if yi:
+                            z[i] += xi * yi
+    return _jet(acc)
 
 
 def _times(c: Jet, v: Jet) -> Jet:
-    """The product of a scalar jet and a jet."""
-    return v if c == _ONE else _bilinear(lambda a, y: tuple([a[0] * b for b in y]), c, v)
+    """The product of a scalar jet and a jet: c ⊗ v, the unit space's
+    one coordinate being the slowest."""
+    return v if c == _ONE else _tensor(c, v)
+
+
+#: A vector term with at least this many nonzero coordinates meets a
+#: matrix term with no zero entry row by row: from about this length
+#: `sum` adds a row's products faster than a column loop visits them.
+_ROWS_FROM = 8
+
+
+def _matrix_times(m: Jet, x: Jet) -> Jet:
+    """m·x for a jet m of a hom space (flat, rows first) and a jet x of
+    its domain.  Only terms whose monomials share no variable meet, and
+    their products are summed in place.  A product goes column by
+    column, over the nonzero coordinates of x and the nonzero entries of
+    m, unless both terms are long and dense (see `_ROWS_FROM`): then row
+    by row, over rows sliced once per matrix term."""
+    if not x:
+        return ()
+    d = len(x[0][1])
+    acc: Sums = {}
+    for ma, a in m:
+        n = len(a) // d
+        dense = d >= _ROWS_FROM and not a.count(0)
+        rows = None
+        for mb, y in x:
+            if ma & mb:
+                continue
+            k = ma | mb
+            z = acc.get(k)
+            if dense and d - y.count(0) >= _ROWS_FROM:
+                if rows is None:
+                    rows = [a[i : i + d] for i in range(0, len(a), d)]
+                # a row's products are summed before they meet the running
+                # sum, which keeps Fraction additions small
+                img = map(sum, map(map, repeat(mul), rows, repeat(y)))
+                if z is None:
+                    acc[k] = list(img)
+                else:
+                    z[:] = map(add, z, img)
+                continue
+            if z is None:
+                z = acc[k] = [0] * n
+            for j, yj in enumerate(y):
+                if yj:
+                    i = 0
+                    for aij in a[j::d]:
+                        if aij:
+                            z[i] += aij * yj
+                        i += 1
+    return _jet(acc)
 
 
 def _coords(v: Jet, top: int, d: int) -> tuple[Rational, ...]:
@@ -346,7 +429,7 @@ def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
     materialize an abstraction passed as the argument of a matrix."""
     if type(psi) is Suspended:
         return _call(psi, a)
-    return _bilinear(_matvec, psi, a if type(a) is tuple else _flat(a, dom_of()))
+    return _matrix_times(psi, a if type(a) is tuple else _flat(a, dom_of()))
 
 
 def _materialize(v: Suspended) -> Jet:
@@ -525,7 +608,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
         def pair(env):
             xa = _flat(left(env[:n]), space().left)
             xb = _flat(right(env[n:]), space().right)
-            return _bilinear(_outer, xa, xb)
+            return _tensor(xa, xb)
 
         return pair
     if kind is TensorL:

@@ -12,6 +12,11 @@ plans a finite value is a flat tuple of exact rationals.
 `den_apply`, `apply_hom` and `force` mirror the public functions of the
 same name; the tests check that the jet evaluator gives what they give.
 Their Suspended and ZeroMap values are this module's own.
+
+`_bilinear` and `_collect` are the jet arithmetic the evaluator used
+before it summed its products in place: ``_bilinear(_matvec, m, x)`` is
+the reference for a matrix jet on a vector jet, and `_collect` for a
+sum of (monomial, coordinates) pairs.
 """
 
 from __future__ import annotations
@@ -92,8 +97,24 @@ def _zero(space):
 
 
 def _matvec(m, x):
+    """m·x for a hom value m (flat, rows first) and coordinates x."""
     dd = len(x)
     return tuple([sum(map(mul, m[i : i + dd], x)) for i in range(0, len(m), dd)])
+
+
+def _collect(pairs):
+    """The jet of a sum of (monomial, coordinates) pairs."""
+    acc = {}
+    for k, z in pairs:
+        prev = acc.get(k)
+        acc[k] = z if prev is None else tuple(map(add, prev, z))
+    return tuple([(k, z) for k, z in acc.items() if any(z)])
+
+
+def _bilinear(f, a, b):
+    """The bilinear map ``f`` on coordinates, extended to jets: products
+    of monomials that share a variable vanish, since tᵢ² = 0."""
+    return _collect((ma | mb, f(x, y)) for ma, x in a for mb, y in b if not ma & mb)
 
 
 def _apply(psi, a, dom_of):

@@ -384,6 +384,30 @@ def test_a_foreign_tag_is_an_unknown_rule():
         _rule_conclusion(Foreign(0), (Sequent((A,), A),))
 
 
+@dataclass(frozen=True)
+class Foreign:
+    """A rule tag of a class the kernel does not know."""
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_a_foreign_node_of_any_arity_is_a_violation_and_has_a_repr(arity):
+    node = Proof(Foreign(), (mk_axiom(A),) * arity, Sequent((A,), A))
+    assert validate(node) == [((), "unknown rule Foreign()")]
+    assert repr(node) == f"<Foreign() proof of A ⊢ A; {1 + arity} nodes>"
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_a_foreign_leaf_under_a_node_of_any_arity_is_a_violation(arity):
+    leaf = Proof(Foreign(), (), Sequent((A,), A))
+    node = {
+        0: leaf,
+        1: Proof(LolliR(), (leaf,), Sequent((), Lolli(A, A))),
+        2: Proof(TensorR(), (mk_axiom(A), leaf), Sequent((A, A), Tensor(A, A))),
+    }[arity]
+    assert validate(node) == [((arity - 1,) if arity else (), "unknown rule Foreign()")]
+    assert "proof of" in repr(node) and "proof of" in repr(leaf)
+
+
 def test_fold_visits_a_shared_subtree_once():
     shared = mk_axiom(A)
     p = mk_tensor_r(shared, shared)

@@ -76,6 +76,11 @@ from linlog.semantics import (
     SemanticsError,
     Suspended,
     UnsupportedSpace,
+    _collect,
+    _matrix_times,
+    _tensor,
+    _times,
+    _total,
     apply_hom,
     den_apply,
     den_formula,
@@ -1188,3 +1193,64 @@ def test_the_empty_combination_of_a_finite_hom_space_is_its_zero():
     zero = Suspended(E_SPACE, ())
     assert force(zero, E_SPACE) == Vect(E_SPACE, (Fraction(0),) * 4)
     assert apply_hom(zero, basis_vec(BaseSp("A", 2), 1)) == Vect(BaseSp("A", 2), (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# The in-place jet kernels against the arithmetic they replaced, kept in
+# `tests/_semref.py`.  Monomials range over four variables, so that
+# terms overlap and products land on shared monomials; entries are
+# small, of both signs, sometimes Fractions and often zero, so that sums
+# cancel; a term drawn dense has no zero, so that long vectors take the
+# row path.
+
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+_NONZERO = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _jets(draw, width):
+    """A jet of ``width`` coordinates, maybe empty: distinct monomials
+    over t₁…t₄, no pair all zero."""
+    out = []
+    for k in draw(st.lists(st.integers(0, 15), max_size=4, unique=True)):
+        entries = draw(st.sampled_from([_ENTRIES, _NONZERO]))
+        y = tuple(draw(st.lists(entries, min_size=width, max_size=width)))
+        if any(y):
+            out.append((k, y))
+    return tuple(out)
+
+
+def _outer(x, y):
+    return tuple([a * b for a in x for b in y])
+
+
+def _negated(jet):
+    return tuple((k, tuple([-c for c in y])) for k, y in jet)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_the_jet_kernels_match_the_reference_arithmetic(data):
+    # long vectors half the time, so that dense terms meet row by row
+    d = data.draw(st.one_of(st.integers(1, 8), st.just(8)))
+    n = data.draw(st.integers(1, 8))
+    m, x, y = data.draw(_jets(n * d)), data.draw(_jets(d)), data.draw(_jets(d))
+    c = data.draw(_jets(1))
+    # a jet plus the negation of its first term: that monomial cancels
+    pairs = x + y + _negated(x[:1])
+    cases = [
+        (_matrix_times(m, x), _semref._bilinear(_semref._matvec, m, x)),
+        (_tensor(x, m), _semref._bilinear(_outer, x, m)),
+        (_times(c, x), _semref._bilinear(_outer, c, x)),
+        (_collect(pairs), _semref._collect(pairs)),
+        (_total([x, y, _negated(y)]), _semref._collect(x + y + _negated(y))),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert all(any(z) for _k, z in got)  # no pair all zero
+
+
+def test_a_matrix_jet_product_that_cancels_drops_its_monomial():
+    # t₁ meets from (1)·(t₁·1) and from (t₁·1)·(−1), and the two cancel
+    m, x = ((0, (1,)), (1, (1,))), ((1, (1,)), (0, (-1,)))
+    assert _matrix_times(m, x) == ((0, (-1,)),) == _semref._bilinear(_semref._matvec, m, x)

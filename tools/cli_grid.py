@@ -14,6 +14,10 @@ The grid: every ``linlog encode`` entry, the dereliction ``(der 0 (ax
 A))``, the numeral 2 under a weakening of ``!A``, and a cut on a
 quantified formula; ``check`` on each; ``denote``, ``nl`` and
 ``tangent`` on each at A = 1 and 2, over `POINTS` and `DIRECTIONS`;
+``denote`` on each at A = 3; ``nl`` and ``tangent`` on the numerals 2, 3
+and 4 at A = 3, 4 and 8, over `dense_matrix` points and directions, so
+that matrices larger than 2×2 and with no zero entry meet vectors with
+none (at A = 8, long enough to be multiplied row by row);
 ``normalize --trace`` on the exponentiation cuts 2^1 … 2^5, the tower
 cuts ``hypexp_cut(0..3)``, the sixteen add/mult cuts of `GRID_CUTS`
 and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep.
@@ -56,6 +60,23 @@ POINTS = (
 #: Tangent directions, taken at every point.
 DIRECTIONS = ("[1]", "[1,0]", "[[1]]", "[[0,0],[1,0]]", "[0,1")
 
+#: The dimensions at which the numerals meet dense points and directions.
+DENSE_DIMS = (3, 4, 8)
+
+
+def dense_matrix(n: int, shift: int) -> str:
+    """An n by n matrix literal with no zero entry: integers from -3 to
+    3, and a fraction where the pattern puts a zero."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            v = (i * n + j + shift) % 7 - 3
+            row.append(str(v) if v else f"-1/{i + 2}")
+        rows.append("[" + ",".join(row) + "]")
+    return "[" + ",".join(rows) + "]"
+
+
 #: A cut whose cut formula is quantified: it checks, and has no denotation.
 SECOND_ORDER_CUT = (
     "(cut 0 (lolli-r (ax (all x. x -o x))) (lolli-l 0 (all-r x (lolli-r (ax x)))"
@@ -95,6 +116,15 @@ def commands(files: list[str]) -> list[list[str]]:
             for point in POINTS:
                 grid.append(["nl", f, *asg, "--point", point])
                 for direction in DIRECTIONS:
+                    grid.append(["tangent", f, *asg, "--point", point, "--direction", direction])
+    grid += [["denote", f, "--assign", "A=3"] for f in files]
+    numerals = ("church-2.llp", "church-3.llp", "church-4.llp")
+    for f in [f for f in files if os.path.basename(f) in numerals]:
+        for dim in DENSE_DIMS:
+            asg = ["--assign", f"A={dim}"]
+            for point in (dense_matrix(dim, 0), dense_matrix(dim, 3)):
+                grid.append(["nl", f, *asg, "--point", point])
+                for direction in (dense_matrix(dim, 1), dense_matrix(dim, 5)):
                     grid.append(["tangent", f, *asg, "--point", point, "--direction", direction])
     return grid
 
