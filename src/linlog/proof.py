@@ -424,17 +424,20 @@ def _rule_conclusion(
                 )
         return Sequent(s.context, Bang(s.conclusion))
 
-    # all-r, the one rule left
-    (s,) = premises
-    if binder is None:
-        raise ProofError("all-r needs its binder")
-    for i, f in enumerate(s.context):
-        if binder in free_vars(f):
-            raise ProofError(
-                f"all-r binder {binder} occurs free in hypothesis {i} "
-                f"({format_formula(f)})"
-            )
-    return Sequent(s.context, Forall(binder, s.conclusion))
+    if kind is ForallR:
+        (s,) = premises
+        if binder is None:
+            raise ProofError("all-r needs its binder")
+        for i, f in enumerate(s.context):
+            if binder in free_vars(f):
+                raise ProofError(
+                    f"all-r binder {binder} occurs free in hypothesis {i} "
+                    f"({format_formula(f)})"
+                )
+        return Sequent(s.context, Forall(binder, s.conclusion))
+
+    # a tag with a keyword but no schema above
+    raise ProofError(f"unknown rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------

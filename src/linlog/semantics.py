@@ -35,8 +35,7 @@ into one list of running coordinates per monomial, and a monomial whose
 sum comes to zero is dropped.  Zero coordinates and zero matrix entries
 are skipped, which the probe kets make common: a dereliction yields
 P + Σ tᵢνᵢ with sparse νᵢ, and a materialization starts from basis
-vectors.  Where a matrix term has no zero entry and a vector term is
-long and dense, the product goes row by row instead (`_ROWS_FROM`).
+vectors.
 
 Inside plans a value's representation is fixed by its static space:
 
@@ -91,8 +90,6 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 from weakref import WeakKeyDictionary
 
@@ -357,43 +354,22 @@ def _times(c: Jet, v: Jet) -> Jet:
     return v if c == _ONE else _tensor(c, v)
 
 
-#: A vector term with at least this many nonzero coordinates meets a
-#: matrix term with no zero entry row by row: from about this length
-#: `sum` adds a row's products faster than a column loop visits them.
-_ROWS_FROM = 8
-
-
 def _matrix_times(m: Jet, x: Jet) -> Jet:
     """m·x for a jet m of a hom space (flat, rows first) and a jet x of
     its domain.  Only terms whose monomials share no variable meet, and
-    their products are summed in place.  A product goes column by
-    column, over the nonzero coordinates of x and the nonzero entries of
-    m, unless both terms are long and dense (see `_ROWS_FROM`): then row
-    by row, over rows sliced once per matrix term."""
+    their products are summed in place, column by column: over the
+    nonzero coordinates of x and the nonzero entries of m."""
     if not x:
         return ()
     d = len(x[0][1])
     acc: Sums = {}
     for ma, a in m:
         n = len(a) // d
-        dense = d >= _ROWS_FROM and not a.count(0)
-        rows = None
         for mb, y in x:
             if ma & mb:
                 continue
             k = ma | mb
             z = acc.get(k)
-            if dense and d - y.count(0) >= _ROWS_FROM:
-                if rows is None:
-                    rows = [a[i : i + d] for i in range(0, len(a), d)]
-                # a row's products are summed before they meet the running
-                # sum, which keeps Fraction additions small
-                img = map(sum, map(map, repeat(mul), rows, repeat(y)))
-                if z is None:
-                    acc[k] = list(img)
-                else:
-                    z[:] = map(add, z, img)
-                continue
             if z is None:
                 z = acc[k] = [0] * n
             for j, yj in enumerate(y):

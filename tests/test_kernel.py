@@ -408,6 +408,14 @@ def test_a_foreign_leaf_under_a_node_of_any_arity_is_a_violation(arity):
     assert "proof of" in repr(node) and "proof of" in repr(leaf)
 
 
+def test_a_tag_with_a_keyword_but_no_schema_is_an_unknown_rule(monkeypatch):
+    # a rule class registered without a branch in the kernel is refused,
+    # not given the conclusion of the last rule the kernel knows
+    monkeypatch.setitem(RULE_KEYWORDS, Foreign, "foreign")
+    with pytest.raises(ProofError, match=r"^unknown rule Foreign\(\)$"):
+        _rule_conclusion(Foreign(), (Sequent((A,), A),), binder="a")
+
+
 def test_fold_visits_a_shared_subtree_once():
     shared = mk_axiom(A)
     p = mk_tensor_r(shared, shared)

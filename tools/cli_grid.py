@@ -17,7 +17,7 @@ quantified formula; ``check`` on each; ``denote``, ``nl`` and
 ``denote`` on each at A = 3; ``nl`` and ``tangent`` on the numerals 2, 3
 and 4 at A = 3, 4 and 8, over `dense_matrix` points and directions, so
 that matrices larger than 2×2 and with no zero entry meet vectors with
-none (at A = 8, long enough to be multiplied row by row);
+none;
 ``normalize --trace`` on the exponentiation cuts 2^1 … 2^5, the tower
 cuts ``hypexp_cut(0..3)``, the sixteen add/mult cuts of `GRID_CUTS`
 and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep.
