@@ -284,18 +284,8 @@ def bang_scale(c: Rational, a: BangElem) -> BangElem:
 # Tensor elements (elements of products of spaces, e.g. !V ⊗ !V)
 
 #: A factor descriptor: a basis index for a finite factor, or a BangKey
-#: for a ! factor.
+#: for a ! factor; one kind per position, so terms sort as plain tuples.
 Descriptor = int | BangKey
-
-
-def _desc_sort_key(d: Descriptor):
-    if isinstance(d, int):
-        return (0, (), (), d)
-    return (1, d[0], d[1], 0)
-
-
-def _term_sort_key(key: tuple[Descriptor, ...]):
-    return tuple(_desc_sort_key(d) for d in key)
 
 
 @dataclass(frozen=True)
@@ -308,8 +298,7 @@ def tensor_from_terms(
     factors: tuple[Space, ...], acc: dict[tuple[Descriptor, ...], Rational]
 ) -> TensorElem:
     cleaned = {k: c for k, c in acc.items() if c != 0}
-    ordered = sorted(cleaned.items(), key=lambda kv: _term_sort_key(kv[0]))
-    return TensorElem(factors, tuple(ordered))
+    return TensorElem(factors, tuple(sorted(cleaned.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +325,6 @@ def dereliction(x: BangElem) -> Vect:
     return out
 
 
-@lru_cache(maxsize=8192)
 def coproduct(x: BangElem) -> TensorElem:
     """Δ|ν₁…ν_s⟩_P = Σ over index subsets I of |ν_I⟩_P ⊗ |ν_{I^c}⟩_P."""
     V = x.space
@@ -374,11 +362,7 @@ def set_partitions(s: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def lift(
-    phi: Callable[[BangElem], Vect],
-    x: BangElem,
-    out_space: Space | None = None,
-) -> BangElem:
+def lift(phi: Callable[[BangElem], Vect], x: BangElem, out_space: Space) -> BangElem:
     """The coalgebra morphism over the linear map φ : !W → V.
 
     Per ket term, sums over all set partitions of the argument multiset:
@@ -387,11 +371,10 @@ def lift(
     φ is called only on pure kets (one term, coefficient 1), once per
     distinct (base point, sub-multiset of the arguments) within one
     call: a ket with s distinct arguments has 2^s − 1 distinct blocks
-    across its B(s) partitions, plus its vacuum.
-    ``out_space`` is only needed to type the result when x is zero.
+    across its B(s) partitions, plus its vacuum.  The result is over
+    ``out_space``, V.
     """
     acc: dict[BangKey, Rational] = {}
-    space = out_space
     # per base point: the φ-image of each sub-multiset met so far
     images: dict[tuple[Rational, ...], dict[tuple[int, ...], Vect]] = {}
     for (base, args), c in x.terms:
@@ -399,7 +382,6 @@ def lift(
         if at_base is None:
             at_base = images[base] = {(): phi(_pure_ket(x.space, base, ()))}
         Q = at_base[()]
-        space = Q.space
         for blocks in set_partitions(len(args)):
             block_images = []
             for block in blocks:
@@ -409,9 +391,7 @@ def lift(
                 block_images.append(at_base[sub])
             for key, c2 in ket(Q, block_images).terms:
                 acc[key] = acc.get(key, 0) + c * c2
-    if space is None:
-        raise ValueError("lifting the zero element needs an explicit target space")
-    return bang_from_terms(space, acc)
+    return bang_from_terms(out_space, acc)
 
 
 def _monomial_partitions(rest: int, monomials: Iterable[int]) -> Iterator[tuple[int, ...]]:

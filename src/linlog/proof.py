@@ -20,9 +20,10 @@ formulas the premise does not determine (the weakened formula; the
 quantified formula and the witness).  Only the axiom's formula and the
 all-r binder are read from the cached conclusion.  :func:`_make` builds
 any node from its tag and premises through the one schema function.
-``formula.fold`` is the one bottom-up walk over a proof, as over a
-formula; the walkers that map or summarize a tree (here, in ``rewrite``,
-``sexpr`` and ``semantics``) are node functions over it.
+``formula.fold`` (bottom-up, as over a formula) and :func:`preorder`
+(top-down) are the two walks over a proof: the walkers that map or
+summarize a tree (here, in ``rewrite``, ``sexpr`` and ``semantics``) are
+node functions over ``fold``, and ``rewrite.find_redex`` reads ``preorder``.
 
 Hypothesis positions are explicit.  Every rule that touches the context
 carries the index ``at`` of the formula it touches, counting from zero
@@ -203,6 +204,14 @@ def rule_arity(tag: type) -> int:
     return _ARITY.get(tag, 1)
 
 
+def rule_keyword(rule: RuleTag) -> str:
+    """The keyword of ``rule``'s class; ProofError for a class with none."""
+    keyword = RULE_KEYWORDS.get(type(rule))
+    if keyword is None:
+        raise ProofError(f"unknown rule {rule!r}")
+    return keyword
+
+
 # ---------------------------------------------------------------------------
 # Proof nodes
 
@@ -213,9 +222,9 @@ class Proof:
 
     ``checked`` is the certificate: every node of this subtree fits its
     schema (so every node below a checked one is checked too).  Only
-    :func:`_make`, :func:`_rebuilt`, :func:`validate` and the rewrite
-    guard set it, each on a node it has derived or whose premises it
-    knows to be derived; a new node starts unchecked.
+    :func:`_make`, :func:`_with_premise`, :func:`validate` and the
+    rewrite guard set it, each on a node it has derived or whose
+    premises it knows to be derived; a new node starts unchecked.
 
     Building a node costs a few slot stores: ``size`` and ``cut_count``
     add up the (at most two) premises', and the hash waits for the
@@ -246,20 +255,8 @@ class Proof:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # the premises first, from an explicit stack, so depth costs
-            # no recursion; each node of the tree is hashed once
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                todo = [q for q in node.premises if q._hash is None]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                stack.pop()
-                _set_hash(
-                    node,
-                    hash((node.rule, tuple([q._hash for q in node.premises]), node.conclusion)),
-                )
+            # each node of the tree is hashed once, its premises first
+            fold(self, _hash_node, lambda q: [r for r in q.premises if r._hash is None])
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -295,6 +292,10 @@ _set_size = Proof.size.__set__
 _set_cut_count = Proof.cut_count.__set__
 _set_checked = Proof.checked.__set__
 _set_hash = Proof._hash.__set__
+
+
+def _hash_node(node: Proof, _: list) -> None:
+    _set_hash(node, hash((node.rule, tuple([q._hash for q in node.premises]), node.conclusion)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +371,8 @@ def _rule_conclusion(
     rather than in the premises or the tag (the axiom's formula, the
     all-r binder).
     """
+    keyword = rule_keyword(rule)
     kind = type(rule)
-    keyword = RULE_KEYWORDS.get(kind)
-    if keyword is None:
-        raise ProofError(f"unknown rule {rule!r}")
     want = rule_arity(kind)
     if len(premises) != want:
         raise ProofError(f"{keyword} takes {want} premise(s), got {len(premises)}")
@@ -603,27 +602,20 @@ def get_at(p: Proof, path: tuple[int, ...]) -> Proof:
     return p
 
 
-def _rebuilt(parent: Proof, premises: tuple[Proof, ...]) -> Proof:
-    """``parent`` over ``premises``, as many as it had, keeping its
-    cached conclusion.  It
-    stays checked if ``parent`` was and each new premise is checked and
-    concludes ``==`` what the premise it replaces did: the schema then
-    sees the sequents it saw before."""
-    node = Proof(parent.rule, premises, parent.conclusion)
-    if parent.checked and all(
-        q.checked and q.conclusion == o.conclusion for q, o in zip(premises, parent.premises)
-    ):
-        _certify(node)
-    return node
-
-
 def _with_premise(parent: Proof, i: int, sub: Proof) -> Proof:
-    """``parent`` with premise ``i`` replaced by ``sub`` (see
-    :func:`_rebuilt`); ``parent`` itself if that premise is ``sub``."""
+    """``parent`` with premise ``i`` replaced by ``sub``, keeping its
+    cached conclusion; ``parent`` itself if that premise is ``sub``.  It
+    stays checked if ``parent`` was (so its other premises are) and
+    ``sub`` is checked and concludes ``==`` what the premise it replaces
+    did: the schema then sees the sequents it saw before."""
     prems = parent.premises
-    if prems[i] is sub:
+    old = prems[i]
+    if old is sub:
         return parent
-    return _rebuilt(parent, prems[:i] + (sub,) + prems[i + 1 :])
+    node = Proof(parent.rule, prems[:i] + (sub,) + prems[i + 1 :], parent.conclusion)
+    if parent.checked and sub.checked and sub.conclusion == old.conclusion:
+        _set_checked(node, True)
+    return node
 
 
 def replace_at(p: Proof, path: tuple[int, ...], sub: Proof) -> Proof:

@@ -70,7 +70,6 @@ from .proof import (
     _certify,
     _make,
     _node_violation,
-    _rebuilt,
     _walk_unchecked,
     _with_premise,
     fold,
@@ -84,6 +83,7 @@ from .proof import (
     mk_prom,
     mk_tensor_r,
     mk_weak,
+    preorder,
     replace_at,  # unused here; bench/tracing.py and a test patch rewrite.replace_at
     subst_proof,
     validate,
@@ -294,15 +294,9 @@ def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Pr
 def find_redex(p: Proof) -> tuple[int, ...] | None:
     """Path of the leftmost-innermost cut: first in preorder whose own
     subtrees are cut-free."""
-    stack: list[tuple[Proof, tuple[int, ...]]] = [(p, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.cut_count == 0:
-            continue
+    for path, node in preorder(p):
         if isinstance(node.rule, Cut) and node.cut_count == 1:
             return path
-        for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((node.premises[i], path + (i,)))
     return None
 
 
@@ -410,8 +404,8 @@ def exchange_normalize(p: Proof) -> Proof:
 
 def _exchange_node(p: Proof, premises: list[Proof]) -> Proof:
     """One node of :func:`exchange_normalize`, given its premises' results."""
-    if tuple(premises) != p.premises:
-        p = _rebuilt(p, tuple(premises))
+    for i, q in enumerate(premises):
+        p = _with_premise(p, i, q)
     if not isinstance(p.rule, Exchange):
         return p
     swaps: list[int] = []

@@ -213,12 +213,6 @@ def _basis(space: Space) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _basis_jets(space: Space) -> tuple[Jet, ...]:
-    """The standard basis of a finite space, as constant jets."""
-    return tuple(((0, e),) for e in _basis(space))
-
-
-@lru_cache(maxsize=1024)
 def _zero(space: Space) -> Value:
     if isinstance(space, BangSp):
         return BangJet(space.inner, ())
@@ -412,7 +406,7 @@ def _materialize(v: Suspended) -> Jet:
     space = v.space
     _require_finite(space.dom, "materializing an abstraction")
     _require_finite(space.cod, "materializing an abstraction")
-    cols = [_flat(_call(v, e), space.cod) for e in _basis_jets(space.dom)]
+    cols = [_flat(_call(v, ((0, e),)), space.cod) for e in _basis(space.dom)]
     dd = len(cols)
     rows: dict[int, list] = {}
     for j, col in enumerate(cols):
@@ -593,7 +587,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
         def bases():
             space = _den_formula(p.conclusion.context[at], asg)
             space = _finite(space, "splitting a tensor hypothesis")
-            return _basis_jets(space.left), _basis_jets(space.right)
+            return [[((0, e),) for e in _basis(s)] for s in (space.left, space.right)]
 
         def unpair(env):
             left, right = bases()
@@ -868,7 +862,7 @@ def den_matrix(p: Proof, asg: Mapping[str, int]) -> list[list[Fraction]]:
     d = space_dim(cspace)
     cols = [
         _coords(_flat(_den_env(p, env, key), cspace), 0, d)
-        for env in itertools.product(*[_basis_jets(s) for s in spaces])
+        for env in itertools.product(*[[((0, e),) for e in _basis(s)] for s in spaces])
     ]
     return [list(map(Fraction, row)) for row in zip(*cols)]
 
@@ -947,27 +941,28 @@ def tangent(rho: Proof, base: object, q: object, asg: Mapping[str, int]) -> SemV
 # Probes
 
 
-#: The probe kets' base points: how many, and the seed that draws them.
+#: The probe kets: how many base points, their seed, the most arguments.
 PROBE_POINTS = 5
 PROBE_SEED = 0
+PROBE_DEPTH = 2
 
 
-def standard_probes(space: Space, depth: int = 2) -> list[BangElem]:
+def standard_probes(space: Space) -> list[BangElem]:
     """Deterministic probe kets over !space: for each of `PROBE_POINTS`
-    seeded rational base points, every ket of at most ``depth`` standard
-    basis arguments (with repetition, order-free)."""
+    seeded rational base points, every ket of at most `PROBE_DEPTH`
+    standard basis arguments (with repetition, order-free)."""
     d = _require_finite(space, "probing")
     rng = random.Random(PROBE_SEED)
     out = []
     for _ in range(PROBE_POINTS):
         base = Vect(space, tuple(Fraction(rng.randint(-3, 3)) for _ in range(d)))
-        for s in range(depth + 1):
+        for s in range(PROBE_DEPTH + 1):
             for args in itertools.combinations_with_replacement(range(d), s):
                 out.append(BangElem(space, (((base.coords, args), Fraction(1)),)))
     return out
 
 
-def probe_inputs(p: Proof, asg: Mapping[str, int], depth: int = 2) -> list[SemValue]:
+def probe_inputs(p: Proof, asg: Mapping[str, int]) -> list[SemValue]:
     """The standard probe set for ⟦context⟧: full standard bases on
     finite slots, `standard_probes` kets on bang slots, combined
     slot-wise into `TensorElem` inputs."""
@@ -977,7 +972,7 @@ def probe_inputs(p: Proof, asg: Mapping[str, int], depth: int = 2) -> list[SemVa
     per_slot: list[list] = []
     for s in spaces:
         if isinstance(s, BangSp):
-            per_slot.append([e.terms[0][0] for e in standard_probes(s.inner, depth)])
+            per_slot.append([e.terms[0][0] for e in standard_probes(s.inner)])
         else:
             per_slot.append(list(range(_require_finite(s, "probing"))))
     values = []
@@ -989,31 +984,31 @@ def probe_inputs(p: Proof, asg: Mapping[str, int], depth: int = 2) -> list[SemVa
     return values
 
 
-def values_agree(a: SemValue, b: SemValue, space: Space, depth: int = 2) -> bool:
+def values_agree(a: SemValue, b: SemValue, space: Space) -> bool:
     """Exact equality of two values; elements of an infinite hom space
     are compared by applying both to the standard probe kets."""
     if is_finite(space) or isinstance(space, BangSp):
         return force(a, space) == force(b, space)
     if isinstance(space, HomSp) and isinstance(space.dom, BangSp):
-        for e in standard_probes(space.dom.inner, depth):
+        for e in standard_probes(space.dom.inner):
             ra = apply_hom(a, e)
             rb = apply_hom(b, e)
-            if not values_agree(ra, rb, space.cod, depth):
+            if not values_agree(ra, rb, space.cod):
                 return False
         return True
     raise UnsupportedSpace(f"cannot compare values over {space_label(space)}")
 
 
-def probe_equal(p: Proof, q: Proof, asg: Mapping[str, int], depth: int = 2) -> bool:
+def probe_equal(p: Proof, q: Proof, asg: Mapping[str, int]) -> bool:
     """Exact agreement of two proofs' denotations on the standard probe
     set (conclusions must match; contexts must already agree)."""
     if p.conclusion != q.conclusion:
         return False
     cspace = den_formula(p.conclusion.conclusion, asg)
-    for v in probe_inputs(p, asg, depth):
+    for v in probe_inputs(p, asg):
         a = den_apply(p, v, asg)
         b = den_apply(q, v, asg)
-        if not values_agree(a, b, cspace, depth):
+        if not values_agree(a, b, cspace):
             return False
     return True
 

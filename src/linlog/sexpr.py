@@ -62,6 +62,7 @@ from .proof import (
     mk_axiom,
     mk_forall_r,
     rule_arity,
+    rule_keyword,
 )
 from . import proof as _proof
 
@@ -82,7 +83,6 @@ class ParseError(Exception):
 
 
 _Token = tuple[str, str, int]  # kind, text, start; an operator's kind is its text
-_HYPHEN_KEYWORDS = ("tensor-r", "tensor-l", "lolli-r", "lolli-l", "one-r", "one-l", "all-r", "all-l")
 
 # One match per token: the whitespace and comments before it, then the
 # token, the end of input, or the character that starts no token.
@@ -95,22 +95,28 @@ _TOKEN_RE = re.compile(
         | (?P<eof>\Z)
         | (?P<bad>.) )
     """
-    % "|".join(_HYPHEN_KEYWORDS),
+    % "|".join([kw for kw in RULE_KEYWORDS.values() if "-" in kw]),
     re.VERBOSE | re.DOTALL,
 )
 
 
+def _scan(regex: re.Pattern, text: str) -> list[_Token]:
+    """The tokens of ``text``, one per match of ``regex`` and of the kind
+    its group names, up to and including the first "eof" or "bad"."""
+    out = []
+    for m in regex.finditer(text):
+        kind = m.lastgroup
+        out.append((kind if kind != "op" else m[kind], m[kind], m.start(kind)))
+        if kind == "eof" or kind == "bad":
+            return out
+
+
 def _tokenize(text: str) -> list[_Token]:
     """The tokens of ``text``: operators, "kw", "num" and "ident", then "eof"."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok = (kind if kind != "op" else m[kind], m[kind], m.start(kind))
-        if kind == "bad":
-            raise _error(f"unexpected character {tok[1]!r}", tok)
-        out.append(tok)
-        if kind == "eof":
-            return out
+    out = _scan(_TOKEN_RE, text)
+    if out[-1][0] == "bad":
+        raise _error(f"unexpected character {out[-1][1]!r}", out[-1])
+    return out
 
 
 def _error(message: str, tok: _Token) -> ParseError:
@@ -370,7 +376,7 @@ def _measure(node: Proof, premises: list[tuple]) -> tuple:
     """``print_proof``'s bottom-up pass: a node's head, the width of its
     one-line text, that text only where it is at most ``_WIDTH`` wide
     (or the node is a leaf), and its premises' measures."""
-    head = "(" + " ".join([RULE_KEYWORDS[type(node.rule)], *_node_args(node)])
+    head = "(" + " ".join([rule_keyword(node.rule), *_node_args(node)])
     width = len(head) + 1 + sum([1 + m[1] for m in premises])
     inline = None
     if width <= _WIDTH or not premises:
@@ -416,12 +422,7 @@ _VALUE_TOKEN_RE = re.compile(
 def parse_value_literal(text: str) -> CoordsLit:
     """A vector or matrix literal, read by index from the tokens of
     ``_VALUE_TOKEN_RE``; anything else is a ValueError."""
-    tokens = []
-    for m in _VALUE_TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tokens.append((kind if kind != "op" else m[kind], m[kind], m.start(kind)))
-        if kind == "eof":
-            break
+    tokens = _scan(_VALUE_TOKEN_RE, text)
     at = 0
 
     def take(kind: str) -> str:

@@ -564,7 +564,7 @@ _GRID = [
 
 
 def _numeral_probe_kets():
-    return standard_probes(E_SPACE, depth=2)
+    return standard_probes(E_SPACE)
 
 
 def _numeral_table(p):

@@ -130,6 +130,23 @@ def bang_scale_neg(x: BangElem) -> BangElem:
     return bang_scale(Fraction(-1), x)
 
 
+def test_tensor_terms_sort_by_index_then_base_point_then_arguments():
+    # slot 0 holds basis indices and slot 1 kets, so keys sort as tuples:
+    # the index first, then the ket's base point, then its arguments
+    V = BaseSp("A", 2)
+    acc = {
+        (1, ((0, 1), ())): 1,
+        (0, ((1, 0), (0,))): 2,
+        (0, ((0, 1), (1, 1))): 3,
+        (0, ((0, 1), ())): 4,
+        (1, ((-1, 0), (0, 1))): 5,
+        (0, ((0, 1), (0,))): 0,
+        (0, ((0, Fraction(1, 2)), ())): 6,
+    }
+    t = tensor_from_terms((V, BangSp(V)), acc)
+    assert [c for _, c in t.terms] == [6, 4, 3, 2, 5, 1]
+
+
 # ---------------------------------------------------------------------------
 # Counit / dereliction / coproduct
 

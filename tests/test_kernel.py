@@ -73,6 +73,7 @@ from linlog.proof import (
     subst_proof,
     validate,
 )
+from linlog.sexpr import print_proof
 
 A = Var("A")
 B = Var("B")
@@ -366,6 +367,16 @@ def test_hash_and_eq_of_a_deep_fresh_tree_take_no_recursion():
     assert hash(other) != hash(p) and other != p
 
 
+def test_a_tree_whose_shared_subtree_was_hashed_first_hashes_as_a_fresh_one():
+    shared = church(3, A)
+    hash(shared.premises[0])
+    tree = mk_tensor_r(shared, shared)
+    fresh = _raw_copy(mk_tensor_r(church(3, A), church(3, A)))
+    assert tree._hash is None and shared._hash is None and fresh.premises[0]._hash is None
+    assert hash(tree) == hash(fresh)
+    assert tree == fresh
+
+
 def test_the_plan_cache_finds_an_equal_but_distinct_proof():
     p = church(3, A)
     asg = semantics._asg_key({"A": 2})
@@ -394,6 +405,8 @@ def test_a_foreign_node_of_any_arity_is_a_violation_and_has_a_repr(arity):
     node = Proof(Foreign(), (mk_axiom(A),) * arity, Sequent((A,), A))
     assert validate(node) == [((), "unknown rule Foreign()")]
     assert repr(node) == f"<Foreign() proof of A ⊢ A; {1 + arity} nodes>"
+    with pytest.raises(ProofError, match=r"^unknown rule Foreign\(\)$"):
+        print_proof(node)
 
 
 @pytest.mark.parametrize("arity", [0, 1, 2])

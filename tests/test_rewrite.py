@@ -262,7 +262,7 @@ def test_promotion_contraction_interleaves_a_wide_box():
     swap = out.premises[0].premises[0]
     assert swap.premises[0].conclusion.context == (Bang(A), Bang(B), Bang(A), Bang(B))
     assert swap.conclusion.context == (Bang(A), Bang(A), Bang(B), Bang(B))
-    assert probe_equal(p, nf, ASG, depth=2) and probe_equal(out, nf, ASG, depth=2)
+    assert probe_equal(p, nf, ASG) and probe_equal(out, nf, ASG)
 
 
 def test_budget_exhaustion_reports_partial_trace():

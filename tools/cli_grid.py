@@ -20,7 +20,8 @@ that matrices larger than 2×2 and with no zero entry meet vectors with
 none;
 ``normalize --trace`` on the exponentiation cuts 2^1 … 2^5, the tower
 cuts ``hypexp_cut(0..3)``, the sixteen add/mult cuts of `GRID_CUTS`
-and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep.
+and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep,
+and on each of the `MALFORMED` texts.
 """
 
 from __future__ import annotations
@@ -95,6 +96,18 @@ GRID_CUTS = (
 #: A cut whose one step, ax-left, is at the root: the trace's empty path.
 ROOT_REDEX = "(cut 0 (ax A) (ax A))"
 
+#: Malformed proof texts, for ``check``'s error paths: a stray ASCII
+#: character; a stray non-ASCII one after a comment with more, so that
+#: byte spans differ from character offsets; an unknown keyword; an
+#: unclosed parenthesis; a context index too long for ``int``.
+MALFORMED = {
+    "stray-ascii.llp": "(lolli-r (ax A) $)",
+    "stray-non-ascii.llp": "; ⊢ A ⊸ A\n(lolli-r (ax A) ⊗)",
+    "unknown-keyword.llp": "(lolli-r (axiom A))",
+    "unclosed.llp": "(lolli-r (ax A)",
+    "long-index.llp": f"(der {'9' * 5000} (ax !A))",
+}
+
 
 def proofs() -> dict[str, str]:
     """The grid's proofs as text, by file name."""
@@ -159,6 +172,7 @@ def main() -> None:
         cuts.append(save("root-redex.llp", ROOT_REDEX))
         deep = save("church-421.llp", print_proof(church(421, a)))
         grid = commands(files) + [["normalize", f, "--trace"] for f in cuts] + [["check", deep]]
+        grid += [["check", save(name, text)] for name, text in MALFORMED.items()]
         records = []
         for argv in grid:
             code, out, err = run(argv)
