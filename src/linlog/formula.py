@@ -8,8 +8,8 @@ with ``*`` the multiplicative product, ``-o`` linear implication (right
 associative), ``!`` the exponential and ``all`` universal quantification
 over propositional variables.  Everything is immutable.  No walk over
 a formula recurses: :func:`fold`, the one bottom-up walk over proofs and
-formulas, and :func:`emit`, the printers' top-down walk, keep their
-nodes on explicit stacks.
+formulas, and :func:`emit`, the formula printers' top-down walk, keep
+their nodes on explicit stacks.
 
 Formulas are hash-consed: the constructors look each (class, children)
 key up in a weak intern table, so structurally equal formulas are one
@@ -221,9 +221,10 @@ def _alpha(
 
 
 def emit(root: tuple, expand: Callable[..., list]) -> Iterator:
-    """The top-down walk behind the printers, over an explicit stack:
-    ``expand(*item)`` lists the output of an item (a node and its context,
-    in a tuple) as tokens and further items, in order; yields the tokens."""
+    """The top-down walk behind the formula printers and alpha-equality,
+    over an explicit stack: ``expand(*item)`` lists the output of an item
+    (a node and its context, in a tuple) as tokens and further items, in
+    order; yields the tokens."""
     stack = [root]
     while stack:
         item = stack.pop()

@@ -751,6 +751,10 @@ def _desc_value(desc, space: Space) -> SemValue:
     """The slot value a `TensorElem` term descriptor names: a basis
     vector, or a ket on a ! slot."""
     if isinstance(space, BangSp):
+        if type(desc) is not tuple or len(desc) != 2 or any(type(d) is not tuple for d in desc):
+            raise SemanticsError(
+                f"a ! slot takes a (base point, argument indices) pair, not {desc!r}"
+            )
         return BangElem(space.inner, ((desc, Fraction(1)),))
     basis = _basis(space)
     if not 0 <= desc < len(basis):

@@ -26,7 +26,8 @@ that fits its schema with the strict constructor, which certifies it
 unchecked, with a best-effort cached conclusion, and the caller decides
 what that means (see ``proof.validate``).
 Both grammars are read from explicit stacks, so nesting depth costs no
-recursion.  All spans are UTF-8 byte offsets into the input.
+recursion, over the token strings of one ``findall``; a token's offset
+is found only to raise an error.  All spans are UTF-8 byte offsets.
 
 Value literals are exact rational vectors ``[1/2, 3]`` and matrices
 ``[[1, 0], [0, 1]]``, read as points and written as results, and the
@@ -38,7 +39,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
+from string import ascii_letters
 from typing import Callable, Sequence, TypeVar
 
 from .formula import (
@@ -50,7 +53,6 @@ from .formula import (
     Sequent,
     Tensor,
     Var,
-    emit,
     format_formula,
 )
 from .proof import (
@@ -84,20 +86,35 @@ class ParseError(Exception):
 
 _Token = tuple[str, str, int]  # kind, text, start; an operator's kind is its text
 
-# One match per token: the whitespace and comments before it, then the
-# token, the end of input, or the character that starts no token.
+# One match per token: the whitespace and comments before it, then, in
+# the one group, the token, "" at the end of input, or the character
+# that starts no token.  `_kind` reads back which alternative matched.
 _TOKEN_RE = re.compile(
-    r"""(?:[ \t\r\n]+|;[^\n]*)*
-      (?: (?P<kw>(?:%s)(?![A-Za-z0-9_'\-]))
-        | (?P<op>-o|[()!*.])
-        | (?P<num>[0-9]+)
-        | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-        | (?P<eof>\Z)
-        | (?P<bad>.) )
+    r"""(?:[ ]+|[\t\r\n]+|;[^\n]*)*
+      ( (?:%s)(?![A-Za-z0-9_'\-])
+      | -o|[()!*.]
+      | [0-9]+
+      | [A-Za-z_][A-Za-z0-9_']*
+      | \Z
+      | . )
     """
     % "|".join([kw for kw in RULE_KEYWORDS.values() if "-" in kw]),
     re.VERBOSE | re.DOTALL,
 )
+
+
+def _kind(tok: str) -> str:
+    """The kind of a token of `_TOKEN_RE`: its text for an operator,
+    "kw" (only hyphenated keywords), "num", "ident", "eof" or "bad"."""
+    if tok in ("(", ")", "!", "*", ".", "-o"):
+        return tok
+    if not tok:
+        return "eof"
+    if "0" <= tok[0] <= "9":
+        return "num"
+    if tok[0] in ascii_letters or tok[0] == "_":
+        return "kw" if "-" in tok else "ident"
+    return "bad"
 
 
 def _scan(regex: re.Pattern, text: str) -> list[_Token]:
@@ -112,11 +129,16 @@ def _scan(regex: re.Pattern, text: str) -> list[_Token]:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text``: operators, "kw", "num" and "ident", then "eof"."""
-    out = _scan(_TOKEN_RE, text)
-    if out[-1][0] == "bad":
-        raise _error(f"unexpected character {out[-1][1]!r}", out[-1])
-    return out
+    """The tokens of ``text`` with their starts: operators, "kw", "num"
+    and "ident", then "eof".  The reader takes offsets from here only to
+    raise a ParseError."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        out.append((_kind(m[1]), m[1], m.start(1)))
+        if out[-1][0] == "bad":
+            raise _error(f"unexpected character {m[1]!r}", out[-1])
+        if out[-1][0] == "eof":
+            return out
 
 
 def _error(message: str, tok: _Token) -> ParseError:
@@ -125,125 +147,120 @@ def _error(message: str, tok: _Token) -> ParseError:
     return ParseError(message, SourceSpan(start, start + len(text)))
 
 
-def _describe(tok: _Token) -> str:
-    return "end of input" if tok[0] == "eof" else f"'{tok[1]}'"
-
-
 class _Parser:
+    """The token strings of ``text``, read by index; ``kinds`` maps each
+    distinct one to its kind.  Each reader takes the index of its first
+    token and returns what it read and the index after it."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)  # then "", perhaps repeated
+        self.kinds = {tok: _kind(tok) for tok in set(self.toks)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, i: int, message: str) -> ParseError:
+        """A ParseError spanning token ``i``.  No rule takes a character
+        that starts no token, so reading stops at or before the first;
+        `_tokenize` raises there instead, whatever ``message`` says."""
+        return _error(message, _tokenize(self.text)[i])
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def expected(self, i: int, what: str) -> ParseError:
+        found = f"'{self.toks[i]}'" if self.toks[i] else "end of input"
+        return self.fail(i, f"expected {what}, found {found}")
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise _error(f"expected {what or kind!r}, found {_describe(tok)}", tok)
-        return tok
-
-    def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise _error(f"trailing input {_describe(tok)}", tok)
-
-    # -- formulas ----------------------------------------------------------
-
-    def formula(self) -> Formula:
-        """One formula.  The stack holds what waits for an operand: a ``!``,
-        the left operand of ``*`` or ``-o``, and an open parenthesis or
-        ``all`` binder, which waits for the formula inside it and ``)``."""
+    def formula(self, i: int) -> tuple[Formula, int]:
+        """One formula.  The stack holds what waits for an operand: a
+        ``!``, the left operand of ``*`` or ``-o``, and an open parenthesis
+        or ``all`` binder, which waits for the formula inside it and ``)``."""
+        toks, kinds = self.toks, self.kinds
         waiting: list[tuple[str, Formula | str | None]] = []
         while True:
-            tok = self.advance()
-            kind, text, _ = tok
-            if kind in ("!", "("):
+            tok = toks[i]
+            kind = kinds[tok]
+            i += 1
+            if kind == "!" or kind == "(":
                 binder = None
-                if kind == "(" and self.peek()[:2] == ("ident", "all"):
-                    self.advance()
-                    name = self.expect("ident", "a binder name")
-                    if name[1] == "all":
-                        raise _error("'all' cannot be a binder name", name)
-                    self.expect(".", "'.'")
-                    binder = name[1]
+                if kind == "(" and toks[i] == "all":
+                    if kinds[toks[i + 1]] != "ident":
+                        raise self.expected(i + 1, repr("a binder name"))
+                    if toks[i + 1] == "all":
+                        raise self.fail(i + 1, "'all' cannot be a binder name")
+                    if toks[i + 2] != ".":
+                        raise self.expected(i + 2, repr("'.'"))
+                    binder = toks[i + 1]
+                    i += 3
                 waiting.append((kind, binder))
                 continue
             if kind == "num":
-                if text != "1":
-                    raise _error("the only numeric formula is the unit 1", tok)
+                if tok != "1":
+                    raise self.fail(i - 1, "the only numeric formula is the unit 1")
                 operand = One()
             elif kind == "ident":
-                if text == "all":
-                    raise _error("'all' is reserved; write (all x. A)", tok)
-                operand = Var(text)
+                if tok == "all":
+                    raise self.fail(i - 1, "'all' is reserved; write (all x. A)")
+                operand = Var(tok)
             else:
-                raise _error(f"expected a formula, found {_describe(tok)}", tok)
+                raise self.expected(i - 1, "a formula")
             while True:  # the operand is complete: hand it to what waits for it
                 while waiting and waiting[-1][0] in ("!", "*"):
                     op, left = waiting.pop()
                     operand = Bang(operand) if op == "!" else Tensor(left, operand)
-                kind = self.peek()[0]
-                if kind in ("*", "-o"):  # * is left associative, -o right
-                    waiting.append((self.advance()[0], operand))
+                if toks[i] == "*" or toks[i] == "-o":  # * is left associative, -o right
+                    waiting.append((toks[i], operand))
+                    i += 1
                     break
                 while waiting and waiting[-1][0] == "-o":
                     operand = Lolli(waiting.pop()[1], operand)
                 if not waiting:
-                    return operand
+                    return operand, i
                 binder = waiting.pop()[1]
-                self.expect(")", "')'")
+                if toks[i] != ")":
+                    raise self.expected(i, repr("')'"))
+                i += 1
                 if binder is not None:
                     operand = Forall(binder, operand)
 
-    # -- proofs ------------------------------------------------------------
-
-    def index(self) -> int:
-        tok = self.expect("num", "a context index")
-        try:
-            return int(tok[1])
-        except ValueError:  # more digits than int() converts
-            raise _error("context index too long", tok) from None
-
-    def proof(self) -> Proof:
-        """One proof s-expression.  Open nodes wait on an explicit stack
-        while their premises are read, so nesting depth costs no
-        recursion."""
-        open_nodes: list[tuple[str, list]] = []
+    def proof(self, i: int) -> tuple[Proof, int]:
+        """One proof s-expression.  Open nodes wait on an explicit stack,
+        as (builder, arguments read, arguments needed), while their
+        premises are read, so nesting depth costs no recursion."""
+        toks, kinds = self.toks, self.kinds
+        open_nodes: list[tuple[Callable, list, int]] = []
         while True:
-            self.expect("(", "a proof '('")
-            tok = self.advance()
-            if tok[0] not in ("kw", "ident"):
-                raise _error(f"expected a rule keyword, found {_describe(tok)}", tok)
-            if tok[1] not in _RULES:
-                raise _error(f"unknown rule keyword '{tok[1]}'", tok)
-            open_nodes.append((tok[1], []))
-            while True:
-                kw, args = open_nodes[-1]
-                shape, build = _RULES[kw]
-                while len(args) < len(shape) and shape[len(args)] != "p":
-                    args.append(self.argument(shape[len(args)]))
-                if len(args) < len(shape):
-                    break  # the next argument is a premise: open it
+            if toks[i] != "(":
+                raise self.expected(i, repr("a proof '('"))
+            rule = _RULES.get(toks[i + 1])
+            if rule is None:
+                if kinds[toks[i + 1]] not in ("kw", "ident"):
+                    raise self.expected(i + 1, "a rule keyword")
+                raise self.fail(i + 1, f"unknown rule keyword '{toks[i + 1]}'")
+            head, build, need = rule
+            i += 2
+            args = []
+            for kind in head:
+                if kind == "f":
+                    formula, i = self.formula(i)
+                    args.append(formula)
+                    continue
+                tok = toks[i]
+                if kind == "x" and kinds[tok] != "ident":
+                    raise self.expected(i, repr("a binder name"))
+                if kind == "i" and kinds[tok] != "num":
+                    raise self.expected(i, repr("a context index"))
+                try:
+                    args.append(tok if kind == "x" else int(tok))
+                except ValueError:  # more digits than int() converts
+                    raise self.fail(i, "context index too long") from None
+                i += 1
+            while len(args) == need:  # the node is complete: close it
                 node = build(*args)
-                self.expect(")", "')'")
-                open_nodes.pop()
+                if toks[i] != ")":
+                    raise self.expected(i, repr("')'"))
+                i += 1
                 if not open_nodes:
-                    return node
-                open_nodes[-1][1].append(node)
-
-    def argument(self, kind: str) -> int | Formula | str:
-        if kind == "i":
-            return self.index()
-        if kind == "f":
-            return self.formula()
-        return self.expect("ident", "a binder name")[1]
+                    return node, i
+                build, args, need = open_nodes.pop()
+                args.append(node)
+            open_nodes.append((build, args, need))  # its next argument is a premise
 
 
 # Lenient fallbacks: when a rule application does not fit its schema we
@@ -297,32 +314,35 @@ def _all_r(name, p):
         return Proof(_proof.ForallR(), (p,), Sequent(s.context, Forall(name, s.conclusion)))
 
 
-# Each rule keyword's arguments, in order (i a context index, f a
-# formula, x a binder name, p a premise proof), and the function that
-# builds its node from them: the tag's fields, then its premises, except
-# for ax and all-r, whose argument is part of the conclusion.
+# Each rule keyword's arguments before its premises, in order (i a
+# context index, f a formula, x a binder name), the function that builds
+# its node from all its arguments (the tag's fields, then its premises,
+# except for ax and all-r, whose argument is part of the conclusion), and
+# how many arguments that is.
 _FALLBACKS = {_proof.Promotion: _promote, _proof.Weakening: _insert, _proof.ForallL: _replace}
 _RULES = {
     kw: (
-        "".join("i" if f.name == "at" else "f" for f in fields(tag)) + "p" * rule_arity(tag),
+        "".join("i" if f.name == "at" else "f" for f in fields(tag)),
         _lenient(tag, _FALLBACKS.get(tag, _keep)),
+        len(fields(tag)) + rule_arity(tag),
     )
     for tag, kw in RULE_KEYWORDS.items()
-} | {"ax": ("f", mk_axiom), "all-r": ("xp", _all_r)}
+} | {"ax": ("f", mk_axiom, 1), "all-r": ("x", _all_r, 2)}
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 
 
-def _parse(text: str, read: Callable[[_Parser], T]) -> T:
+def _parse(text: str, read: Callable[[_Parser, int], tuple[T, int]]) -> T:
     """``read`` from the tokens of ``text``, which it must use up.  The
     parser counts characters; a ParseError's span is turned into UTF-8
     byte offsets only when it is raised."""
     try:
         parser = _Parser(text)
-        out = read(parser)
-        parser.expect_eof()
+        out, i = read(parser, 0)
+        if parser.toks[i]:
+            raise parser.fail(i, f"trailing input '{parser.toks[i]}'")
         return out
     except ParseError as e:
         start = len(text[: e.span.start].encode("utf-8", "surrogatepass"))
@@ -341,16 +361,15 @@ def parse_proof(text: str) -> Proof:
 _WIDTH = 72
 
 
-def _node_args(p: Proof) -> list[str]:
+def _node_args(p: Proof, text: Callable[[Formula], str]) -> list[str]:
+    """The arguments of ``p``'s node as printed, its formulas by ``text``."""
     rule = p.rule
     if isinstance(rule, _proof.Axiom):
-        return [format_formula(p.conclusion.conclusion)]
+        return [text(p.conclusion.conclusion)]
     if isinstance(rule, _proof.ForallR):
         f = p.conclusion.conclusion
         return [f.binder if isinstance(f, Forall) else "_"]
-    return [
-        format_formula(v) if isinstance(v, Formula) else str(v) for v in vars(rule).values()
-    ]
+    return [text(v) if isinstance(v, Formula) else str(v) for v in vars(rule).values()]
 
 
 def print_proof(p: Proof) -> str:
@@ -359,29 +378,38 @@ def print_proof(p: Proof) -> str:
     A node goes on one line when it has no premises or its one-line text
     fits in ``_WIDTH`` columns at its indent; otherwise its head opens a
     block and each premise follows on its own line, two columns deeper.
+    Each distinct formula is formatted once per call.
     """
-    return "".join(emit((fold(p, _measure), 0), _layout))
+    text = cache(format_formula)  # for this call only
 
+    def measure(node: Proof, premises: list[tuple]) -> tuple:
+        """The bottom-up pass: a node's head, the width of its one-line
+        text, that text only where it is at most ``_WIDTH`` wide (or the
+        node is a leaf), and its premises' measures."""
+        head = "(" + " ".join([rule_keyword(node.rule), *_node_args(node, text)])
+        width = len(head) + 1 + sum([1 + m[1] for m in premises])
+        if width > _WIDTH and premises:
+            return head, width, None, premises
+        return head, width, " ".join([head, *[m[2] for m in premises]]) + ")", premises
 
-def _layout(measure: tuple, indent: int) -> list:
-    """``print_proof``'s top-down pass, over the measures."""
-    head, width, inline, premises = measure
-    if not premises or indent + width <= _WIDTH:
-        return [inline]
-    pad = "\n" + " " * (indent + 2)
-    return [head, *[part for q in premises for part in (pad, (q, indent + 2))], ")"]
-
-
-def _measure(node: Proof, premises: list[tuple]) -> tuple:
-    """``print_proof``'s bottom-up pass: a node's head, the width of its
-    one-line text, that text only where it is at most ``_WIDTH`` wide
-    (or the node is a leaf), and its premises' measures."""
-    head = "(" + " ".join([rule_keyword(node.rule), *_node_args(node)])
-    width = len(head) + 1 + sum([1 + m[1] for m in premises])
-    inline = None
-    if width <= _WIDTH or not premises:
-        inline = " ".join([head, *[m[2] for m in premises]]) + ")"
-    return head, width, inline, premises
+    # The top-down pass: the stack holds text and (measure, indent) items.
+    out: list[str] = []
+    stack: list = [(fold(p, measure), 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        (head, width, inline, premises), indent = item
+        if not premises or indent + width <= _WIDTH:
+            out.append(inline)
+            continue
+        out.append(head)
+        stack.append(")")
+        pad = "\n" + " " * (indent + 2)
+        for q in reversed(premises):
+            stack += ((q, indent + 2), pad)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

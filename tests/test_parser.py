@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _kernelref
+import _readref
 import _tokref
 import _valref
 from linlog.formula import (
@@ -15,6 +16,7 @@ from linlog.formula import (
     One,
     Tensor,
     Var,
+    format_formula,
     int_type,
 )
 from linlog.encodings import (
@@ -43,6 +45,7 @@ from linlog.proof import (
     mk_tensor_l,
     mk_tensor_r,
     mk_weak,
+    preorder,
     validate,
 )
 from linlog.sexpr import (
@@ -306,7 +309,8 @@ _REF_WIDTH = 72
 
 
 def _ref_inline(p):
-    parts = [RULE_KEYWORDS[type(p.rule)], *_node_args(p), *map(_ref_inline, p.premises)]
+    args = _node_args(p, format_formula)
+    parts = [RULE_KEYWORDS[type(p.rule)], *args, *map(_ref_inline, p.premises)]
     return "(" + " ".join(parts) + ")"
 
 
@@ -314,7 +318,7 @@ def _ref_pp(p, indent=0):
     inline = _ref_inline(p)
     if not p.premises or indent + len(inline) <= _REF_WIDTH:
         return inline
-    head = "(" + " ".join([RULE_KEYWORDS[type(p.rule)], *_node_args(p)])
+    head = "(" + " ".join([RULE_KEYWORDS[type(p.rule)], *_node_args(p, format_formula)])
     pad = " " * (indent + 2)
     lines = [head] + [pad + _ref_pp(q, indent + 2) for q in p.premises]
     return "\n".join(lines) + ")"
@@ -387,3 +391,71 @@ def test_tokenizer_matches_the_reference_on_every_encoding():
         tokens = _tokenize(text)
         assert tokens == _ref_tokenize(text)
         assert tokens[-1] == ("eof", "", len(text))
+
+
+def _read_or_error(parse, text):
+    """``parse(text)`` with the ``checked`` flag of each node in preorder,
+    or the message and span of its ParseError."""
+    try:
+        p = parse(text)
+    except ParseError as err:
+        return err.message, err.span
+    return p, [q.checked for _, q in preorder(p)]
+
+
+def _reads_like_the_reference(text):
+    ours = _read_or_error(parse_proof, text)
+    assert ours == _read_or_error(_readref.parse_proof, text)
+    return ours
+
+
+_ENCODING_TEXTS = [print_proof(p) + "\n" for p in library().values()]  # as `linlog encode` prints
+
+
+def test_the_reader_matches_the_tuple_reader_on_every_encoding():
+    for text in _ENCODING_TEXTS:
+        p, flags = _reads_like_the_reference(text)
+        assert all(flags) and print_proof(p) + "\n" == text
+    # a grammar error before an unexpected character, comments that end
+    # with and without a newline, keywords as identifiers, an empty text,
+    # binders that are not followed by '.' or are not names
+    for text in ("(ax A B) $", "(ax A) ; end\n", "(ax A) ; end", "(ax ax)", "(ax all)",
+                 "(lolli-rx (ax A))", "", " ", "(all-r all (ax A))", "(ex 0 (ax A)) é",
+                 "(ax (all x y))", "(ax (all all. x))", "(ax (all 1. x))", "(ax (all x."):
+        _reads_like_the_reference(text)
+
+
+# Mutations of a token (kind, text, start) of a text: cut the text
+# before or after it, delete it, double it, put a stray character or a
+# comment before it, or put a 5000-digit index in its place.
+_MUTATIONS = {
+    "cut-before": lambda text, tok, at: text[:at],
+    "cut-after": lambda text, tok, at: text[: at + len(tok)],
+    "delete": lambda text, tok, at: text[:at] + text[at + len(tok) :],
+    "double": lambda text, tok, at: text[: at + len(tok)] + " " + text[at:],
+    "stray-ascii": lambda text, tok, at: text[:at] + "$" + text[at:],
+    "stray-non-ascii": lambda text, tok, at: text[:at] + "⊗" + text[at:],
+    "comment": lambda text, tok, at: text[:at] + "; ⊢ A\n" + text[at:],
+    "open-comment": lambda text, tok, at: text[:at] + "; ⊢ A" + text[at:],
+    "long-index": lambda text, tok, at: text[:at] + "9" * 5000 + text[at + len(tok) :],
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    text=st.sampled_from(_ENCODING_TEXTS),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**4), st.sampled_from(sorted(_MUTATIONS))),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_the_reader_matches_the_tuple_reader_on_mutated_encodings(text, picks):
+    """A printed encoding with one or two mutations, each at a token of
+    the original (its index taken modulo their number), made right to
+    left so that offsets stay good."""
+    tokens = _readref._tokenize(text)
+    for k, name in sorted({k % len(tokens): name for k, name in picks}.items(), reverse=True):
+        _, tok, at = tokens[k]
+        text = _MUTATIONS[name](text, tok, at)
+    _reads_like_the_reference(text)

@@ -1137,6 +1137,20 @@ def test_a_basis_index_out_of_range_is_refused():
                  rf"^basis index {max(key)} out of range for dimension {dim}$")
 
 
+def test_a_descriptor_on_a_bang_slot_must_be_a_ket_key():
+    # a basis index, or a tuple of the wrong shape, where a (base point,
+    # argument indices) pair belongs
+    p = mk_weak(mk_axiom(A), 0, Bang(A))  # (weak 0 !A (ax A)): !A, A ⊢ A
+    a2 = BaseSp("A", 2)
+    for desc in (0, (0,), ((1, 2),), ((1, 2), (0,), 5), ((1, 2), 0)):
+        inp = TensorElem((BangSp(a2), a2), (((desc, 0), Fraction(1)),))
+        _refused(lambda: den_apply(p, inp, ASG), SemanticsError,
+                 r"^a ! slot takes a \(base point, argument indices\) pair, not ")
+    # the pair itself is read as before
+    inp = TensorElem((BangSp(a2), a2), (((((1, 2), ()), 1), Fraction(1)),))
+    assert den_apply(p, inp, ASG) == Vect(a2, (0, 1))
+
+
 def test_applying_a_value_that_is_not_a_hom_is_refused():
     # a ket over a hom space is an element of !Hom(A, A), not of Hom(A, A)
     ket_over_hom = vacuum(_mat_vect([[1, 0], [0, 1]]))

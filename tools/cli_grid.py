@@ -96,16 +96,24 @@ GRID_CUTS = (
 #: A cut whose one step, ax-left, is at the root: the trace's empty path.
 ROOT_REDEX = "(cut 0 (ax A) (ax A))"
 
-#: Malformed proof texts, for ``check``'s error paths: a stray ASCII
-#: character; a stray non-ASCII one after a comment with more, so that
-#: byte spans differ from character offsets; an unknown keyword; an
-#: unclosed parenthesis; a context index too long for ``int``.
+#: Malformed proof texts, for ``check``'s error paths, written as they
+#: are here: a stray ASCII character; a stray non-ASCII one after a
+#: comment with more, so that byte spans differ from character offsets;
+#: an unknown keyword; an unclosed parenthesis; a context index too long
+#: for ``int``; a grammar error before a stray character; a comment that
+#: runs to the end of the file; the keyword ``ax`` as a formula; a
+#: hyphenated keyword with a letter too many; an empty file.
 MALFORMED = {
-    "stray-ascii.llp": "(lolli-r (ax A) $)",
-    "stray-non-ascii.llp": "; ⊢ A ⊸ A\n(lolli-r (ax A) ⊗)",
-    "unknown-keyword.llp": "(lolli-r (axiom A))",
-    "unclosed.llp": "(lolli-r (ax A)",
-    "long-index.llp": f"(der {'9' * 5000} (ax !A))",
+    "stray-ascii.llp": "(lolli-r (ax A) $)\n",
+    "stray-non-ascii.llp": "; ⊢ A ⊸ A\n(lolli-r (ax A) ⊗)\n",
+    "unknown-keyword.llp": "(lolli-r (axiom A))\n",
+    "unclosed.llp": "(lolli-r (ax A)\n",
+    "long-index.llp": f"(der {'9' * 5000} (ax !A))\n",
+    "grammar-before-bad.llp": "(ax A B) $\n",
+    "open-comment.llp": "(lolli-r (ax A) ; no newline",
+    "ax-ax.llp": "(ax ax)\n",
+    "lolli-rx.llp": "(lolli-rx (ax A))\n",
+    "empty.llp": "",
 }
 
 
@@ -156,10 +164,10 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
 
-        def save(name: str, text: str) -> str:
+        def save(name: str, text: str, end: str = "\n") -> str:
             path = os.path.join(tmp, name)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text + end)
             return path
 
         files = [save(name, text) for name, text in proofs().items()]
@@ -172,7 +180,7 @@ def main() -> None:
         cuts.append(save("root-redex.llp", ROOT_REDEX))
         deep = save("church-421.llp", print_proof(church(421, a)))
         grid = commands(files) + [["normalize", f, "--trace"] for f in cuts] + [["check", deep]]
-        grid += [["check", save(name, text)] for name, text in MALFORMED.items()]
+        grid += [["check", save(name, text, end="")] for name, text in MALFORMED.items()]
         records = []
         for argv in grid:
             code, out, err = run(argv)
