@@ -15,11 +15,10 @@ reports the nodes whose cache does not match, and certifies the tree
 when none does.  Each node is thus derived once, wherever it was built.
 
 A rule tag carries the rule's parameters in ``.llp`` argument order
-(see ``sexpr``): the ``at`` index, and for ``weak`` and ``all-l`` the
-formulas the premise does not determine (the weakened formula; the
-quantified formula and the witness).  Only the axiom's formula and the
-all-r binder are read from the cached conclusion.  :func:`_make` builds
-any node from its tag and premises through the one schema function.
+(see ``sexpr``): the ``at`` index, and the data the premises do not
+determine (the axiom's formula, the weakened formula, the all-r binder,
+the all-l quantified formula and witness).  :func:`_make` builds any
+node from its tag and premises through the one schema function.
 ``formula.fold`` (bottom-up, as over a formula) and :func:`preorder`
 (top-down) are the two walks over a proof: the walkers that map or
 summarize a tree (here, in ``rewrite``, ``sexpr`` and ``semantics``) are
@@ -83,7 +82,7 @@ class ProofError(Exception):
 
 @dataclass(frozen=True)
 class Axiom:
-    pass
+    formula: Formula
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class OneR:
 
 @dataclass(frozen=True)
 class ForallR:
-    pass
+    binder: str
 
 
 @dataclass(frozen=True)
@@ -358,19 +357,8 @@ _EDITS = {
 }
 
 
-def _rule_conclusion(
-    rule: RuleTag,
-    premises: tuple[Sequent, ...],
-    *,
-    axiom_formula: Formula | None = None,
-    binder: str | None = None,
-) -> Sequent:
-    """Apply ``rule`` to premise sequents, raising ProofError on misuse.
-
-    The keyword arguments supply the data that lives in the conclusion
-    rather than in the premises or the tag (the axiom's formula, the
-    all-r binder).
-    """
+def _rule_conclusion(rule: RuleTag, premises: tuple[Sequent, ...]) -> Sequent:
+    """Apply ``rule`` to premise sequents, raising ProofError on misuse."""
     keyword = rule_keyword(rule)
     kind = type(rule)
     want = rule_arity(kind)
@@ -395,9 +383,7 @@ def _rule_conclusion(
         return Sequent(ctx[:at] + new + ctx[at + used :], s.conclusion)
 
     if isinstance(rule, Axiom):
-        if axiom_formula is None:
-            raise ProofError("axiom needs its formula")
-        return Sequent((axiom_formula,), axiom_formula)
+        return Sequent((rule.formula,), rule.formula)
 
     if isinstance(rule, OneR):
         return Sequent((), One())
@@ -425,8 +411,9 @@ def _rule_conclusion(
 
     if kind is ForallR:
         (s,) = premises
-        if binder is None:
-            raise ProofError("all-r needs its binder")
+        binder = rule.binder
+        if binder == "all":  # as the formula grammar says
+            raise ProofError("'all' cannot be a binder name")
         for i, f in enumerate(s.context):
             if binder in free_vars(f):
                 raise ProofError(
@@ -443,12 +430,11 @@ def _rule_conclusion(
 # Strict constructors
 
 
-def _make(rule: RuleTag, *premises: Proof, **hints: Formula | str) -> Proof:
+def _make(rule: RuleTag, *premises: Proof) -> Proof:
     """The node ``rule`` over ``premises``, its conclusion from the schema,
-    checked if its premises are; ``hints`` are :func:`_rule_conclusion`'s
-    keywords."""
+    checked if its premises are."""
     sequents = tuple([p.conclusion for p in premises])
-    node = Proof(rule, premises, _rule_conclusion(rule, sequents, **hints))
+    node = Proof(rule, premises, _rule_conclusion(rule, sequents))
     # _certify, inlined, and a loop rather than all(): every node pays this
     for p in premises:
         if not p.checked:
@@ -464,7 +450,7 @@ def _certify(*nodes: Proof) -> None:
 
 
 def mk_axiom(a: Formula) -> Proof:
-    return _make(Axiom(), axiom_formula=a)
+    return _make(Axiom(a))
 
 
 def mk_exchange(p: Proof, at: int) -> Proof:
@@ -516,7 +502,7 @@ def mk_one_r() -> Proof:
 
 
 def mk_forall_r(p: Proof, binder: str) -> Proof:
-    return _make(ForallR(), p, binder=binder)
+    return _make(ForallR(binder), p)
 
 
 def mk_forall_l(p: Proof, at: int, quantified: Formula, witness: Formula) -> Proof:
@@ -529,17 +515,8 @@ def mk_forall_l(p: Proof, at: int, quantified: Formula, witness: Formula) -> Pro
 
 def _node_violation(p: Proof) -> str | None:
     """The schema complaint for this node alone, or None if it fits."""
-    rule = p.rule
-    hints: dict = {}
-    if isinstance(rule, Axiom):
-        hints["axiom_formula"] = p.conclusion.conclusion
-    elif isinstance(rule, ForallR):
-        f = p.conclusion.conclusion
-        if not isinstance(f, Forall):
-            return "all-r conclusion is not a quantified formula"
-        hints["binder"] = f.binder
     try:
-        expected = _rule_conclusion(rule, tuple([q.conclusion for q in p.premises]), **hints)
+        expected = _rule_conclusion(p.rule, tuple([q.conclusion for q in p.premises]))
     except ProofError as err:
         return str(err)
     if not sequent_alpha_eq(expected, p.conclusion):
@@ -647,9 +624,10 @@ def proof_eq(p: Proof, q: Proof) -> bool:
         if type(p.rule) is not type(q.rule) or len(p.premises) != len(q.premises):
             return False
         for u, v in zip(vars(p.rule).values(), vars(q.rule).values()):
-            if not (
-                _alpha(u, v, envp, envq, depth) if isinstance(u, Formula) else u == v
-            ):
+            # an all-r binder, a name, is compared through the environments below
+            if isinstance(u, Formula) and not _alpha(u, v, envp, envq, depth):
+                return False
+            if type(u) is int and u != v:
                 return False
         s, t = p.conclusion, q.conclusion
         if not (envp == envq and s == t) and not (
@@ -661,8 +639,8 @@ def proof_eq(p: Proof, q: Proof) -> bool:
         ):
             return False
         if isinstance(p.rule, ForallR):
-            envp = {**envp, s.conclusion.binder: depth}
-            envq = {**envq, t.conclusion.binder: depth}
+            envp = {**envp, p.rule.binder: depth}
+            envq = {**envq, q.rule.binder: depth}
             depth += 1
         stack.extend((a, b, envp, envq, depth) for a, b in zip(p.premises, q.premises))
     return True
@@ -701,25 +679,19 @@ def subst_proof(p: Proof, x: str, b: Formula) -> Proof:
     fv_b = free_vars(b)
 
     def premises(node: Proof) -> tuple[Proof, ...]:
-        if isinstance(node.rule, ForallR):
-            binder = node.conclusion.conclusion.binder
-            if binder == x or binder in fv_b:
-                return ()
+        rule = node.rule
+        if isinstance(rule, ForallR) and (rule.binder == x or rule.binder in fv_b):
+            return ()
         return node.premises
 
     def node(q: Proof, subs: list[Proof]) -> Proof:
         rule = q.rule
-        if isinstance(rule, Axiom):
-            return mk_axiom(substitute(q.conclusion.conclusion, x, b))
-        if isinstance(rule, ForallR):
-            binder = q.conclusion.conclusion.binder
-            if binder == x:
-                return q
-            if binder in fv_b:
-                fresh = fresh_name(binder, free_vars_proof(q) | fv_b | {x})
-                renamed = subst_proof(q.premises[0], binder, Var(fresh))
-                return mk_forall_r(fold(renamed, node, premises), fresh)
-            return mk_forall_r(subs[0], binder)
+        if isinstance(rule, ForallR) and rule.binder == x:
+            return q
+        if isinstance(rule, ForallR) and rule.binder in fv_b:
+            fresh = fresh_name(rule.binder, free_vars_proof(q) | fv_b | {x})
+            renamed = subst_proof(q.premises[0], rule.binder, Var(fresh))
+            return mk_forall_r(fold(renamed, node, premises), fresh)
         formulas = {
             k: substitute(v, x, b) for k, v in vars(rule).items() if isinstance(v, Formula)
         }

@@ -203,8 +203,7 @@ def _principal(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Proof]
     if isinstance(lr, OneR) and isinstance(rr, OneL) and rr.at == at:
         return "one-principal", right.premises[0]
     if isinstance(lr, ForallR) and isinstance(rr, ForallL) and rr.at == at:
-        binder = left.conclusion.conclusion.binder
-        instantiated = subst_proof(left.premises[0], binder, rr.witness)
+        instantiated = subst_proof(left.premises[0], lr.binder, rr.witness)
         return "forall-principal", mk_cut(instantiated, right.premises[0], at)
     return None
 
@@ -273,7 +272,7 @@ def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Pr
         inner = mk_cut(left, r2, at - ns)
         return "lolli-l-commute", mk_lolli_l(r1, inner, j)
     if isinstance(r, ForallR):
-        binder = right.conclusion.conclusion.binder
+        binder = r.binder
         premise = right.premises[0]
         gamma_fv: set[str] = set()
         for f in left.conclusion.context:

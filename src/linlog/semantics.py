@@ -623,7 +623,7 @@ def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
             return lift(phi, whole, out_space=inner())
 
         return promote
-    raise TypeError(f"unknown rule {rule!r}")
+    raise SemanticsError(f"unknown rule {rule!r}")
 
 
 def _den_env(p: Proof, env: tuple, asg: AsgKey) -> Value:

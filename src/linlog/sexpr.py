@@ -16,9 +16,9 @@ Proof grammar: s-expressions with one keyword per deduction rule::
 
 where ``I`` is a context index, ``F`` a formula, ``W`` a witness
 formula and ``X`` an identifier.  The arguments before the premises are
-the fields of the rule's tag, in order (``weak`` carries the inserted
-formula, ``all-l`` the quantified formula and the witness), except for
-``ax`` and ``all-r``, whose argument is part of the conclusion.
+the fields of the rule's tag, in order (``ax`` carries its formula,
+``weak`` the inserted formula, ``all-r`` its binder, ``all-l`` the
+quantified formula and the witness).
 
 `parse_proof` rejects no tree for its rules.  It builds each node
 that fits its schema with the strict constructor, which certifies it
@@ -61,8 +61,6 @@ from .proof import (
     RULE_KEYWORDS,
     _make,
     fold,
-    mk_axiom,
-    mk_forall_r,
     rule_arity,
     rule_keyword,
 )
@@ -306,28 +304,29 @@ def _replace(rule, premises):
     return Sequent(s.context + (rule.quantified,), s.conclusion)
 
 
-def _all_r(name, p):
-    try:
-        return mk_forall_r(p, name)
-    except ProofError:
-        s = p.conclusion
-        return Proof(_proof.ForallR(), (p,), Sequent(s.context, Forall(name, s.conclusion)))
+def _generalize(rule, premises):
+    s = premises[0].conclusion
+    return Sequent(s.context, Forall(rule.binder, s.conclusion))
 
 
-# Each rule keyword's arguments before its premises, in order (i a
-# context index, f a formula, x a binder name), the function that builds
-# its node from all its arguments (the tag's fields, then its premises,
-# except for ax and all-r, whose argument is part of the conclusion), and
-# how many arguments that is.
-_FALLBACKS = {_proof.Promotion: _promote, _proof.Weakening: _insert, _proof.ForallL: _replace}
+# Each rule keyword's arguments before its premises, its tag's fields in
+# order (i the context index ``at``, x the binder name ``binder``, f a
+# formula), the function that builds its node from all its arguments
+# (those fields, then its premises), and how many arguments that is.
+_FALLBACKS = {
+    _proof.Promotion: _promote,
+    _proof.Weakening: _insert,
+    _proof.ForallR: _generalize,
+    _proof.ForallL: _replace,
+}
 _RULES = {
     kw: (
-        "".join("i" if f.name == "at" else "f" for f in fields(tag)),
+        "".join({"at": "i", "binder": "x"}.get(f.name, "f") for f in fields(tag)),
         _lenient(tag, _FALLBACKS.get(tag, _keep)),
         len(fields(tag)) + rule_arity(tag),
     )
     for tag, kw in RULE_KEYWORDS.items()
-} | {"ax": ("f", mk_axiom, 1), "all-r": ("x", _all_r, 2)}
+}
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +362,7 @@ _WIDTH = 72
 
 def _node_args(p: Proof, text: Callable[[Formula], str]) -> list[str]:
     """The arguments of ``p``'s node as printed, its formulas by ``text``."""
-    rule = p.rule
-    if isinstance(rule, _proof.Axiom):
-        return [text(p.conclusion.conclusion)]
-    if isinstance(rule, _proof.ForallR):
-        f = p.conclusion.conclusion
-        return [f.binder if isinstance(f, Forall) else "_"]
-    return [text(v) if isinstance(v, Formula) else str(v) for v in vars(rule).values()]
+    return [text(v) if isinstance(v, Formula) else str(v) for v in vars(p.rule).values()]
 
 
 def print_proof(p: Proof) -> str:

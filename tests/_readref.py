@@ -17,15 +17,8 @@ from dataclasses import fields
 from typing import Callable, TypeVar
 
 from linlog.formula import Bang, Forall, Formula, Lolli, One, Tensor, Var
-from linlog.proof import RULE_KEYWORDS, Proof, mk_axiom, rule_arity
-from linlog.sexpr import (
-    ParseError,
-    SourceSpan,
-    _FALLBACKS,
-    _all_r,
-    _keep,
-    _lenient,
-)
+from linlog.proof import RULE_KEYWORDS, Proof, rule_arity
+from linlog.sexpr import ParseError, SourceSpan, _FALLBACKS, _keep, _lenient
 
 T = TypeVar("T")
 
@@ -175,11 +168,12 @@ class _Parser:
 
 _RULES = {
     kw: (
-        "".join("i" if f.name == "at" else "f" for f in fields(tag)) + "p" * rule_arity(tag),
+        "".join({"at": "i", "binder": "x"}.get(f.name, "f") for f in fields(tag))
+        + "p" * rule_arity(tag),
         _lenient(tag, _FALLBACKS.get(tag, _keep)),
     )
     for tag, kw in RULE_KEYWORDS.items()
-} | {"ax": ("f", mk_axiom), "all-r": ("xp", _all_r)}
+}
 
 
 def _parse(text: str, read: Callable[[_Parser], T]) -> T:

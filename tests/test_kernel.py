@@ -13,7 +13,6 @@ from linlog.formula import (
     INT,
     Bang,
     Forall,
-    Formula,
     Lolli,
     One,
     Sequent,
@@ -174,6 +173,9 @@ def test_forall_r_binds_and_checks_freeness():
     assert p.conclusion == Sequent((), Forall("x", Lolli(X, X)))
     with pytest.raises(ProofError):
         mk_forall_r(mk_axiom(X), "x")  # x free in the context
+    # the formula grammar refuses `all` as a binder name, and so does the schema
+    with pytest.raises(ProofError, match=r"^'all' cannot be a binder name$"):
+        mk_forall_r(mk_lolli_r(mk_axiom(A)), "all")
 
 
 def test_forall_l_instantiates_witness():
@@ -187,7 +189,7 @@ def test_forall_l_instantiates_witness():
 
 
 def test_validate_flags_corrupted_nodes_with_paths():
-    bogus = Proof(Axiom(), (), Sequent((A,), B))
+    bogus = Proof(Axiom(B), (), Sequent((A,), B))
     problems = validate(bogus)
     assert len(problems) == 1 and problems[0][0] == ()
 
@@ -204,19 +206,19 @@ def test_validate_accepts_alpha_variant_conclusions():
     inner = mk_forall_r(mk_lolli_r(mk_axiom(Var("z"))), "z")  # ⊢ (all z. z -o z)
     p = mk_forall_r(inner, "x")  # vacuous outer quantifier
     relabeled = Proof(
-        p.rule,
+        ForallR("x"),
         p.premises,
         Sequent((), Forall("x", Forall("w", Lolli(Var("w"), Var("w"))))),
     )
     assert validate(relabeled) == []
     crossed = Proof(
-        p.rule, p.premises, Sequent((), Forall("y", Forall("z", Lolli(Var("z"), Var("z")))))
+        ForallR("y"), p.premises, Sequent((), Forall("y", Forall("z", Lolli(Var("z"), Var("z")))))
     )
     assert validate(crossed) == []  # outer binder vacuous on both sides
 
     q = mk_forall_r(mk_lolli_r(mk_axiom(X)), "x")
     relabeled_top = Proof(
-        q.rule, q.premises, Sequent((), Forall("y", Lolli(Var("y"), Var("y"))))
+        ForallR("y"), q.premises, Sequent((), Forall("y", Lolli(Var("y"), Var("y"))))
     )
     assert validate(relabeled_top) != []  # premise's generic variable is x, not y
 
@@ -228,6 +230,10 @@ def test_proof_eq_up_to_binder_renaming():
     assert p != q
     assert not proof_eq(p, mk_lolli_r(mk_axiom(X)))
     assert not proof_eq(mk_axiom(A), mk_axiom(B))
+    # equal root tags, told apart by the conclusions
+    assert not proof_eq(mk_lolli_r(mk_axiom(A)), mk_lolli_r(mk_axiom(B)))
+    aaa = mk_tensor_r(mk_tensor_r(mk_axiom(A), mk_axiom(A)), mk_axiom(A))
+    assert not proof_eq(mk_exchange(aaa, 0), mk_exchange(aaa, 1))  # one conclusion
 
 
 def test_a_proof_is_never_equal_to_a_non_proof():
@@ -426,7 +432,7 @@ def test_a_tag_with_a_keyword_but_no_schema_is_an_unknown_rule(monkeypatch):
     # not given the conclusion of the last rule the kernel knows
     monkeypatch.setitem(RULE_KEYWORDS, Foreign, "foreign")
     with pytest.raises(ProofError, match=r"^unknown rule Foreign\(\)$"):
-        _rule_conclusion(Foreign(), (Sequent((A,), A),), binder="a")
+        _rule_conclusion(Foreign(), (Sequent((A,), A),))
 
 
 def test_fold_visits_a_shared_subtree_once():
@@ -485,13 +491,7 @@ def _ref_rule_arity(rule):
     return 1
 
 
-def _ref_rule_conclusion(
-    rule: RuleTag,
-    premises: tuple[Sequent, ...],
-    *,
-    axiom_formula: Formula | None = None,
-    binder: str | None = None,
-) -> Sequent:
+def _ref_rule_conclusion(rule: RuleTag, premises: tuple[Sequent, ...]) -> Sequent:
     want = _ref_rule_arity(rule)
     if len(premises) != want:
         raise ProofError(
@@ -499,9 +499,7 @@ def _ref_rule_conclusion(
         )
 
     if isinstance(rule, Axiom):
-        if axiom_formula is None:
-            raise ProofError("axiom needs its formula")
-        return Sequent((axiom_formula,), axiom_formula)
+        return Sequent((rule.formula,), rule.formula)
 
     if isinstance(rule, OneR):
         return Sequent((), One())
@@ -634,8 +632,9 @@ def _ref_rule_conclusion(
 
     if isinstance(rule, ForallR):
         (s,) = premises
-        if binder is None:
-            raise ProofError("all-r needs its binder")
+        binder = rule.binder
+        if binder == "all":
+            raise ProofError("'all' cannot be a binder name")
         for i, f in enumerate(s.context):
             if binder in free_vars(f):
                 raise ProofError(
@@ -681,10 +680,8 @@ _FIELDS = {
     "formula": st.sampled_from([Bang(A), Bang(X), A]),
     "quantified": st.sampled_from([Forall("x", X), Forall("x", Bang(X)), A]),
     "witness": st.sampled_from([A, X, Tensor(A, B)]),
+    "binder": st.sampled_from(["x", "y", "A", "all"]),
 }
-
-
-_HINTS = ({}, {"axiom_formula": A, "binder": "x"}, {"axiom_formula": Bang(X), "binder": "y"}, {"binder": "A"})
 
 
 @st.composite
@@ -697,9 +694,9 @@ def _applications(draw, tag):
     return premises, formulas
 
 
-def _outcome(schema, rule, premises, hints):
+def _outcome(schema, rule, premises):
     try:
-        return schema(rule, premises, **hints)
+        return schema(rule, premises)
     except ProofError as err:
         return str(err)
 
@@ -714,11 +711,10 @@ def test_rule_schema_matches_the_per_rule_reference(tag):
         premises, formulas = application
         n = len(premises[-1].context) if premises else 0
         for at in range(-1, n + 2) if indexed else [None]:
-            rule = tag(at, **formulas) if indexed else tag()
-            for hints in _HINTS:
-                assert _outcome(_rule_conclusion, rule, premises, hints) == _outcome(
-                    _ref_rule_conclusion, rule, premises, hints
-                )
+            rule = tag(at, **formulas) if indexed else tag(**formulas)
+            assert _outcome(_rule_conclusion, rule, premises) == _outcome(
+                _ref_rule_conclusion, rule, premises
+            )
 
     check()
 
@@ -726,8 +722,8 @@ def test_rule_schema_matches_the_per_rule_reference(tag):
 def test_tag_conditions_are_checked_before_the_index():
     s = Sequent((A,), A)
     for schema in (_rule_conclusion, _ref_rule_conclusion):
-        assert _outcome(schema, Weakening(5, B), (s,), {}) == "weakening of B: not banged"
-        assert _outcome(schema, ForallL(5, B, A), (s,), {}) == (
+        assert _outcome(schema, Weakening(5, B), (s,)) == "weakening of B: not banged"
+        assert _outcome(schema, ForallL(5, B, A), (s,)) == (
             "all-l principal formula B is not quantified"
         )
 
@@ -796,7 +792,7 @@ def test_only_the_strict_constructors_certify_a_node():
         assert not raw.checked and raw == p
         assert validate(raw) == [] and raw.checked
     # a strict node over an unchecked premise is unchecked
-    over = mk_prom(mk_lolli_r(Proof(Axiom(), (), Sequent((A,), A))))
+    over = mk_prom(mk_lolli_r(Proof(Axiom(A), (), Sequent((A,), A))))
     assert not over.checked
     assert validate(over) == [] and over.checked
 

@@ -14,6 +14,7 @@ from linlog.formula import (
     Forall,
     Lolli,
     One,
+    Sequent,
     Tensor,
     Var,
     format_formula,
@@ -103,6 +104,13 @@ def test_all_is_refused_as_a_binder_name():
     with pytest.raises(ParseError, match=r"^'all' cannot be a binder name") as err:
         parse_formula("(all all. x)")
     assert type(err.value) is ParseError
+    # the all-r schema refuses it too: both readers hand the node back unchecked
+    text = "(all-r all (lolli-r (ax A)))"
+    p, checked = _reads_like_the_reference(text)
+    assert checked == [False, True, True]
+    assert p.conclusion == Sequent((), Forall("all", Lolli(A, A)))
+    assert validate(p) == [((), "'all' cannot be a binder name")]
+    assert print_proof(p) == text
 
 
 def test_a_proof_node_must_open_with_a_rule_keyword():

@@ -386,7 +386,7 @@ def _broken_premise(rep):
     caches the premise's conclusion, which is no axiom sequent: the root
     still fits its schema, the new axiom does not."""
     first = rep.premises[0]
-    bad = Proof(Axiom(), (), first.conclusion)
+    bad = Proof(Axiom(first.conclusion.conclusion), (), first.conclusion)
     return Proof(rep.rule, (bad,) + rep.premises[1:], rep.conclusion)
 
 
@@ -403,7 +403,7 @@ def test_guard_catches_a_bad_node_inside_a_replacement(monkeypatch):
 
 
 def test_invalid_input_is_rejected_on_entry():
-    bad = Proof(Axiom(), (), Sequent((A,), B))  # A ⊢ B by "axiom"
+    bad = Proof(Axiom(B), (), Sequent((A,), B))  # A ⊢ B by "axiom"
     p = mk_cut(bad, mk_axiom(B), 0)  # the cut itself fits its schema
     assert [where for where, _msg in validate(p)] == [(0,)]
     # the one step, ax-right, returns ``bad`` itself: only the entry
@@ -450,7 +450,7 @@ def test_alpha_variant_replacement_rechecks_the_ancestors(monkeypatch):
 def test_a_forged_replacement_with_a_bad_conclusion_breaks_validity(monkeypatch):
     def forged(node):
         # an "axiom" caching the cut's conclusion, which is no axiom sequent
-        return "forged", Proof(Axiom(), (), node.conclusion)
+        return "forged", Proof(Axiom(node.conclusion.conclusion), (), node.conclusion)
 
     monkeypatch.setattr(rewrite, "reduce_cut", forged)
     with pytest.raises(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -50,8 +51,9 @@ from linlog.encodings import (
     plain_body,
     rec,
 )
-from linlog.formula import INT, Bang, Forall, Lolli, One, Tensor, Var, endo, int_type
+from linlog.formula import INT, Bang, Forall, Lolli, One, Sequent, Tensor, Var, endo, int_type
 from linlog.proof import (
+    Proof,
     Promotion,
     mk_axiom,
     mk_ctr,
@@ -1077,6 +1079,25 @@ def test_a_ket_based_in_an_infinite_space_is_unsupported():
     x = BangElem(UnitSp(), ((((1,), ()), 1),))
     _refused(lambda: den_apply(mk_axiom(Bang(Bang(One()))), x, ASG), UnsupportedSpace,
              r"^no ket may be based in !k$")
+
+
+@dataclass(frozen=True)
+class Foreign:
+    """A rule tag of a class the evaluator does not know."""
+
+
+def test_a_foreign_rule_tag_is_refused():
+    node = Proof(Foreign(), (), Sequent((A,), A))
+    _refused(lambda: den_apply(node, Vect(BaseSp("A", 2), (1, 2)), ASG), SemanticsError,
+             r"^unknown rule Foreign\(\)$")
+
+
+def test_the_zero_of_a_tensor_of_bangs_is_unsupported():
+    # a contraction of the zero of !A gives the zero of !A (x) !A, which
+    # is neither finite nor a bang nor a hom space
+    p = mk_ctr(mk_tensor_r(mk_axiom(Bang(A)), mk_axiom(Bang(A))), 0)
+    _refused(lambda: den_apply(p, BangElem(BaseSp("A", 2), ()), ASG), UnsupportedSpace,
+             r"^zero value needs a finite space, got \(!A \(x\) !A\)$")
 
 
 def test_a_vector_of_another_space_of_the_same_dimension_is_refused():

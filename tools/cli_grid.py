@@ -102,7 +102,9 @@ ROOT_REDEX = "(cut 0 (ax A) (ax A))"
 #: an unknown keyword; an unclosed parenthesis; a context index too long
 #: for ``int``; a grammar error before a stray character; a comment that
 #: runs to the end of the file; the keyword ``ax`` as a formula; a
-#: hyphenated keyword with a letter too many; an empty file.
+#: hyphenated keyword with a letter too many; an empty file; and two
+#: texts that parse but do not validate: an all-r whose binder is free
+#: in its hypothesis, and an all-r over the name ``all``.
 MALFORMED = {
     "stray-ascii.llp": "(lolli-r (ax A) $)\n",
     "stray-non-ascii.llp": "; ⊢ A ⊸ A\n(lolli-r (ax A) ⊗)\n",
@@ -114,6 +116,8 @@ MALFORMED = {
     "ax-ax.llp": "(ax ax)\n",
     "lolli-rx.llp": "(lolli-rx (ax A))\n",
     "empty.llp": "",
+    "all-r-free-binder.llp": "(all-r A (ax A))\n",
+    "all-r-all.llp": "(all-r all (lolli-r (ax A)))\n",
 }
 
 
