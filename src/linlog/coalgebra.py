@@ -125,6 +125,9 @@ def space_dim(s: Space) -> int | None:
         return None if d is None or c is None else d * c
     if isinstance(s, BangSp):
         return None
+    if isinstance(s, SumSp):
+        dims = [space_dim(p) for p in s.parts]
+        return None if None in dims else sum(dims)
     raise TypeError(f"not a space: {s!r}")
 
 
@@ -143,6 +146,8 @@ def space_label(s: Space) -> str:
         return f"Hom({space_label(s.dom)}, {space_label(s.cod)})"
     if isinstance(s, BangSp):
         return f"!{space_label(s.inner)}"
+    if isinstance(s, SumSp):
+        return "(" + " (+) ".join(map(space_label, s.parts)) + ")"
     raise TypeError(f"not a space: {s!r}")
 
 

@@ -6,16 +6,15 @@ cofree coalgebra from `coalgebra`.  A proof of A₁, …, A_g ⊢ C denotes a
 linear map ⟦A₁⟧ ⊗ … ⊗ ⟦A_g⟧ → ⟦C⟧; `den_apply` evaluates that map on
 one explicit element, exactly.
 
-Staged evaluation.  `_plan(p, asg)` compiles a proof once per sorted
-dimension assignment, bottom-up and without recursion, turning each
-node into a closure over its static facts: its rule's position, its
-premises' plans, and the spaces of its conclusion and of the slots it
-touches, with their dimensions, zeros and bases.  Those spaces are
-resolved on first use, so a missing dimension or a quantified formula
-raises exactly where evaluation needs it.  A plan maps a context tuple
-(one value per slot) to the value of the node's conclusion.
+Direct evaluation.  A proof is the algorithm that builds its map, so
+`_eval(p, env, asg)` runs it as it stands: it maps a context tuple (one
+value per slot) to the value of the node's conclusion, with one branch
+per rule, and evaluates a premise by calling itself, one Python frame
+per node.  A space is resolved, through the memo of `_den_formula`, at
+the rule that needs it, so a missing dimension or a quantified formula
+raises exactly where evaluation reaches it.
 
-Plans compute over R = ℚ[t₁, t₂, …]/(t₁², t₂², …), on group-like
+The interpreter computes over R = ℚ[t₁, t₂, …]/(t₁², t₂², …), on group-like
 elements (see `coalgebra`).  A ket |ν₁…ν_s⟩_P is the t₁⋯t_s coefficient
 of the group-like element g(P + Σ tᵢνᵢ), so `den_apply` enters it as
 that element, with fresh variables, evaluates once and reads off the
@@ -37,7 +36,7 @@ are skipped, which the probe kets make common: a dereliction yields
 P + Σ tᵢνᵢ with sparse νᵢ, and a materialization starts from basis
 vectors.
 
-Inside plans a value's representation is fixed by its static space:
+Inside the interpreter a value's representation is fixed by its space:
 
   jet          element of a finite space over R (the unit, a base or
                tensor space, a materialized hom): a tuple of
@@ -51,8 +50,8 @@ Inside plans a value's representation is fixed by its static space:
                point x (a jet) and a coefficient c (a scalar jet)
   Suspended    element of a hom space as unapplied abstractions: Σ c·f
                over pairs of a `Closure` f (a ⊸R node, its captured
-               context, the assignment and the plan of its body) and a
-               coefficient c (a scalar jet), the zero having no pairs.
+               context and the assignment) and a coefficient c (a
+               scalar jet), the zero having no pairs.
                In a finite hom space it is materialized to a jet when
                it is scaled, added or read as coordinates; a space with
                no matrix keeps sums and multiples unapplied
@@ -87,10 +86,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from .coalgebra import (
@@ -179,8 +177,9 @@ _SPACES: WeakKeyDictionary = WeakKeyDictionary()
 
 def _den_formula(a: Formula, asg: AsgKey) -> Space:
     known = _SPACES.get(a)
-    if known is not None and asg in known:
-        return known[asg]
+    out = None if known is None else known.get(asg)
+    if out is not None:
+        return out
 
     def space(b: Formula, parts: list[Space]) -> Space:
         if type(b) is Var:
@@ -241,16 +240,14 @@ class BangJet(NamedTuple):
     terms: tuple[tuple[object, Jet], ...]  # (point, coefficient) pairs
 
 
-@dataclass(frozen=True)
-class Closure:
-    """λa.body(a, env), unapplied.  Two closures over the same node and
-    context differ when their assignments do; the plan is derived from
-    the node and the assignment, so it takes no part in equality."""
+class Closure(NamedTuple):
+    """λa.body(a, env), unapplied: `_call` evaluates the node's premise
+    on a and the captured context.  Two closures over the same node and
+    context differ when their assignments do."""
 
     node: Proof  # a validated abstraction (⊸R) node
-    env: tuple["Value", ...]  # the captured context, in plan representation
+    env: tuple["Value", ...]  # the captured context, in interpreter representation
     asg: AsgKey
-    plan: Callable[[tuple], "Value"] = field(compare=False, repr=False)
 
 
 class Suspended(NamedTuple):
@@ -266,7 +263,7 @@ class Suspended(NamedTuple):
 
 
 SemValue = Vect | BangElem | TensorElem | Suspended
-#: A value inside the plans (see the module docstring).
+#: A value inside the interpreter (see the module docstring).
 Value = tuple | BangJet | Suspended
 
 
@@ -385,21 +382,13 @@ def _coords(v: Jet, top: int, d: int) -> tuple[Rational, ...]:
 
 
 def _call(f: Suspended, a: Value) -> Value:
-    """f(a) = Σ c·body(a, env) over f's terms: each closure's plan on a
-    and its captured context, scaled."""
+    """f(a) = Σ c·body(a, env) over f's terms: each closure's body
+    evaluated on a and its captured context, scaled."""
     cod, out = f.space.cod, None
     for g, c in f.terms:
-        r = _scale(c, g.plan((a,) + g.env), cod)
+        r = _scale(c, _eval(g.node.premises[0], (a,) + g.env, g.asg), cod)
         out = r if out is None else _add(out, r, cod)
     return _zero(cod) if out is None else out
-
-
-def _apply(psi: Value, a: Value, dom_of: Callable[[], Space]) -> Value:
-    """ψ(a) for a value ψ of a hom space; its domain is resolved only to
-    materialize an abstraction passed as the argument of a matrix."""
-    if type(psi) is Suspended:
-        return _call(psi, a)
-    return _matrix_times(psi, a if type(a) is tuple else _flat(a, dom_of()))
 
 
 def _materialize(v: Suspended) -> Jet:
@@ -419,7 +408,7 @@ def _materialize(v: Suspended) -> Jet:
 
 
 def _flat(v: Value, space: Space) -> Jet:
-    """A plan value of a finite ``space`` as a jet."""
+    """An interpreter value of a finite ``space`` as a jet."""
     if type(v) is tuple:
         return v
     if type(v) is Suspended and (v.terms or is_finite(space)):
@@ -451,27 +440,7 @@ def lift(phi: Callable[[BangJet], Jet], x: BangJet, out_space: Space) -> BangJet
 
 
 # ---------------------------------------------------------------------------
-# Plans
-
-
-Plan = Callable[[tuple], Value]
-
-
-T = TypeVar("T")
-
-
-def _once(f: Callable[[], T]) -> Callable[[], T]:
-    """``f``, called on first use and remembered; an error is raised
-    again on every call.  (Cheaper to build than `functools.cache`,
-    which matters because every compiled node builds a few.)"""
-    box: list = []
-
-    def get() -> T:
-        if not box:
-            box.append(f())
-        return box[0]
-
-    return get
+# The interpreter
 
 
 def _finite(space: Space, what: str) -> Space:
@@ -479,157 +448,128 @@ def _finite(space: Space, what: str) -> Space:
     return space
 
 
-def _first(env: tuple) -> Value:
-    return env[0]
-
-
-def _second_order(env: tuple) -> Value:
-    raise UnsupportedSpace("second-order proofs have no finite denotation")
-
-
-# One entry per proof a public function evaluates.  The bench workloads
-# keep 6 to 17 such proofs in use and the acceptance arithmetic grid 58,
-# so 256 evicts none of them and still bounds the plans kept alive.
-@lru_cache(maxsize=256)
-def _plan(p: Proof, asg: AsgKey) -> Plan:
-    """The plan of a proof under one assignment (see the module
-    docstring), compiled by :func:`fold`, so compiling takes no
-    recursion however deep the proof is; a shared subproof is compiled
-    once."""
-    return fold(p, lambda q, subs: _compile(q, asg, subs))
-
-
-def _compile(p: Proof, asg: AsgKey, subs: list[Plan]) -> Plan:
-    """Compile one node, given its premises' plans.
-
-    Static facts are `_once` functions, resolved on first use."""
-    rule, premises = p.rule, p.premises
+def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
+    """⟦p⟧ on one context tuple (one value per slot), one branch per
+    rule.  A premise is evaluated by a call of `_eval` itself, so a
+    proof costs one Python frame per node on the path being evaluated."""
+    rule = p.rule
     kind = type(rule)
-    body = subs[0] if subs else None
-    at = getattr(rule, "at", None)
-    n = len(premises[0].conclusion.context) if premises else 0
-    cs = _once(lambda: _den_formula(p.conclusion.conclusion, asg))
-    zero = _once(lambda: _zero(cs()))
-
     if kind is Axiom:
-        return _first
-    if kind is OneR:
-        return lambda env: _ONE
-    if kind in (ForallR, ForallL):
-        return _second_order
-    if kind is LolliR:
-        return lambda env: Suspended(cs(), ((Closure(p, env, asg, body), _ONE),))
-    if kind is Exchange:
-        return lambda env: body(env[:at] + (env[at + 1], env[at]) + env[at + 2 :])
-    if kind is Cut:
-        left, right = subs
-        return lambda env: right(env[:at] + (left(env[at : at + n]),) + env[at + n :])
+        return env[0]
     if kind is LolliL:
-        left, right = subs
-        dom = _once(lambda: _den_formula(premises[0].conclusion.conclusion, asg))
-
-        def lolli_l(env):
-            b = _apply(env[at + n], left(env[at : at + n]), dom)
-            if b == ():
-                return zero()
-            return right(env[:at] + (b,) + env[at + n + 1 :])
-
-        return lolli_l
+        at = rule.at
+        left, right = p.premises
+        if type(left.rule) is Axiom:
+            a, n = env[at], 1
+        else:
+            n = len(left.conclusion.context)
+            a = _eval(left, env[at : at + n], asg)
+        psi = env[at + n]
+        if type(psi) is Suspended:
+            b = _call(psi, a)
+        elif type(a) is tuple:
+            b = _matrix_times(psi, a)
+        else:
+            b = _matrix_times(psi, _flat(a, _den_formula(left.conclusion.conclusion, asg)))
+        if b == ():
+            return _zero(_den_formula(p.conclusion.conclusion, asg))
+        return _eval(right, env[:at] + (b,) + env[at + n + 1 :], asg)
     if kind is Dereliction:
-
-        def derelict(env):
-            # d(Σ c·g(x)) = Σ c·x
-            w = _total(_times(c, x) for x, c in env[at].terms)
-            if not w:
-                return zero()
-            return body(env[:at] + (w,) + env[at + 1 :])
-
-        return derelict
+        # d(Σ c·g(x)) = Σ c·x
+        at = rule.at
+        w = _total(_times(c, x) for x, c in env[at].terms)
+        if not w:
+            return _zero(_den_formula(p.conclusion.conclusion, asg))
+        return _eval(p.premises[0], env[:at] + (w,) + env[at + 1 :], asg)
     if kind is Contraction:
-
-        def contract(env):
-            # Δ(c·g(x)) = c·g(x) ⊗ g(x)
-            x = env[at]
-            head, tail = env[:at], env[at + 1 :]
-            out = None
-            for point, c in x.terms:
-                pair = (BangJet(x.space, ((point, c),)), BangJet(x.space, ((point, _ONE),)))
-                r = body(head + pair + tail)
-                out = r if out is None else _add(out, r, cs())
-            return zero() if out is None else out
-
-        return contract
-    if kind in (Weakening, OneL):
-
-        def weight(v):
-            # the counit of a ! slot, ε(Σ c·g(x)) = Σ c; a unit slot's scalar
-            return _total(c for _x, c in v.terms) if kind is Weakening else v
-
-        def drop(env):
-            c = weight(env[at])
-            r = body(env[:at] + env[at + 1 :])
-            return _scale(c, r, cs()) if c else zero()
-
-        return drop
-    if kind is TensorR:
-        left, right = subs
-        space = _once(lambda: _finite(cs(), "a tensor-pairing value"))
-
-        def pair(env):
-            xa = _flat(left(env[:n]), space().left)
-            xb = _flat(right(env[n:]), space().right)
-            return _tensor(xa, xb)
-
-        return pair
-    if kind is TensorL:
-
-        @_once
-        def bases():
-            space = _den_formula(p.conclusion.context[at], asg)
-            space = _finite(space, "splitting a tensor hypothesis")
-            return [[((0, e),) for e in _basis(s)] for s in (space.left, space.right)]
-
-        def unpair(env):
-            left, right = bases()
-            head, tail = env[:at], env[at + 1 :]
-            out = None
-            for k, y in env[at]:
-                for idx, c in enumerate(y):
-                    if c:
-                        i, j = divmod(idx, len(right))
-                        r = body(head + (left[i], right[j]) + tail)
-                        r = _scale(((k, (c,)),), r, cs())
-                        out = r if out is None else _add(out, r, cs())
-            return zero() if out is None else out
-
-        return unpair
+        # Δ(c·g(x)) = c·g(x) ⊗ g(x)
+        at = rule.at
+        x = env[at]
+        head, tail = env[:at], env[at + 1 :]
+        out = None
+        for point, c in x.terms:
+            pair = (BangJet(x.space, ((point, c),)), BangJet(x.space, ((point, _ONE),)))
+            r = _eval(p.premises[0], head + pair + tail, asg)
+            out = r if out is None else _add(out, r, _den_formula(p.conclusion.conclusion, asg))
+        return _zero(_den_formula(p.conclusion.conclusion, asg)) if out is None else out
+    if kind is LolliR:
+        cs = _den_formula(p.conclusion.conclusion, asg)
+        return Suspended(cs, ((Closure(p, env, asg), _ONE),))
+    if kind is Cut:
+        at = rule.at
+        left, right = p.premises
+        n = len(left.conclusion.context)
+        a = _eval(left, env[at : at + n], asg)
+        return _eval(right, env[:at] + (a,) + env[at + n :], asg)
     if kind is Promotion:
-        boxed = premises[0].conclusion.conclusion
-        inner = _once(lambda: _finite(_den_formula(boxed, asg), "boxing a proof"))
-
-        def phi(x: BangJet) -> Jet:
-            # one group-like element of the context's sum: a point per slot
-            ((points, _c),) = x.terms
-            ctx = tuple(BangJet(s, ((q, _ONE),)) for s, q in zip(x.space.parts, points))
-            return _flat(body(ctx), inner())
-
-        def promote(env):
-            # g(x₁) ⊗ … ⊗ g(x_g) is the group-like element at x₁ ⊕ … ⊕ x_g
-            terms = [((), _ONE)]
-            for x in env:
-                products = ((ps + (q,), _times(c, k)) for ps, c in terms for q, k in x.terms)
-                terms = [(ps, c) for ps, c in products if c]
-            whole = BangJet(SumSp(tuple(x.space for x in env)), tuple(terms))
-            return lift(phi, whole, out_space=inner())
-
-        return promote
+        return _promote(p, env, asg)
+    if kind is Exchange:
+        at = rule.at
+        return _eval(p.premises[0], env[:at] + (env[at + 1], env[at]) + env[at + 2 :], asg)
+    if kind is Weakening or kind is OneL:
+        at = rule.at
+        v = env[at]
+        # the counit of a ! slot, ε(Σ c·g(x)) = Σ c; a unit slot's scalar
+        c = _total(k for _x, k in v.terms) if kind is Weakening else v
+        r = _eval(p.premises[0], env[:at] + env[at + 1 :], asg)
+        cs = _den_formula(p.conclusion.conclusion, asg)
+        return _scale(c, r, cs) if c else _zero(cs)
+    if kind is OneR:
+        return _ONE
+    if kind is TensorR:
+        left, right = p.premises
+        n = len(left.conclusion.context)
+        a = _eval(left, env[:n], asg)
+        space = _finite(_den_formula(p.conclusion.conclusion, asg), "a tensor-pairing value")
+        return _tensor(_flat(a, space.left), _flat(_eval(right, env[n:], asg), space.right))
+    if kind is TensorL:
+        at = rule.at
+        space = _den_formula(p.conclusion.context[at], asg)
+        space = _finite(space, "splitting a tensor hypothesis")
+        left, right = _basis(space.left), _basis(space.right)
+        head, tail = env[:at], env[at + 1 :]
+        out = None
+        for k, y in env[at]:
+            for idx, c in enumerate(y):
+                if c:
+                    i, j = divmod(idx, len(right))
+                    pair = (((0, left[i]),), ((0, right[j]),))
+                    r = _eval(p.premises[0], head + pair + tail, asg)
+                    cs = _den_formula(p.conclusion.conclusion, asg)
+                    r = _scale(((k, (c,)),), r, cs)
+                    out = r if out is None else _add(out, r, cs)
+        return _zero(_den_formula(p.conclusion.conclusion, asg)) if out is None else out
+    if kind is ForallR or kind is ForallL:
+        raise UnsupportedSpace("second-order proofs have no finite denotation")
     raise SemanticsError(f"unknown rule {rule!r}")
 
 
+def _promote(p: Proof, env: tuple, asg: AsgKey) -> BangJet:
+    """A promotion node: ``lift`` of φ, the boxed body, over the
+    group-like element g(x₁) ⊗ … ⊗ g(x_g) of its context, which is the
+    one at x₁ ⊕ … ⊕ x_g."""
+    body = p.premises[0]
+    terms = [((), _ONE)]
+    for x in env:
+        products = ((ps + (q,), _times(c, k)) for ps, c in terms for q, k in x.terms)
+        terms = [(ps, c) for ps, c in products if c]
+    whole = BangJet(SumSp(tuple(x.space for x in env)), tuple(terms))
+    inner = _finite(_den_formula(body.conclusion.conclusion, asg), "boxing a proof")
+
+    def phi(x: BangJet) -> Jet:
+        # one group-like element of the context's sum: a point per slot
+        ((points, _c),) = x.terms
+        ctx = tuple(BangJet(s, ((q, _ONE),)) for s, q in zip(x.space.parts, points))
+        return _flat(_eval(body, ctx, asg), inner)
+
+    return lift(phi, whole, out_space=inner)
+
+
 def _den_env(p: Proof, env: tuple, asg: AsgKey) -> Value:
-    """⟦p⟧ on one context tuple in plan representation: the entry from
-    the public functions into the compiled plans."""
-    return _plan(p, asg)(env)
+    """⟦p⟧ on one context tuple: the entry from the public functions
+    into the interpreter, called once per evaluation, since `_eval`
+    recurses into itself."""
+    return _eval(p, env, asg)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +577,7 @@ def _den_env(p: Proof, env: tuple, asg: AsgKey) -> Value:
 
 
 def _exact_in(q: object) -> Rational:
-    """An input number in plan form; anything but an `int` or a
+    """An input number in interpreter form; anything but an `int` or a
     `Fraction` (a float, say) is a SemanticsError."""
     if not isinstance(q, (int, Fraction)):
         raise SemanticsError(f"{q!r} is not an exact rational (an int or a Fraction)")
@@ -683,13 +623,13 @@ def _shifted(v: Value, k: int) -> Value:
     if type(v) is tuple:
         return tuple([(m << k, y) for m, y in v])
     if type(v) is Closure:
-        return replace(v, env=tuple(_shifted(x, k) for x in v.env))
+        return v._replace(env=tuple(_shifted(x, k) for x in v.env))
     v = v._replace(terms=tuple((_shifted(x, k), _shifted(c, k)) for x, c in v.terms))
     return v._replace(top=v.top << k) if type(v) is Suspended else v
 
 
 def _enter(v: SemValue, space: Space, top: int) -> tuple[Value, int]:
-    """The plan value of a public value in a slot of ``space``, its
+    """The interpreter value of a public value in a slot of ``space``, its
     variables above those of ``top``; returns it with the new top."""
     if type(v) is BangElem and isinstance(space, BangSp):
         return _bang_in(v, space.inner, top)
@@ -731,7 +671,7 @@ def _support(v: Suspended) -> int:
 
 
 def _extract(v: Value, top: int, space_of: Callable[[], Space]) -> SemValue:
-    """The t^top coefficient of a plan value, as a public value; the
+    """The t^top coefficient of an interpreter value, as a public value; the
     space is resolved only for a vector or a zero.  A combination whose
     closures and coefficients lack some of those variables has a zero
     coefficient."""
@@ -788,7 +728,8 @@ def apply_hom(psi: SemValue, a: SemValue) -> SemValue:
     hom = _hom_space(psi)
     f, top = _enter(psi, hom, 0)
     x, top = _enter(a, hom.dom, top)
-    return _extract(_apply(f, x, lambda: hom.dom), top, lambda: hom.cod)
+    y = _call(f, x) if type(f) is Suspended else _matrix_times(f, _flat(x, hom.dom))
+    return _extract(y, top, lambda: hom.cod)
 
 
 def _ctx_spaces(seq: Sequent, asg: AsgKey) -> list[Space]:
@@ -836,7 +777,7 @@ def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
             x, top = _enter(v, s, top)
             env.append(x)
         branches.append((c, tuple(env), top ^ first))
-    cs = _once(lambda: _den_formula(p.conclusion.conclusion, key))
+    cs = partial(_den_formula, p.conclusion.conclusion, key)
     out = None
     for c, env, own in branches:
         r = _den_env(p, env, key)

@@ -503,7 +503,7 @@ def test_too_deep_formula_is_a_domain_error(tmp_path):
     assert run.returncode == 0 and run.stderr == b""
     bangs = "!" * 5000 + "A"
     assert json.loads(run.stdout) == f"{bangs} ⊢ {bangs}"
-    # the evaluator's plans and spaces are still recursive; !A has no
+    # the evaluator and its spaces are still recursive; !A has no
     # finite matrix either way
     run = _run(["denote", str(f), "--assign", "A=1"])
     assert run.returncode == 1

@@ -27,6 +27,8 @@ from linlog.coalgebra import (
     lift,
     merge,
     set_partitions,
+    space_dim,
+    space_label,
     split,
     tensor_from_terms,
     vacuum,
@@ -44,8 +46,6 @@ def _rand_frac(rng: random.Random) -> Fraction:
 
 
 def _rand_vec(rng: random.Random, space) -> "object":
-    from linlog.coalgebra import space_dim
-
     return vect(space, [_rand_frac(rng) for _ in range(space_dim(space))])
 
 
@@ -462,6 +462,15 @@ def test_merge_shifts_argument_indices():
     assert coeff == 1
 
 
+def test_the_dereliction_of_a_merged_vacuum_is_the_concatenated_point():
+    P, Q = vect(BaseSp("A", 1), [2]), vect(BaseSp("B", 2), [3, Fraction(-1, 2)])
+    total = SumSp((P.space, Q.space))
+    assert space_dim(total) == 3
+    assert space_label(total) == "(A (+) B)"
+    assert dereliction(merge([vacuum(P), vacuum(Q)])) == vect(total, [2, 3, Fraction(-1, 2)])
+    assert space_dim(SumSp((P.space, BangSp(Q.space)))) is None
+
+
 def test_split_rejects_entangled_sums():
     U, W = BaseSp("A", 1), BaseSp("B", 1)
     e0 = bang_add(
@@ -482,6 +491,43 @@ def test_split_refuses_zero_and_non_sums():
         with pytest.raises(ValueError):
             split(x)
     assert split(merge([])) == ()
+
+
+_U, _W = BaseSp("A", 1), BaseSp("B", 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: vec_add(vect(_U, [1]), vect(_W, [1, 0])),
+            ValueError,
+            "adding vectors of different spaces",
+        ),
+        (
+            lambda: ket(vect(_U, [1]), [vect(_W, [1, 0])]),
+            ValueError,
+            "ket arguments must live in the base point's space",
+        ),
+        (
+            lambda: bang_add(vacuum(vect(_U, [1])), vacuum(vect(_W, [1, 0]))),
+            ValueError,
+            "adding bang elements of different spaces",
+        ),
+        (
+            lambda: merge([zero_bang(BangSp(_U))]),
+            ValueError,
+            "cannot merge over infinite factor !A",
+        ),
+        (lambda: space_dim(object()), TypeError, "not a space: <object object at"),
+        (lambda: space_label(object()), TypeError, "not a space: <object object at"),
+    ],
+    ids=["vec-add", "ket", "bang-add", "merge-bang", "space-dim", "space-label"],
+)
+def test_mismatched_spaces_and_non_spaces_are_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value).startswith(message)
 
 
 def test_a_vector_of_the_wrong_length_counts_its_coordinates():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _kernelref
-from linlog import formula, proof, semantics
+from linlog import formula, proof
 from linlog.encodings import add_cut, church, hypexp_cut, library, mult_cut
 from linlog.formula import (
     INT,
@@ -381,15 +381,6 @@ def test_a_tree_whose_shared_subtree_was_hashed_first_hashes_as_a_fresh_one():
     assert tree._hash is None and shared._hash is None and fresh.premises[0]._hash is None
     assert hash(tree) == hash(fresh)
     assert tree == fresh
-
-
-def test_the_plan_cache_finds_an_equal_but_distinct_proof():
-    p = church(3, A)
-    asg = semantics._asg_key({"A": 2})
-    plan = semantics._plan(p, asg)
-    raw = _raw_copy(p)
-    assert raw is not p and raw._hash is None
-    assert semantics._plan(raw, asg) is plan
 
 
 def test_a_foreign_tag_is_an_unknown_rule():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -393,6 +394,17 @@ def test_nl_of_a_deep_numeral_is_the_matrix_power():
     for _ in range(128):
         want = _matmul(want, al)
     assert _as_rows(nl(church(128, A), _mat_value(al), ASG)) == want
+
+
+def test_nl_spends_one_frame_per_proof_node():
+    # church(400) is about 800 rule levels deep: it evaluates under the
+    # default recursion limit only while each node costs one Python frame
+    assert sys.getrecursionlimit() <= 1000
+    fib = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]]
+    want = [[Fraction(1 if i == j else 0) for j in range(2)] for i in range(2)]
+    for _ in range(400):
+        want = _matmul(want, fib)
+    assert _as_rows(nl(church(400, A), _mat_value(fib), ASG)) == want
 
 
 def test_nl_rejects_other_shapes():

@@ -20,8 +20,9 @@ that matrices larger than 2×2 and with no zero entry meet vectors with
 none;
 ``normalize --trace`` on the exponentiation cuts 2^1 … 2^5, the tower
 cuts ``hypexp_cut(0..3)``, the sixteen add/mult cuts of `GRID_CUTS`
-and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep,
-and on each of the `MALFORMED` texts.
+and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep;
+``nl`` on the numeral 400 at A = 2, one evaluation about 800 rules deep;
+and ``check`` on each of the `MALFORMED` texts.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ def main() -> None:
         cuts.append(save("root-redex.llp", ROOT_REDEX))
         deep = save("church-421.llp", print_proof(church(421, a)))
         grid = commands(files) + [["normalize", f, "--trace"] for f in cuts] + [["check", deep]]
+        deep = save("church-400.llp", print_proof(church(400, a)))
+        grid.append(["nl", deep, "--assign", "A=2", "--point", "[[1,1],[0,1]]"])
         grid += [["check", save(name, text, end="")] for name, text in MALFORMED.items()]
         records = []
         for argv in grid:
