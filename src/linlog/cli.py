@@ -17,17 +17,11 @@ import json
 import os
 import sys
 
+from . import SemanticsError
 from .encodings import library
 from .formula import format_sequent
 from .proof import Proof, ProofError, validate
 from .rewrite import DEFAULT_MAX_STEPS, RewriteError, normalize
-from .semantics import (
-    SemanticsError,
-    den_matrix,
-    nl,
-    tangent,
-    value_literal,
-)
 from .sexpr import (
     ParseError,
     format_coords,
@@ -153,7 +147,13 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
+# The evaluator is imported by the commands that use it only, so that
+# check, normalize and encode start without it.
+
+
 def _cmd_denote(args: argparse.Namespace) -> int:
+    from .semantics import den_matrix
+
     asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     print(json.dumps(format_coords(den_matrix(p, asg))))
@@ -161,6 +161,8 @@ def _cmd_denote(args: argparse.Namespace) -> int:
 
 
 def _cmd_nl(args: argparse.Namespace) -> int:
+    from .semantics import nl, value_literal
+
     asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     point = _parse_point(args.point)
@@ -169,6 +171,8 @@ def _cmd_nl(args: argparse.Namespace) -> int:
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
+    from .semantics import tangent, value_literal
+
     asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     base = _parse_point(args.point)

@@ -130,15 +130,19 @@ def fold(
     ``premises`` may return fewer children than a node has, to keep the
     walk out of a subtree that ``f`` handles itself."""
     done: dict[int, T] = {}
+    result = done.__getitem__
     stack: list = [p]
     waiting: list[tuple] = []  # None on the stack: waiting[-1]'s premises are done
     while stack:
         node = stack.pop()
         if node is None:
             node, below = waiting.pop()
-            done[id(node)] = f(node, [done[id(q)] for q in below])
+            done[id(node)] = f(node, list(map(result, map(id, below))))
         elif id(node) not in done:
             below = premises(node)
+            if not below:  # a leaf: nothing to wait for
+                done[id(node)] = f(node, [])
+                continue
             waiting.append((node, below))
             stack.append(None)
             stack.extend(reversed(below))
@@ -291,22 +295,33 @@ def _surface(a: Formula, top: bool) -> list:
     return infix if top else ["(", *infix, ")"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sequent:
     """An ordered hypothesis list and a single conclusion formula.  The
-    hash is computed on the first ``hash()`` and kept."""
+    hash is computed on the first ``hash()`` and kept.  The constructor
+    stores through the slots' own setters, as ``proof.Proof``'s does."""
 
     context: tuple[Formula, ...]
     conclusion: Formula
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
+    def __init__(self, context: tuple[Formula, ...], conclusion: Formula) -> None:
+        _set_context(self, context)
+        _set_conclusion(self, conclusion)
+        _set_hash(self, None)
+
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.context, self.conclusion)))
+            _set_hash(self, hash((self.context, self.conclusion)))
         return self._hash
 
     def __str__(self) -> str:
         return format_sequent(self)
+
+
+_set_context = Sequent.context.__set__
+_set_conclusion = Sequent.conclusion.__set__
+_set_hash = Sequent._hash.__set__
 
 
 def format_sequent(s: Sequent) -> str:

@@ -17,8 +17,12 @@ when none does.  Each node is thus derived once, wherever it was built.
 A rule tag carries the rule's parameters in ``.llp`` argument order
 (see ``sexpr``): the ``at`` index, and the data the premises do not
 determine (the axiom's formula, the weakened formula, the all-r binder,
-the all-l quantified formula and witness).  :func:`_make` builds any
-node from its tag and premises through the one schema function.
+the all-l quantified formula and witness).  Tags are interned, as
+formulas are: one live tag exists per class and fields, so a proof's
+many ``Dereliction(0)`` are one object, and ``==`` and ``hash`` on tags
+are identity.  One table, keyed by tag class, gives each rule its
+keyword, its number of premises and its schema; :func:`_make` builds
+any node from its tag and premises through that table.
 ``formula.fold`` (bottom-up, as over a formula) and :func:`preorder`
 (top-down) are the two walks over a proof: the walkers that map or
 summarize a tree (here, in ``rewrite``, ``sexpr`` and ``semantics``) are
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Iterator
+from weakref import ref
 
 from .formula import (
     Bang,
@@ -80,79 +85,126 @@ class ProofError(Exception):
 # Rule tags
 
 
-@dataclass(frozen=True)
-class Axiom:
+def _dead() -> None:
+    """What a tag table gives for a missing key: like a dead reference,
+    it returns None when called."""
+    return None
+
+
+class _Interned(type):
+    """The metaclass of the rule tags: calling a tag class returns the one
+    live tag with those fields, so ``==`` and ``hash`` (the classes are
+    dataclasses with ``eq=False``) are identity.  Each class maps its
+    fields, in order, to a weak reference to its tag, whose callback
+    drops the entry: a tag holds its formulas only while it lives.  A hit
+    is one dict lookup, with no ``__new__`` or ``__init__`` call.  An
+    ``isinstance`` test against a tag class is slow for a non-instance
+    (it asks the metaclass), so the kernel tests ``type(rule) is Cut``."""
+
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        cls._names = tuple(namespace.get("__annotations__", ()))
+        cls._live = {}
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # dataclasses.replace passes every field by name
+            args += tuple([kwargs.pop(name) for name in cls._names[len(args) :] if name in kwargs])
+            if kwargs:
+                raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r} left to set")
+        tag = cls._live.get(args, _dead)()
+        if tag is None:  # a key of the wrong length is never stored
+            if len(args) != len(cls._names):
+                raise TypeError(f"{cls.__name__} takes the fields ({', '.join(cls._names)})")
+            tag = object.__new__(cls)
+            tag.__dict__.update(zip(cls._names, args))
+            live = cls._live
+            live[args] = ref(tag, lambda r: live.pop(args) if live.get(args) is r else None)
+        return tag
+
+
+class _Tag(metaclass=_Interned):
+    """A rule tag; its copies and pickles are the interned tag."""
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
+
+
+_tag = dataclass(frozen=True, eq=False, init=False)
+
+
+@_tag
+class Axiom(_Tag):
     formula: Formula
 
 
-@dataclass(frozen=True)
-class Exchange:
+@_tag
+class Exchange(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class Cut:
+@_tag
+class Cut(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class TensorR:
+@_tag
+class TensorR(_Tag):
     pass
 
 
-@dataclass(frozen=True)
-class TensorL:
+@_tag
+class TensorL(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class LolliR:
+@_tag
+class LolliR(_Tag):
     pass
 
 
-@dataclass(frozen=True)
-class LolliL:
+@_tag
+class LolliL(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class Promotion:
+@_tag
+class Promotion(_Tag):
     pass
 
 
-@dataclass(frozen=True)
-class Dereliction:
+@_tag
+class Dereliction(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class Contraction:
+@_tag
+class Contraction(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class Weakening:
+@_tag
+class Weakening(_Tag):
     at: int
     formula: Formula
 
 
-@dataclass(frozen=True)
-class OneL:
+@_tag
+class OneL(_Tag):
     at: int
 
 
-@dataclass(frozen=True)
-class OneR:
+@_tag
+class OneR(_Tag):
     pass
 
 
-@dataclass(frozen=True)
-class ForallR:
+@_tag
+class ForallR(_Tag):
     binder: str
 
 
-@dataclass(frozen=True)
-class ForallL:
+@_tag
+class ForallL(_Tag):
     at: int
     quantified: Formula
     witness: Formula
@@ -175,40 +227,6 @@ RuleTag = (
     | ForallR
     | ForallL
 )
-
-RULE_KEYWORDS: dict[type, str] = {
-    Axiom: "ax",
-    Exchange: "ex",
-    Cut: "cut",
-    TensorR: "tensor-r",
-    TensorL: "tensor-l",
-    LolliR: "lolli-r",
-    LolliL: "lolli-l",
-    Promotion: "prom",
-    Dereliction: "der",
-    Contraction: "ctr",
-    Weakening: "weak",
-    OneL: "one-l",
-    OneR: "one-r",
-    ForallR: "all-r",
-    ForallL: "all-l",
-}
-
-#: The rules that take other than one premise, and how many they take.
-_ARITY = {Axiom: 0, OneR: 0, Cut: 2, TensorR: 2, LolliL: 2}
-
-
-def rule_arity(tag: type) -> int:
-    """How many premises the rule with tag class ``tag`` takes."""
-    return _ARITY.get(tag, 1)
-
-
-def rule_keyword(rule: RuleTag) -> str:
-    """The keyword of ``rule``'s class; ProofError for a class with none."""
-    keyword = RULE_KEYWORDS.get(type(rule))
-    if keyword is None:
-        raise ProofError(f"unknown rule {rule!r}")
-    return keyword
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +261,7 @@ class Proof:
         _set_rule(self, rule)
         _set_premises(self, premises)
         _set_conclusion(self, conclusion)
-        size, cuts = 1, 1 if isinstance(rule, Cut) else 0
+        size, cuts = 1, 1 if type(rule) is Cut else 0
         for p in premises:
             size += p.size
             cuts += p.cut_count
@@ -300,12 +318,31 @@ def _hash_node(node: Proof, _: list) -> None:
 # ---------------------------------------------------------------------------
 # Rule schemas
 #
-# Nine rules act at one position ``at`` of the context of their (right)
-# premise: they consume ``used`` formulas there and put others in their
-# place.  ``_EDITS`` gives, per tag, ``used``, the message for an ``at``
-# that leaves no room for them, and a function from the tag, the
-# consumed formulas and the left premise to the formulas put in their
-# place, which raises the rule's side-condition errors.
+# One table gives each tag class its keyword, its number of premises and
+# its schema: the function from the tag and the premise sequents to the
+# conclusion, which raises the rule's side-condition errors.  Nine rules
+# act at one position ``at`` of the context of their (right) premise, and
+# :func:`_edit` builds their schemas.
+
+
+def _edit(used: int, message: str, put, check=None):
+    """The schema of a rule that consumes ``used`` formulas at ``at`` in
+    its (right) premise's context and puts ``put(tag, consumed, left
+    premise)`` in their place; ``message`` reports an ``at`` that leaves no
+    room for them.  ``check(tag)``, the side conditions that read only the
+    tag, precedes that range check."""
+
+    def schema(rule: RuleTag, premises: tuple[Sequent, ...]) -> Sequent:
+        if check is not None:
+            check(rule)
+        at, s = rule.at, premises[-1]
+        ctx = s.context
+        if not 0 <= at <= len(ctx) - used:
+            raise ProofError(message.format(at, len(ctx)))
+        new = put(rule, ctx[at : at + used], premises[0])
+        return Sequent(ctx[:at] + new + ctx[at + used :], s.conclusion)
+
+    return schema
 
 
 def _cut_in(rule: Cut, consumed: tuple, left: Sequent) -> tuple[Formula, ...]:
@@ -328,6 +365,18 @@ def _contract(rule: Contraction, consumed: tuple, left: Sequent) -> tuple[Formul
     return (a,)
 
 
+def _banged(rule: Weakening) -> None:
+    if not isinstance(rule.formula, Bang):
+        raise ProofError(f"weakening of {format_formula(rule.formula)}: not banged")
+
+
+def _quantified(rule: ForallL) -> None:
+    if not isinstance(rule.quantified, Forall):
+        raise ProofError(
+            f"all-l principal formula {format_formula(rule.quantified)} is not quantified"
+        )
+
+
 def _instantiate(rule: ForallL, consumed: tuple, left: Sequent) -> tuple[Formula, ...]:
     quantified = rule.quantified
     expected = substitute(quantified.body, quantified.binder, rule.witness)
@@ -339,91 +388,90 @@ def _instantiate(rule: ForallL, consumed: tuple, left: Sequent) -> tuple[Formula
     return (quantified,)
 
 
-_EDITS = {
-    Exchange: (2, "exchange at {} needs adjacent formulas; context has {}",
-               lambda rule, ab, left: ab[::-1]),
-    TensorL: (2, "tensor-l at {} needs two adjacent formulas; context has {}",
-              lambda rule, ab, left: (Tensor(*ab),)),
-    Contraction: (2, "contraction at {} needs two adjacent copies; context has {}", _contract),
-    Cut: (1, "cut at {} outside right context of length {}", _cut_in),
-    LolliL: (1, "lolli-l at {} outside right context of length {}",
-             lambda rule, b, left: left.context + (Lolli(left.conclusion, b[0]),)),
-    Dereliction: (1, "dereliction at {} outside context of length {}",
-                  lambda rule, a, left: (Bang(a[0]),)),
-    ForallL: (1, "all-l at {} outside context of length {}", _instantiate),
-    Weakening: (0, "weakening at {} outside insertion range 0..{}",
-                lambda rule, _, left: (rule.formula,)),
-    OneL: (0, "one-l at {} outside insertion range 0..{}", lambda rule, _, left: (One(),)),
+def _abstract(rule: LolliR, premises: tuple[Sequent]) -> Sequent:
+    (s,) = premises
+    if not s.context:
+        raise ProofError("lolli-r needs a leading hypothesis to abstract")
+    return Sequent(s.context[1:], Lolli(s.context[0], s.conclusion))
+
+
+def _promote(rule: Promotion, premises: tuple[Sequent]) -> Sequent:
+    (s,) = premises
+    for i, f in enumerate(s.context):
+        if not isinstance(f, Bang):
+            raise ProofError(f"promotion premise hypothesis {i} is {format_formula(f)}, not banged")
+    return Sequent(s.context, Bang(s.conclusion))
+
+
+def _generalize(rule: ForallR, premises: tuple[Sequent]) -> Sequent:
+    (s,) = premises
+    binder = rule.binder
+    if binder == "all":  # as the formula grammar says
+        raise ProofError("'all' cannot be a binder name")
+    for i, f in enumerate(s.context):
+        if binder in free_vars(f):
+            raise ProofError(
+                f"all-r binder {binder} occurs free in hypothesis {i} ({format_formula(f)})"
+            )
+    return Sequent(s.context, Forall(binder, s.conclusion))
+
+
+def _pair(rule: TensorR, premises: tuple[Sequent, Sequent]) -> Sequent:
+    left, right = premises
+    return Sequent(left.context + right.context, Tensor(left.conclusion, right.conclusion))
+
+
+_SCHEMAS = {
+    Axiom: ("ax", 0, lambda rule, _: Sequent((rule.formula,), rule.formula)),
+    Exchange: ("ex", 1, _edit(2, "exchange at {} needs adjacent formulas; context has {}",
+                              lambda rule, ab, left: ab[::-1])),
+    Cut: ("cut", 2, _edit(1, "cut at {} outside right context of length {}", _cut_in)),
+    TensorR: ("tensor-r", 2, _pair),
+    TensorL: ("tensor-l", 1, _edit(2, "tensor-l at {} needs two adjacent formulas; context has {}",
+                                   lambda rule, ab, left: (Tensor(*ab),))),
+    LolliR: ("lolli-r", 1, _abstract),
+    LolliL: ("lolli-l", 2, _edit(1, "lolli-l at {} outside right context of length {}",
+                                 lambda rule, b, s: s.context + (Lolli(s.conclusion, b[0]),))),
+    Promotion: ("prom", 1, _promote),
+    Dereliction: ("der", 1, _edit(1, "dereliction at {} outside context of length {}",
+                                  lambda rule, a, left: (Bang(a[0]),))),
+    Contraction: ("ctr", 1, _edit(2, "contraction at {} needs two adjacent copies; context has {}",
+                                  _contract)),
+    Weakening: ("weak", 1, _edit(0, "weakening at {} outside insertion range 0..{}",
+                                 lambda rule, _, left: (rule.formula,), _banged)),
+    OneL: ("one-l", 1, _edit(0, "one-l at {} outside insertion range 0..{}",
+                             lambda rule, _, left: (One(),))),
+    OneR: ("one-r", 0, lambda rule, _: Sequent((), One())),
+    ForallR: ("all-r", 1, _generalize),
+    ForallL: ("all-l", 1, _edit(1, "all-l at {} outside context of length {}",
+                                _instantiate, _quantified)),
 }
+
+RULE_KEYWORDS: dict[type, str] = {tag: keyword for tag, (keyword, _, _) in _SCHEMAS.items()}
+
+
+def rule_arity(tag: type) -> int:
+    """How many premises the rule with tag class ``tag`` takes."""
+    return _SCHEMAS[tag][1]
+
+
+def rule_keyword(rule: RuleTag) -> str:
+    """The keyword of ``rule``'s class; ProofError for a class with none."""
+    keyword = RULE_KEYWORDS.get(type(rule))
+    if keyword is None:
+        raise ProofError(f"unknown rule {rule!r}")
+    return keyword
 
 
 def _rule_conclusion(rule: RuleTag, premises: tuple[Sequent, ...]) -> Sequent:
     """Apply ``rule`` to premise sequents, raising ProofError on misuse."""
-    keyword = rule_keyword(rule)
-    kind = type(rule)
-    want = rule_arity(kind)
+    entry = _SCHEMAS.get(type(rule))
+    if entry is None:
+        raise ProofError(f"unknown rule {rule!r}")
+    keyword, want, schema = entry
     if len(premises) != want:
         raise ProofError(f"{keyword} takes {want} premise(s), got {len(premises)}")
-
-    edit = _EDITS.get(kind)
-    if edit is not None:
-        # the side conditions that read only the tag precede the range check
-        if kind is Weakening and not isinstance(rule.formula, Bang):
-            raise ProofError(f"weakening of {format_formula(rule.formula)}: not banged")
-        if kind is ForallL and not isinstance(rule.quantified, Forall):
-            raise ProofError(
-                f"all-l principal formula {format_formula(rule.quantified)} is not quantified"
-            )
-        used, message, put = edit
-        at, s = rule.at, premises[-1]
-        ctx = s.context
-        if not 0 <= at <= len(ctx) - used:
-            raise ProofError(message.format(at, len(ctx)))
-        new = put(rule, ctx[at : at + used], premises[0])
-        return Sequent(ctx[:at] + new + ctx[at + used :], s.conclusion)
-
-    if isinstance(rule, Axiom):
-        return Sequent((rule.formula,), rule.formula)
-
-    if isinstance(rule, OneR):
-        return Sequent((), One())
-
-    if isinstance(rule, TensorR):
-        left, right = premises
-        return Sequent(
-            left.context + right.context, Tensor(left.conclusion, right.conclusion)
-        )
-
-    if isinstance(rule, LolliR):
-        (s,) = premises
-        if not s.context:
-            raise ProofError("lolli-r needs a leading hypothesis to abstract")
-        return Sequent(s.context[1:], Lolli(s.context[0], s.conclusion))
-
-    if isinstance(rule, Promotion):
-        (s,) = premises
-        for i, f in enumerate(s.context):
-            if not isinstance(f, Bang):
-                raise ProofError(
-                    f"promotion premise hypothesis {i} is {format_formula(f)}, not banged"
-                )
-        return Sequent(s.context, Bang(s.conclusion))
-
-    if kind is ForallR:
-        (s,) = premises
-        binder = rule.binder
-        if binder == "all":  # as the formula grammar says
-            raise ProofError("'all' cannot be a binder name")
-        for i, f in enumerate(s.context):
-            if binder in free_vars(f):
-                raise ProofError(
-                    f"all-r binder {binder} occurs free in hypothesis {i} "
-                    f"({format_formula(f)})"
-                )
-        return Sequent(s.context, Forall(binder, s.conclusion))
-
-    # a tag with a keyword but no schema above
-    raise ProofError(f"unknown rule {rule!r}")
+    return schema(rule, premises)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +686,7 @@ def proof_eq(p: Proof, q: Proof) -> bool:
             and _alpha(s.conclusion, t.conclusion, envp, envq, depth)
         ):
             return False
-        if isinstance(p.rule, ForallR):
+        if type(p.rule) is ForallR:
             envp = {**envp, p.rule.binder: depth}
             envq = {**envq, q.rule.binder: depth}
             depth += 1
@@ -655,7 +703,7 @@ def free_vars_proof(p: Proof) -> frozenset[str]:
     def collect(node: Proof, _: list) -> None:
         formulas.update(node.conclusion.context)
         formulas.add(node.conclusion.conclusion)
-        if isinstance(node.rule, ForallL):
+        if type(node.rule) is ForallL:
             formulas.add(node.rule.witness)
 
     fold(p, collect)
@@ -680,15 +728,15 @@ def subst_proof(p: Proof, x: str, b: Formula) -> Proof:
 
     def premises(node: Proof) -> tuple[Proof, ...]:
         rule = node.rule
-        if isinstance(rule, ForallR) and (rule.binder == x or rule.binder in fv_b):
+        if type(rule) is ForallR and (rule.binder == x or rule.binder in fv_b):
             return ()
         return node.premises
 
     def node(q: Proof, subs: list[Proof]) -> Proof:
         rule = q.rule
-        if isinstance(rule, ForallR) and rule.binder == x:
+        if type(rule) is ForallR and rule.binder == x:
             return q
-        if isinstance(rule, ForallR) and rule.binder in fv_b:
+        if type(rule) is ForallR and rule.binder in fv_b:
             fresh = fresh_name(rule.binder, free_vars_proof(q) | fv_b | {x})
             renamed = subst_proof(q.premises[0], rule.binder, Var(fresh))
             return mk_forall_r(fold(renamed, node, premises), fresh)

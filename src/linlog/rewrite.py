@@ -97,12 +97,27 @@ class RewriteError(Exception):
     conclusion) — this is a bug guard, not a user-facing condition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StepInfo:
+    """One step of a trace.  :func:`normalize` makes one per step, so the
+    constructor stores through the slots' own setters, as ``Proof``'s does."""
+
     rule_id: str
     path: tuple[int, ...]
     size_before: int
     size_after: int
+
+    def __init__(self, rule_id: str, path: tuple[int, ...], size_before: int, size_after: int):
+        _set_rule_id(self, rule_id)
+        _set_path(self, path)
+        _set_size_before(self, size_before)
+        _set_size_after(self, size_after)
+
+
+_set_rule_id = StepInfo.rule_id.__set__
+_set_path = StepInfo.path.__set__
+_set_size_before = StepInfo.size_before.__set__
+_set_size_after = StepInfo.size_after.__set__
 
 
 @dataclass(frozen=True)
@@ -143,18 +158,18 @@ def reduce_cut(node: Proof) -> tuple[str, Proof]:
 
     Returns (rule id, replacement subtree with the identical conclusion).
     """
-    if not isinstance(node.rule, Cut):
+    if type(node.rule) is not Cut:
         raise RewriteError("reduce_cut called on a non-cut node")
     left, right = node.premises
     at = node.rule.at
     ng = len(left.conclusion.context)
 
-    if isinstance(left.rule, Axiom):
+    if type(left.rule) is Axiom:
         return "ax-left", right
-    if isinstance(right.rule, Axiom):
+    if type(right.rule) is Axiom:
         return "ax-right", left
 
-    if type(left.rule) in _COMMUTING or isinstance(left.rule, LolliL):
+    if type(left.rule) in _COMMUTING or type(left.rule) is LolliL:
         return _commute_left(left, right, at)
 
     principal = _principal(left, right, at, ng)
@@ -168,7 +183,7 @@ def _commute_left(left: Proof, right: Proof, at: int) -> tuple[str, Proof]:
     """The cut slides into L's premise; L's rule moves below it, its
     index shifted by the cut's slot."""
     r = left.rule
-    if isinstance(r, LolliL):
+    if type(r) is LolliL:
         sub_l, sub_r = left.premises
         inner = mk_cut(sub_r, right, at)
         return "lolli-l-commute-left", mk_lolli_l(sub_l, inner, at + r.at)
@@ -178,31 +193,31 @@ def _commute_left(left: Proof, right: Proof, at: int) -> tuple[str, Proof]:
 
 def _principal(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Proof] | None:
     lr, rr = left.rule, right.rule
-    if isinstance(lr, TensorR) and isinstance(rr, TensorL) and rr.at == at:
+    if type(lr) is TensorR and type(rr) is TensorL and rr.at == at:
         l1, l2 = left.premises
         n1 = len(l1.conclusion.context)
         inner = mk_cut(l1, right.premises[0], at)
         return "tensor-principal", mk_cut(l2, inner, at + n1)
-    if isinstance(lr, LolliR) and isinstance(rr, LolliL):
+    if type(lr) is LolliR and type(rr) is LolliL:
         r1, r2 = right.premises
         if rr.at + len(r1.conclusion.context) == at:
             first = mk_cut(r1, left.premises[0], 0)
             return "lolli-l-principal", mk_cut(first, r2, rr.at)
-    if isinstance(lr, Promotion):
-        if isinstance(rr, Dereliction) and rr.at == at:
+    if type(lr) is Promotion:
+        if type(rr) is Dereliction and rr.at == at:
             return "prom-der", mk_cut(left.premises[0], right.premises[0], at)
-        if isinstance(rr, Contraction) and rr.at == at:
+        if type(rr) is Contraction and rr.at == at:
             return "prom-ctr", _prom_ctr(left, right, at, ng)
-        if isinstance(rr, Weakening) and rr.at == at:
+        if type(rr) is Weakening and rr.at == at:
             cur = right.premises[0]
             for f in reversed(left.conclusion.context):
                 cur = mk_weak(cur, at, f)
             return "prom-weak", cur
-        if isinstance(rr, Promotion):
+        if type(rr) is Promotion:
             return "prom-prom", mk_prom(mk_cut(left, right.premises[0], at))
-    if isinstance(lr, OneR) and isinstance(rr, OneL) and rr.at == at:
+    if type(lr) is OneR and type(rr) is OneL and rr.at == at:
         return "one-principal", right.premises[0]
-    if isinstance(lr, ForallR) and isinstance(rr, ForallL) and rr.at == at:
+    if type(lr) is ForallR and type(rr) is ForallL and rr.at == at:
         instantiated = subst_proof(left.premises[0], lr.binder, rr.witness)
         return "forall-principal", mk_cut(instantiated, right.premises[0], at)
     return None
@@ -227,7 +242,7 @@ def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Pr
     r = right.rule
     shift = ng - 1  # context growth when the cut replaces one slot by Γ
 
-    if isinstance(r, Exchange) and at in (r.at, r.at + 1):
+    if type(r) is Exchange and at in (r.at, r.at + 1):
         # the cut formula is one of the two swapped: move Γ past the other
         j = r.at
         if at == j:
@@ -248,16 +263,16 @@ def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Pr
         inner = mk_cut(left, premise, at if at < j else at + growth)
         outer = replace(r, at=j + shift if at < j else j)
         return f"{_COMMUTING[type(r)]}-commute", _make(outer, inner)
-    if isinstance(r, LolliR):
+    if type(r) is LolliR:
         inner = mk_cut(left, right.premises[0], at + 1)
         return "lolli-r-commute", mk_lolli_r(inner)
-    if isinstance(r, TensorR):
+    if type(r) is TensorR:
         r1, r2 = right.premises
         n1 = len(r1.conclusion.context)
         if at < n1:
             return "tensor-r-commute", mk_tensor_r(mk_cut(left, r1, at), r2)
         return "tensor-r-commute", mk_tensor_r(r1, mk_cut(left, r2, at - n1))
-    if isinstance(r, LolliL):
+    if type(r) is LolliL:
         r1, r2 = right.premises
         j = r.at
         ns = len(r1.conclusion.context)
@@ -271,7 +286,7 @@ def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Pr
             raise RewriteError("cut formula is the implication but the left premise is not its abstraction")
         inner = mk_cut(left, r2, at - ns)
         return "lolli-l-commute", mk_lolli_l(r1, inner, j)
-    if isinstance(r, ForallR):
+    if type(r) is ForallR:
         binder = r.binder
         premise = right.premises[0]
         gamma_fv: set[str] = set()
@@ -294,7 +309,7 @@ def find_redex(p: Proof) -> tuple[int, ...] | None:
     """Path of the leftmost-innermost cut: first in preorder whose own
     subtrees are cut-free."""
     for path, node in preorder(p):
-        if isinstance(node.rule, Cut) and node.cut_count == 1:
+        if type(node.rule) is Cut and node.cut_count == 1:
             return path
     return None
 
@@ -368,7 +383,7 @@ def _seek(cur: Proof, parents: list[Proof], path: list[int]) -> Proof:
     which lies right of the path."""
     while not cur.cut_count and parents:
         cur = _with_premise(parents.pop(), path.pop(), cur)
-    while cur.cut_count and not (isinstance(cur.rule, Cut) and cur.cut_count == 1):
+    while cur.cut_count and not (type(cur.rule) is Cut and cur.cut_count == 1):
         i = 0 if cur.premises[0].cut_count else 1  # at most two premises
         parents.append(cur)
         path.append(i)
@@ -405,11 +420,11 @@ def _exchange_node(p: Proof, premises: list[Proof]) -> Proof:
     """One node of :func:`exchange_normalize`, given its premises' results."""
     for i, q in enumerate(premises):
         p = _with_premise(p, i, q)
-    if not isinstance(p.rule, Exchange):
+    if type(p.rule) is not Exchange:
         return p
     swaps: list[int] = []
     cur = p
-    while isinstance(cur.rule, Exchange):
+    while type(cur.rule) is Exchange:
         swaps.append(cur.rule.at)
         cur = cur.premises[0]
     n = len(cur.conclusion.context)

@@ -138,10 +138,7 @@ from .proof import (
     Weakening,
 )
 from .sexpr import format_coords, format_fraction, format_ket
-
-
-class SemanticsError(Exception):
-    pass
+from . import SemanticsError
 
 
 class UnsupportedSpace(SemanticsError):

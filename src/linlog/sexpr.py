@@ -59,6 +59,7 @@ from .proof import (
     Proof,
     ProofError,
     RULE_KEYWORDS,
+    RuleTag,
     _make,
     fold,
     rule_arity,
@@ -219,19 +220,20 @@ class _Parser:
 
     def proof(self, i: int) -> tuple[Proof, int]:
         """One proof s-expression.  Open nodes wait on an explicit stack,
-        as (builder, arguments read, arguments needed), while their
-        premises are read, so nesting depth costs no recursion."""
+        as (rule tag, premises read, premises needed), while their
+        premises are read, so nesting depth costs no recursion.  A node
+        that does not fit its schema gets its rule's fallback conclusion."""
         toks, kinds = self.toks, self.kinds
-        open_nodes: list[tuple[Callable, list, int]] = []
+        open_nodes: list[tuple[RuleTag, list, int]] = []
         while True:
             if toks[i] != "(":
                 raise self.expected(i, repr("a proof '('"))
-            rule = _RULES.get(toks[i + 1])
-            if rule is None:
+            entry = _RULES.get(toks[i + 1])
+            if entry is None:
                 if kinds[toks[i + 1]] not in ("kw", "ident"):
                     raise self.expected(i + 1, "a rule keyword")
                 raise self.fail(i + 1, f"unknown rule keyword '{toks[i + 1]}'")
-            head, build, need = rule
+            tag, head, need = entry
             i += 2
             args = []
             for kind in head:
@@ -249,37 +251,26 @@ class _Parser:
                 except ValueError:  # more digits than int() converts
                     raise self.fail(i, "context index too long") from None
                 i += 1
-            while len(args) == need:  # the node is complete: close it
-                node = build(*args)
+            rule, premises = tag(*args), []
+            while len(premises) == need:  # the node is complete: close it
+                try:
+                    node = _make(rule, *premises)
+                except ProofError:
+                    premises = tuple(premises)
+                    node = Proof(rule, premises, _FALLBACKS.get(type(rule), _keep)(rule, premises))
                 if toks[i] != ")":
                     raise self.expected(i, repr("')'"))
                 i += 1
                 if not open_nodes:
                     return node, i
-                build, args, need = open_nodes.pop()
-                args.append(node)
-            open_nodes.append((build, args, need))  # its next argument is a premise
+                rule, premises, need = open_nodes.pop()
+                premises.append(node)
+            open_nodes.append((rule, premises, need))  # its next argument is a premise
 
 
 # Lenient fallbacks: when a rule application does not fit its schema we
 # still hand back a tree — with a best-effort conclusion — so that
 # validate can point at the offending node instead of parsing dying.
-
-
-def _lenient(tag, fallback):
-    """The builder for a rule whose arguments are its tag's fields, then
-    its premises; ``fallback(rule, premises)`` gives the conclusion of a
-    node that does not fit the schema."""
-    n = len(fields(tag))
-
-    def build(*args):
-        rule, premises = tag(*args[:n]), args[n:]
-        try:
-            return _make(rule, *premises)
-        except ProofError:
-            return Proof(rule, premises, fallback(rule, premises))
-
-    return build
 
 
 def _keep(rule, premises):
@@ -309,21 +300,22 @@ def _generalize(rule, premises):
     return Sequent(s.context, Forall(rule.binder, s.conclusion))
 
 
-# Each rule keyword's arguments before its premises, its tag's fields in
-# order (i the context index ``at``, x the binder name ``binder``, f a
-# formula), the function that builds its node from all its arguments
-# (those fields, then its premises), and how many arguments that is.
 _FALLBACKS = {
     _proof.Promotion: _promote,
     _proof.Weakening: _insert,
     _proof.ForallR: _generalize,
     _proof.ForallL: _replace,
 }
+
+# Each rule keyword's tag class, the tag's fields, which the keyword's
+# arguments before its premises are, in order (i the context index
+# ``at``, x the binder name ``binder``, f a formula), and its number of
+# premises.
 _RULES = {
     kw: (
+        tag,
         "".join({"at": "i", "binder": "x"}.get(f.name, "f") for f in fields(tag)),
-        _lenient(tag, _FALLBACKS.get(tag, _keep)),
-        len(fields(tag)) + rule_arity(tag),
+        rule_arity(tag),
     )
     for tag, kw in RULE_KEYWORDS.items()
 }
@@ -371,16 +363,23 @@ def print_proof(p: Proof) -> str:
     A node goes on one line when it has no premises or its one-line text
     fits in ``_WIDTH`` columns at its indent; otherwise its head opens a
     block and each premise follows on its own line, two columns deeper.
-    Each distinct formula is formatted once per call.
+    Each distinct formula, and each distinct rule tag's head, is
+    formatted once per call.
     """
     text = cache(format_formula)  # for this call only
+    heads: dict = {}
 
     def measure(node: Proof, premises: list[tuple]) -> tuple:
         """The bottom-up pass: a node's head, the width of its one-line
         text, that text only where it is at most ``_WIDTH`` wide (or the
         node is a leaf), and its premises' measures."""
-        head = "(" + " ".join([rule_keyword(node.rule), *_node_args(node, text)])
-        width = len(head) + 1 + sum([1 + m[1] for m in premises])
+        head = heads.get(node.rule)
+        if head is None:
+            head = "(" + " ".join([rule_keyword(node.rule), *_node_args(node, text)])
+            heads[node.rule] = head
+        width = len(head) + 1
+        for m in premises:
+            width += 1 + m[1]
         if width > _WIDTH and premises:
             return head, width, None, premises
         return head, width, " ".join([head, *[m[2] for m in premises]]) + ")", premises

@@ -5,7 +5,9 @@
 raises a ParseError.  This is the reader it replaced: `_tokenize` gives
 one (kind, text, start) tuple per token, and `_Parser` reads them
 through `peek`, `advance` and `expect`.  Its nodes are built by the
-same lenient builders, so the kernel derives each node as `sexpr`'s do.
+lenient builders `sexpr` had then, which call the same strict
+constructor and fallbacks, so the kernel derives each node as `sexpr`'s
+do.
 The tests check that both readers return equal proofs with the same
 ``checked`` flags, or raise the same ParseError message and byte span.
 """
@@ -17,8 +19,8 @@ from dataclasses import fields
 from typing import Callable, TypeVar
 
 from linlog.formula import Bang, Forall, Formula, Lolli, One, Tensor, Var
-from linlog.proof import RULE_KEYWORDS, Proof, rule_arity
-from linlog.sexpr import ParseError, SourceSpan, _FALLBACKS, _keep, _lenient
+from linlog.proof import RULE_KEYWORDS, Proof, ProofError, _make, rule_arity
+from linlog.sexpr import ParseError, SourceSpan, _FALLBACKS, _keep
 
 T = TypeVar("T")
 
@@ -164,6 +166,22 @@ class _Parser:
         if kind == "f":
             return self.formula()
         return self.expect("ident", "a binder name")[1]
+
+
+def _lenient(tag, fallback):
+    """The builder for a rule whose arguments are its tag's fields, then
+    its premises; ``fallback(rule, premises)`` gives the conclusion of a
+    node that does not fit the schema."""
+    n = len(fields(tag))
+
+    def build(*args):
+        rule, premises = tag(*args[:n]), args[n:]
+        try:
+            return _make(rule, *premises)
+        except ProofError:
+            return Proof(rule, premises, fallback(rule, premises))
+
+    return build
 
 
 _RULES = {

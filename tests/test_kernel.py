@@ -1,5 +1,8 @@
 import copy
+import gc
+import pickle
 import sys
+import weakref
 from dataclasses import dataclass, fields, replace
 
 import pytest
@@ -424,6 +427,50 @@ def test_a_tag_with_a_keyword_but_no_schema_is_an_unknown_rule(monkeypatch):
     monkeypatch.setitem(RULE_KEYWORDS, Foreign, "foreign")
     with pytest.raises(ProofError, match=r"^unknown rule Foreign\(\)$"):
         _rule_conclusion(Foreign(), (Sequent((A,), A),))
+
+
+def test_rule_tags_are_interned():
+    assert Cut(3) is Cut(3)
+    assert replace(Cut(3), at=4) is Cut(4)
+    assert Weakening(1, Bang(A)) is Weakening(at=1, formula=Bang(A))
+    assert Weakening(1, Bang(A)) is Weakening(1, formula=Bang(A))
+    assert TensorR() is TensorR() and Cut(3) is not Cut(4)
+    # equality and hashing are identity, as for formulas
+    assert Cut(3) == Cut(3) and hash(Cut(3)) == object.__hash__(Cut(3))
+    assert ForallL(0, INT, A) != ForallL(0, INT, B)
+
+
+def test_copies_and_pickles_of_a_tag_are_the_interned_tag():
+    tag = ForallL(0, INT, A)
+    assert copy.copy(tag) is tag and copy.deepcopy(tag) is tag
+    assert pickle.loads(pickle.dumps(tag)) is tag
+    p = church(3, A)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_a_tag_takes_exactly_its_fields():
+    for make in (
+        lambda: Cut(),
+        lambda: Cut(1, 2),
+        lambda: Cut(1, at=2),
+        lambda: Cut(place=1),
+        lambda: Weakening(at=1),
+        lambda: TensorR(1),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_a_tag_holds_its_formulas_only_while_it_lives():
+    banged = Bang(Var("only_in_this_tag"))
+    held = weakref.ref(banged)
+    tag = Weakening(0, banged)
+    del banged
+    gc.collect()
+    assert held() is tag.formula
+    del tag
+    gc.collect()
+    assert held() is None
 
 
 def test_fold_visits_a_shared_subtree_once():
