@@ -28,12 +28,15 @@ from .sexpr import (
     parse_proof,
     parse_value_literal,
     print_proof,
-    step_line,
 )
 
 
 class UsageError(Exception):
     pass
+
+
+# a rule id as json.dumps quotes it, once per id the catalog has
+_quoted = functools.cache(json.dumps)
 
 
 @functools.cache  # one per process: argparse copies --assign's default list before appending
@@ -137,8 +140,11 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     p = _load_proof(args.file)
     res = normalize(p, max_steps=args.max_steps)
     if args.trace:
+        # each line is json.dumps of the step's sexpr.step_json, one write each
+        write = sys.stdout.write
         for s in res.trace.steps:
-            print(step_line(s.rule_id, s.path, s.size_before, s.size_after))
+            write(f'{{"rule": {_quoted(s.rule_id)}, "path": {list(s.path)}, '
+                  f'"sizes": [{s.size_before}, {s.size_after}]}}\n')
     if res.exhausted:
         return _domain_error(
             f"normalization ran out of budget after {args.max_steps} steps"

@@ -295,33 +295,29 @@ def _surface(a: Formula, top: bool) -> list:
     return infix if top else ["(", *infix, ")"]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, init=False)
 class Sequent:
     """An ordered hypothesis list and a single conclusion formula.  The
-    hash is computed on the first ``hash()`` and kept.  The constructor
-    stores through the slots' own setters, as ``proof.Proof``'s does."""
+    hash is computed on the first ``hash()`` and kept.  Immutable by
+    contract, as ``proof.Proof`` is: the class is not frozen, so that the
+    constructor, which every proof node calls, makes plain slot stores."""
 
     context: tuple[Formula, ...]
     conclusion: Formula
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, context: tuple[Formula, ...], conclusion: Formula) -> None:
-        _set_context(self, context)
-        _set_conclusion(self, conclusion)
-        _set_hash(self, None)
+        self.context = context
+        self.conclusion = conclusion
+        self._hash = None
 
     def __hash__(self) -> int:
         if self._hash is None:
-            _set_hash(self, hash((self.context, self.conclusion)))
+            self._hash = hash((self.context, self.conclusion))
         return self._hash
 
     def __str__(self) -> str:
         return format_sequent(self)
-
-
-_set_context = Sequent.context.__set__
-_set_conclusion = Sequent.conclusion.__set__
-_set_hash = Sequent._hash.__set__
 
 
 def format_sequent(s: Sequent) -> str:

@@ -13,6 +13,10 @@ way (the parser's lenient nodes, a direct ``Proof(...)``,
 recomputes the conclusion of each unchecked node from the schemas,
 reports the nodes whose cache does not match, and certifies the tree
 when none does.  Each node is thus derived once, wherever it was built.
+Nodes are immutable by contract, not by a frozen class: after the
+constructor, only the certificate code (the strict constructors,
+:func:`validate`, :func:`_with_premise` and the rewrite guard) stores
+into a node, and only to set ``checked``.
 
 A rule tag carries the rule's parameters in ``.llp`` argument order
 (see ``sexpr``): the ``at`` index, and the data the premises do not
@@ -85,10 +89,9 @@ class ProofError(Exception):
 # Rule tags
 
 
-def _dead() -> None:
-    """What a tag table gives for a missing key: like a dead reference,
-    it returns None when called."""
-    return None
+# What a tag table gives for a missing key: like a dead reference, it
+# returns None when called.
+_dead = type(None)
 
 
 class _Interned(type):
@@ -99,11 +102,15 @@ class _Interned(type):
     drops the entry: a tag holds its formulas only while it lives.  A hit
     is one dict lookup, with no ``__new__`` or ``__init__`` call.  An
     ``isinstance`` test against a tag class is slow for a non-instance
-    (it asks the metaclass), so the kernel tests ``type(rule) is Cut``."""
+    (it asks the metaclass), so the kernel tests ``type(rule) is Cut``.
+    Fields are compared with ``==``, and ``True == 1``: so an ``at`` that is
+    not exactly an ``int`` is refused before the lookup, or ``Exchange(True)``
+    would answer for ``Exchange(1)``."""
 
     def __init__(cls, name, bases, namespace):
         super().__init__(name, bases, namespace)
         cls._names = tuple(namespace.get("__annotations__", ()))
+        cls._indexed = cls._names[:1] == ("at",)
         cls._live = {}
 
     def __call__(cls, *args, **kwargs):
@@ -111,6 +118,8 @@ class _Interned(type):
             args += tuple([kwargs.pop(name) for name in cls._names[len(args) :] if name in kwargs])
             if kwargs:
                 raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r} left to set")
+        if args and type(args[0]) is not int and cls._indexed:
+            raise TypeError(f"{cls.__name__}'s at must be an int, not {type(args[0]).__name__}")
         tag = cls._live.get(args, _dead)()
         if tag is None:  # a key of the wrong length is never stored
             if len(args) != len(cls._names):
@@ -127,6 +136,13 @@ class _Tag(metaclass=_Interned):
 
     def __reduce__(self):
         return type(self), tuple(vars(self).values())
+
+
+def _moved(rule: RuleTag, at: int) -> RuleTag:
+    """``rule`` with the index ``at`` and its other fields: what
+    ``dataclasses.replace(rule, at=at)`` gives, at about half the cost."""
+    _, *rest = rule.__dict__.values()
+    return type(rule)(at, *rest)
 
 
 _tag = dataclass(frozen=True, eq=False, init=False)
@@ -233,20 +249,22 @@ RuleTag = (
 # Proof nodes
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(slots=True, init=False, repr=False, eq=False)
 class Proof:
     """One rule application; ``conclusion`` is cached.
 
-    ``checked`` is the certificate: every node of this subtree fits its
-    schema (so every node below a checked one is checked too).  Only
-    :func:`_make`, :func:`_with_premise`, :func:`validate` and the
-    rewrite guard set it, each on a node it has derived or whose
-    premises it knows to be derived; a new node starts unchecked.
+    Immutable by contract: the class is not frozen, so that building a
+    node costs plain slot stores, but after ``__init__`` only
+    ``checked`` and the lazy ``_hash`` are ever stored.  ``checked`` is
+    the certificate: every node of this subtree fits its schema (so
+    every node below a checked one is checked too).  Only :func:`_make`,
+    :func:`_with_premise`, :func:`validate` and the rewrite guard set
+    it, each on a node it has derived or whose premises it knows to be
+    derived; a new node starts unchecked.
 
-    Building a node costs a few slot stores: ``size`` and ``cut_count``
-    add up the (at most two) premises', and the hash waits for the
-    first ``hash()`` (``_hash`` is None until then), which nothing on
-    the rewrite path asks for.
+    ``size`` and ``cut_count`` add up the (at most two) premises', and
+    the hash waits for the first ``hash()`` (``_hash`` is None until
+    then), which nothing on the rewrite path asks for.
     """
 
     rule: RuleTag
@@ -258,17 +276,17 @@ class Proof:
     _hash: int | None = field(init=False)
 
     def __init__(self, rule: RuleTag, premises: tuple[Proof, ...], conclusion: Sequent) -> None:
-        _set_rule(self, rule)
-        _set_premises(self, premises)
-        _set_conclusion(self, conclusion)
+        self.rule = rule
+        self.premises = premises
+        self.conclusion = conclusion
         size, cuts = 1, 1 if type(rule) is Cut else 0
         for p in premises:
             size += p.size
             cuts += p.cut_count
-        _set_size(self, size)
-        _set_cut_count(self, cuts)
-        _set_checked(self, False)
-        _set_hash(self, None)
+        self.size = size
+        self.cut_count = cuts
+        self.checked = False
+        self._hash = None
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -300,19 +318,8 @@ class Proof:
         return f"<{kw} proof of {format_sequent(self.conclusion)}; {self.size} nodes>"
 
 
-# The slots' own setters: the class is frozen, and these skip the
-# attribute lookup that ``object.__setattr__`` makes on every store.
-_set_rule = Proof.rule.__set__
-_set_premises = Proof.premises.__set__
-_set_conclusion = Proof.conclusion.__set__
-_set_size = Proof.size.__set__
-_set_cut_count = Proof.cut_count.__set__
-_set_checked = Proof.checked.__set__
-_set_hash = Proof._hash.__set__
-
-
 def _hash_node(node: Proof, _: list) -> None:
-    _set_hash(node, hash((node.rule, tuple([q._hash for q in node.premises]), node.conclusion)))
+    node._hash = hash((node.rule, tuple([q._hash for q in node.premises]), node.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +488,25 @@ def _rule_conclusion(rule: RuleTag, premises: tuple[Sequent, ...]) -> Sequent:
 def _make(rule: RuleTag, *premises: Proof) -> Proof:
     """The node ``rule`` over ``premises``, its conclusion from the schema,
     checked if its premises are."""
-    sequents = tuple([p.conclusion for p in premises])
-    node = Proof(rule, premises, _rule_conclusion(rule, sequents))
-    # _certify, inlined, and a loop rather than all(): every node pays this
+    # _rule_conclusion and _certify inlined, and a loop, not all(): every node pays this
+    entry = _SCHEMAS.get(type(rule))
+    if entry is None:
+        raise ProofError(f"unknown rule {rule!r}")
+    keyword, want, schema = entry
+    if len(premises) != want:
+        raise ProofError(f"{keyword} takes {want} premise(s), got {len(premises)}")
+    node = Proof(rule, premises, schema(rule, tuple([p.conclusion for p in premises])))
     for p in premises:
         if not p.checked:
             return node
-    _set_checked(node, True)
+    node.checked = True
     return node
 
 
 def _certify(*nodes: Proof) -> None:
     """Mark ``nodes`` checked: the caller has shown each subtree valid."""
     for node in nodes:
-        _set_checked(node, True)
+        node.checked = True
 
 
 def mk_axiom(a: Formula) -> Proof:
@@ -639,7 +651,7 @@ def _with_premise(parent: Proof, i: int, sub: Proof) -> Proof:
         return parent
     node = Proof(parent.rule, prems[:i] + (sub,) + prems[i + 1 :], parent.conclusion)
     if parent.checked and sub.checked and sub.conclusion == old.conclusion:
-        _set_checked(node, True)
+        node.checked = True
     return node
 
 

@@ -33,11 +33,14 @@ check; a node built any other way is unchecked.  An ancestor can break
 only when the replacement's conclusion is an alpha-variant of the old
 one rather than equal to it; otherwise it sees the premise conclusions
 it saw before.  The guard (:func:`_guard`) checks the unchecked nodes
-of the replacement after every step, and all the ancestors after a
-step whose conclusion came back only alpha-equal, so it proves what
-validating the whole tree would.  It certifies the replacement's nodes
-it derived, but not those ancestors: such a step is rare (none on the
-benchmark's cuts), and :func:`validate` certifies them when asked.
+of the replacement, and all the ancestors after a step whose conclusion
+came back only alpha-equal, so it proves what validating the whole tree
+would.  It certifies the replacement's nodes it derived, but not those
+ancestors: such a step is rare (none on the benchmark's cuts), and
+:func:`validate` certifies them when asked.  A step whose replacement
+is already certified and whose conclusion came back equal leaves the
+guard nothing to check, so :func:`normalize` does not call it: that is
+the common step, as the catalog builds through the strict constructors.
 
 :func:`normalize` is the only code that steps a proof.  It keeps its
 place as a zipper, seeks the cut :func:`find_redex` would pick from the
@@ -47,7 +50,7 @@ root, and rebuilds an ancestor only when it climbs past it;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .formula import Var, free_vars, fresh_name, sequent_alpha_eq
 from .proof import (
@@ -69,6 +72,7 @@ from .proof import (
     Weakening,
     _certify,
     _make,
+    _moved,
     _node_violation,
     _walk_unchecked,
     _with_premise,
@@ -97,27 +101,16 @@ class RewriteError(Exception):
     conclusion) — this is a bug guard, not a user-facing condition."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(slots=True, unsafe_hash=True)
 class StepInfo:
-    """One step of a trace.  :func:`normalize` makes one per step, so the
-    constructor stores through the slots' own setters, as ``Proof``'s does."""
+    """One step of a trace, immutable by contract, as ``Proof`` is:
+    :func:`normalize` makes one per step, and a class that is not frozen
+    gets a constructor of plain slot stores."""
 
     rule_id: str
     path: tuple[int, ...]
     size_before: int
     size_after: int
-
-    def __init__(self, rule_id: str, path: tuple[int, ...], size_before: int, size_after: int):
-        _set_rule_id(self, rule_id)
-        _set_path(self, path)
-        _set_size_before(self, size_before)
-        _set_size_after(self, size_after)
-
-
-_set_rule_id = StepInfo.rule_id.__set__
-_set_path = StepInfo.path.__set__
-_set_size_before = StepInfo.size_before.__set__
-_set_size_after = StepInfo.size_after.__set__
 
 
 @dataclass(frozen=True)
@@ -188,7 +181,7 @@ def _commute_left(left: Proof, right: Proof, at: int) -> tuple[str, Proof]:
         inner = mk_cut(sub_r, right, at)
         return "lolli-l-commute-left", mk_lolli_l(sub_l, inner, at + r.at)
     inner = mk_cut(left.premises[0], right, at)
-    return f"{_COMMUTING[type(r)]}-commute-left", _make(replace(r, at=at + r.at), inner)
+    return f"{_COMMUTING[type(r)]}-commute-left", _make(_moved(r, at + r.at), inner)
 
 
 def _principal(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Proof] | None:
@@ -261,7 +254,7 @@ def _commute_right(left: Proof, right: Proof, at: int, ng: int) -> tuple[str, Pr
         premise = right.premises[0]
         growth = len(premise.conclusion.context) - len(right.conclusion.context)
         inner = mk_cut(left, premise, at if at < j else at + growth)
-        outer = replace(r, at=j + shift if at < j else j)
+        outer = _moved(r, j + shift if at < j else j)
         return f"{_COMMUTING[type(r)]}-commute", _make(outer, inner)
     if type(r) is LolliR:
         inner = mk_cut(left, right.premises[0], at + 1)
@@ -352,7 +345,6 @@ def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
     while cur.cut_count and len(steps) < max_steps:
         rule_id, replacement = reduce_cut(cur)
         where = tuple(path)
-        ancestors: list[Proof] = []
         if replacement.conclusion != cur.conclusion:
             if not sequent_alpha_eq(replacement.conclusion, cur.conclusion):
                 raise RewriteError(f"{rule_id} changed the conclusion at {where}")
@@ -360,8 +352,11 @@ def normalize(p: Proof, max_steps: int = DEFAULT_MAX_STEPS) -> NormalizeResult:
             node = replacement
             for k in range(len(parents) - 1, -1, -1):
                 node = parents[k] = _with_premise(parents[k], path[k], node)
-            ancestors = parents
-        bad = _guard(ancestors, where, replacement)
+            bad = _guard(parents, where, replacement)
+        elif replacement.checked:
+            bad = None  # certified, under ancestors that see what they saw
+        else:
+            bad = _guard([], where, replacement)
         if bad:
             raise RewriteError(f"{rule_id} at {where} broke validity: {bad[:3]}")
         after = size - cur.size + replacement.size

@@ -40,7 +40,6 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from string import ascii_letters
 from typing import Callable, Sequence, TypeVar
 
@@ -497,13 +496,3 @@ def format_ket(coeff: Fraction, base: tuple, args: tuple[int, ...]) -> str:
 def step_json(rule_id: str, path: tuple[int, ...], size_before: int, size_after: int) -> dict:
     """One trace step in the interchange shape."""
     return {"rule": rule_id, "path": list(path), "sizes": [size_before, size_after]}
-
-
-def step_line(rule_id: str, path: tuple[int, ...], size_before: int, size_after: int) -> str:
-    """``json.dumps(step_json(...))`` of the same step, written directly:
-    the rule id quoted by the encoder ``json.dumps`` uses for a string,
-    the integers as ``json.dumps`` writes them."""
-    return (
-        f'{{"rule": {encode_basestring_ascii(rule_id)}, "path": [{", ".join(map(str, path))}], '
-        f'"sizes": [{size_before}, {size_after}]}}'
-    )

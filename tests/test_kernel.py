@@ -75,7 +75,7 @@ from linlog.proof import (
     subst_proof,
     validate,
 )
-from linlog.sexpr import print_proof
+from linlog.sexpr import parse_proof, print_proof
 
 A = Var("A")
 B = Var("B")
@@ -461,6 +461,33 @@ def test_a_tag_takes_exactly_its_fields():
             make()
 
 
+def test_a_tag_index_that_is_not_an_int_is_refused():
+    # interning compares fields with ==, and True == 1 == 1.0: an index
+    # of another type is refused whether or not an equal tag is alive
+    def refused(at):
+        for make in (
+            lambda: Exchange(at),
+            lambda: Exchange(at=at),
+            lambda: Weakening(at, Bang(A)),
+            lambda: ForallL(at, INT, A),
+            lambda: replace(Cut(0), at=at),
+        ):
+            with pytest.raises(TypeError, match="at must be an int"):
+                make()
+
+    gc.collect()
+    assert (7919,) not in Exchange._live
+    refused(7919.0)
+    alive = [make(n) for make in (Exchange, Cut) for n in (0, 1, 7919)]
+    alive += [Weakening(n, Bang(A)) for n in (0, 1)] + [ForallL(0, INT, A)]
+    for at in (True, False, 1.0, 7919.0):
+        refused(at)
+    q = mk_weak(mk_weak(mk_axiom(A), 0, Bang(A)), 0, Bang(A))
+    text = print_proof(mk_exchange(q, 1))
+    assert text == "(ex 1 (weak 0 !A (weak 0 !A (ax A))))"
+    assert parse_proof(text) == mk_exchange(q, 1) and Exchange(1) in alive
+
+
 def test_a_tag_holds_its_formulas_only_while_it_lives():
     banged = Bang(Var("only_in_this_tag"))
     held = weakref.ref(banged)
@@ -764,6 +791,23 @@ def test_tag_conditions_are_checked_before_the_index():
         assert _outcome(schema, ForallL(5, B, A), (s,)) == (
             "all-l principal formula B is not quantified"
         )
+
+
+def test_the_strict_builder_refuses_what_the_schema_table_refuses():
+    # _make reads the table itself: a foreign tag and a wrong premise
+    # count get the texts _rule_conclusion gives
+    ax = mk_axiom(A)
+    for rule, premises, want in (
+        (Foreign(), (ax,), "unknown rule Foreign()"),
+        (Cut(0), (ax,), "cut takes 2 premise(s), got 1"),
+        (Axiom(A), (ax,), "ax takes 0 premise(s), got 1"),
+        (TensorR(), (ax, ax, ax), "tensor-r takes 2 premise(s), got 3"),
+    ):
+        sequents = tuple(p.conclusion for p in premises)
+        assert _outcome(_rule_conclusion, rule, sequents) == want
+        with pytest.raises(ProofError) as err:
+            proof._make(rule, *premises)
+        assert str(err.value) == want
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,37 @@ def test_alpha_variant_replacement_rechecks_the_ancestors(monkeypatch):
     assert res.proof.conclusion == p.conclusion
 
 
+def test_the_guard_runs_only_where_it_has_something_to_check(monkeypatch):
+    # the guard is entered exactly on the steps whose replacement is
+    # unchecked or whose conclusion came back only alpha-equal
+    x, y = Var("x"), Var("y")
+    left = mk_lolli_r(mk_weak(mk_axiom(y), 1, Bang(x)))
+    right = mk_forall_r(mk_tensor_r(mk_axiom(Lolli(y, y)), mk_lolli_r(mk_axiom(x))), "x")
+    cases = [exp_cut(2, n, A) for n in range(1, 5)] + [mk_prom(mk_cut(left, right, 0))]
+    wants = [normalize(p).trace for p in cases]
+    real_reduce, real_guard = rewrite.reduce_cut, rewrite._guard
+    expected, entered, alpha = [], [], []
+
+    def reduce(node):
+        rule_id, rep = real_reduce(node)
+        if len(expected) % 3 == 2:  # every third step, a copy no schema derived
+            rep = Proof(rep.rule, rep.premises, rep.conclusion)
+        alpha.append(rep.conclusion != node.conclusion)
+        expected.append(not rep.checked or alpha[-1])
+        return rule_id, rep
+
+    def guard(ancestors, path, replacement):
+        entered.append(len(expected) - 1)
+        return real_guard(ancestors, path, replacement)
+
+    monkeypatch.setattr(rewrite, "reduce_cut", reduce)
+    monkeypatch.setattr(rewrite, "_guard", guard)
+    assert [normalize(p).trace for p in cases] == wants
+    assert entered == [i for i, e in enumerate(expected) if e]
+    # all three kinds of step occur: certified, unchecked and alpha-equal
+    assert len(expected) - 100 > len(entered) > sum(alpha) > 0
+
+
 def test_a_forged_replacement_with_a_bad_conclusion_breaks_validity(monkeypatch):
     def forged(node):
         # an "axiom" caching the cut's conclusion, which is no axiom sequent
