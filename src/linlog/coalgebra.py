@@ -59,6 +59,10 @@ t^S coefficient of g(x) sums |n_{B₁}, …, n_{B_l}⟩_P over the set
 partitions of S whose blocks B₁ … B_l are all monomials of n.  The
 ket-level maps above (`coproduct`, `lift`, `merge`, `split`) are what
 the tests check it against.
+
+Spaces are hash-consed as formulas are (`formula._Interned`), so their
+``==`` and ``hash`` are identity.  Those hashes differ between runs, so
+nothing that reaches output may iterate over a set or dict of spaces.
 """
 
 from __future__ import annotations
@@ -69,41 +73,48 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .formula import _Interned
+
 
 # ---------------------------------------------------------------------------
 # Spaces
 
 
-@dataclass(frozen=True)
-class BaseSp:
+@dataclass(frozen=True, eq=False, init=False)
+class BaseSp(_Interned):
+    __slots__ = ("label", "dim")
     label: str
     dim: int
 
 
-@dataclass(frozen=True)
-class UnitSp:
-    pass
+@dataclass(frozen=True, eq=False, init=False)
+class UnitSp(_Interned):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TensorSp:
+@dataclass(frozen=True, eq=False, init=False)
+class TensorSp(_Interned):
+    __slots__ = ("left", "right")
     left: "Space"
     right: "Space"
 
 
-@dataclass(frozen=True)
-class HomSp:
+@dataclass(frozen=True, eq=False, init=False)
+class HomSp(_Interned):
+    __slots__ = ("dom", "cod")
     dom: "Space"
     cod: "Space"
 
 
-@dataclass(frozen=True)
-class BangSp:
+@dataclass(frozen=True, eq=False, init=False)
+class BangSp(_Interned):
+    __slots__ = ("inner",)
     inner: "Space"
 
 
-@dataclass(frozen=True)
-class SumSp:
+@dataclass(frozen=True, eq=False, init=False)
+class SumSp(_Interned):
+    __slots__ = ("parts",)
     parts: tuple["Space", ...]
 
 

@@ -31,15 +31,16 @@ from weakref import WeakKeyDictionary, WeakValueDictionary
 
 T = TypeVar("T")
 
-#: (class, *fields) -> the one live formula with those fields.  The key
-#: holds the children, which the formula holds anyway; the entry goes
-#: away with the formula.
+#: (class, *fields) -> the one live node with those fields.  The key
+#: holds the children, which the node holds anyway; the entry goes away
+#: with the node.
 _INTERNED: WeakValueDictionary = WeakValueDictionary()
 
 
 class _Interned:
-    """Identity equality and hashing; copies and pickles re-intern.  A
-    formula's constructor takes its fields positionally, in slot order."""
+    """A hash-consed formula or `coalgebra` space: identity equality and
+    hashing; copies and pickles re-intern.  A node's constructor takes
+    its fields, its ``__slots__``, positionally, in slot order."""
 
     __slots__ = ("__weakref__",)
 
@@ -295,21 +296,26 @@ def _surface(a: Formula, top: bool) -> list:
     return infix if top else ["(", *infix, ")"]
 
 
-@dataclass(slots=True, init=False)
+@dataclass(slots=True, init=False, eq=False)
 class Sequent:
-    """An ordered hypothesis list and a single conclusion formula.  The
-    hash is computed on the first ``hash()`` and kept.  Immutable by
-    contract, as ``proof.Proof`` is: the class is not frozen, so that the
-    constructor, which every proof node calls, makes plain slot stores."""
+    """An ordered hypothesis list and a single conclusion formula.  ``==``
+    compares the interned conclusions by identity, then the contexts; the
+    hash is kept from the first ``hash()``.  Immutable by contract, as
+    ``proof.Proof`` is: not frozen, so the constructor makes plain stores."""
 
     context: tuple[Formula, ...]
     conclusion: Formula
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def __init__(self, context: tuple[Formula, ...], conclusion: Formula) -> None:
         self.context = context
         self.conclusion = conclusion
         self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Sequent:
+            return NotImplemented
+        return self.conclusion is other.conclusion and self.context == other.context
 
     def __hash__(self) -> int:
         if self._hash is None:

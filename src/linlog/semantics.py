@@ -26,6 +26,10 @@ branches over coordinates, and `den_apply` over the pure terms of a
 `TensorElem`.  A zero slot value makes the result zero, so those
 branches are pruned.
 
+An abstraction in a finite hom space is materialized by one evaluation
+on Σⱼ uⱼeⱼ, one fresh variable per column (vector-mode forward seeding:
+Griewank and Walther, "Evaluating Derivatives", 2nd ed., 2008, ch. 3).
+
 Arithmetic over R.  A product of two jets (a matrix on a vector in ⊸L,
 a tensor pairing, a scalar multiple) is a subset convolution over the
 monomials' bitmasks: only pairs of terms whose monomials share no
@@ -33,8 +37,8 @@ variable meet, since tᵢ² = 0.  Products and sums are added in place
 into one list of running coordinates per monomial, and a monomial whose
 sum comes to zero is dropped.  Zero coordinates and zero matrix entries
 are skipped, which the probe kets make common: a dereliction yields
-P + Σ tᵢνᵢ with sparse νᵢ, and a materialization starts from basis
-vectors.
+P + Σ tᵢνᵢ with sparse νᵢ, and a materialization's seed Σⱼ uⱼeⱼ has
+one nonzero coordinate per monomial.
 
 Inside the interpreter a value's representation is fixed by its space:
 
@@ -389,18 +393,21 @@ def _call(f: Suspended, a: Value) -> Value:
 
 
 def _materialize(v: Suspended) -> Jet:
+    """The matrix of ``v`` from one evaluation on Σⱼ uⱼeⱼ, a fresh variable
+    uⱼ per basis vector eⱼ of the domain, above ``v``'s variables.  A finite
+    domain is no ! space, so the body uses its argument exactly once: each
+    output monomial holds one uⱼ, and without it is a monomial of column j."""
     space = v.space
-    _require_finite(space.dom, "materializing an abstraction")
+    dd = _require_finite(space.dom, "materializing an abstraction")
     _require_finite(space.cod, "materializing an abstraction")
-    cols = [_flat(_call(v, ((0, e),)), space.cod) for e in _basis(space.dom)]
-    dd = len(cols)
+    lo = _support(v).bit_length()
+    seed = tuple([(1 << j << lo, e) for j, e in enumerate(_basis(space.dom))])
     rows: dict[int, list] = {}
-    for j, col in enumerate(cols):
-        for k, y in col:
-            row = rows.get(k)
-            if row is None:
-                row = rows[k] = [0] * (len(y) * dd)
-            row[j::dd] = y
+    for k, y in _flat(_call(v, seed), space.cod):
+        col = k >> lo  # uⱼ alone, shifted down to 1 << j
+        if not col or col & (col - 1):
+            raise SemanticsError("an abstraction's body does not use its argument exactly once")
+        rows.setdefault(k ^ col << lo, [0] * (len(y) * dd))[col.bit_length() - 1 :: dd] = y
     return tuple([(k, tuple(row)) for k, row in rows.items()])
 
 

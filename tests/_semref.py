@@ -17,6 +17,10 @@ Their Suspended and ZeroMap values are this module's own.
 before it summed its products in place: ``_bilinear(_matvec, m, x)`` is
 the reference for a matrix jet on a vector jet, and `_collect` for a
 sum of (monomial, coordinates) pairs.
+
+`materialize_per_column` is the jet evaluator's materialization before
+it seeded every column at once: the body of a `linlog.semantics`
+abstraction evaluated once per basis vector of its domain.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from linlog.proof import (
     TensorR,
     Weakening,
 )
+from linlog import semantics
 from linlog.semantics import SemanticsError, UnsupportedSpace, _asg_key, _den_formula
 
 
@@ -351,3 +356,22 @@ def force(v, space):
         raise SemanticsError("an infinite hom value has no coordinates")
     return Vect(space, tuple(map(Fraction, _flat(v, space))))
 
+
+def materialize_per_column(v: semantics.Suspended) -> tuple:
+    """The matrix jet of a `linlog.semantics` Suspended value: column j
+    is the body evaluated on the constant basis vector eⱼ, and each
+    output monomial's row interleaves its columns."""
+    space = v.space
+    cols = [
+        semantics._flat(semantics._call(v, ((0, e),)), space.cod)
+        for e in semantics._basis(space.dom)
+    ]
+    dd = len(cols)
+    rows: dict[int, list] = {}
+    for j, col in enumerate(cols):
+        for k, y in col:
+            row = rows.get(k)
+            if row is None:
+                row = rows[k] = [0] * (len(y) * dd)
+            row[j::dd] = y
+    return tuple([(k, tuple(row)) for k, row in rows.items()])

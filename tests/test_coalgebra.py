@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +15,10 @@ from linlog.coalgebra import (
     BangElem,
     BangSp,
     BaseSp,
+    HomSp,
     SumSp,
+    TensorSp,
+    UnitSp,
     Vect,
     bang_add,
     bang_from_terms,
@@ -540,3 +545,54 @@ def test_a_vector_of_an_infinite_space_is_refused():
     with pytest.raises(ValueError, match=r"^vectors need a finite space, got !A$") as err:
         Vect(BangSp(BaseSp("A", 2)), ())
     assert type(err.value) is ValueError
+
+
+# ---------------------------------------------------------------------------
+# Spaces are hash-consed, as formulas are
+
+
+def _spaces():
+    """One space of each class, built afresh on each call."""
+    a = BaseSp("A", 2)
+    hom = HomSp(TensorSp(a, UnitSp()), BangSp(a))
+    return [a, UnitSp(), TensorSp(a, BaseSp("B", 3)), hom, BangSp(hom), SumSp((a, UnitSp(), a))]
+
+
+def test_equal_spaces_are_one_object():
+    for s, t in zip(_spaces(), _spaces()):
+        assert s is t
+        assert hash(s) == object.__hash__(s)
+    assert BaseSp("A", 2) is not BaseSp("A", 3)
+    assert SumSp((BaseSp("A", 2),)) is not SumSp((BaseSp("A", 2), UnitSp()))
+
+
+def test_copies_and_pickles_are_the_interned_space():
+    for s in _spaces():
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
+
+
+def test_space_reprs_name_their_fields():
+    assert [repr(s) for s in _spaces()[:3]] == [
+        "BaseSp(label='A', dim=2)",
+        "UnitSp()",
+        "TensorSp(left=BaseSp(label='A', dim=2), right=BaseSp(label='B', dim=3))",
+    ]
+    assert repr(SumSp((UnitSp(), BangSp(UnitSp())))) == (
+        "SumSp(parts=(UnitSp(), BangSp(inner=UnitSp())))"
+    )
+
+
+def test_a_space_constructor_takes_exactly_its_fields():
+    a = BaseSp("A", 2)
+    for make in (
+        lambda: BaseSp("A"),
+        lambda: UnitSp(a),
+        lambda: TensorSp(a),
+        lambda: HomSp(a, a, a),
+        lambda: BangSp(),
+        lambda: SumSp((a,), (a,)),
+    ):
+        with pytest.raises(TypeError):
+            make()

@@ -168,6 +168,15 @@ def test_sequent_alpha_eq():
     assert not sequent_alpha_eq(s, Sequent((), One()))
 
 
+def test_sequents_with_equal_contexts_and_other_conclusions_differ():
+    ctx = (Bang(A), Lolli(A, A))
+    assert Sequent(ctx, A) == Sequent(tuple(ctx), Var("A"))
+    assert Sequent(ctx, A) != Sequent(ctx, Lolli(A, A))
+    assert Sequent(ctx, A) != Sequent(ctx[:1], A)
+    assert Sequent(ctx, A) != (ctx, A)
+    assert Sequent(ctx, A).__eq__((ctx, A)) is NotImplemented
+
+
 def test_formulas_are_interned():
     assert Var("A") is Var("A")
     assert One() is One()

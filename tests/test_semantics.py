@@ -54,6 +54,7 @@ from linlog.encodings import (
 )
 from linlog.formula import INT, Bang, Forall, Lolli, One, Sequent, Tensor, Var, endo, int_type
 from linlog.proof import (
+    LolliR,
     Proof,
     Promotion,
     mk_axiom,
@@ -69,16 +70,23 @@ from linlog.proof import (
     mk_tensor_l,
     mk_tensor_r,
     mk_weak,
+    validate,
 )
 from linlog.rewrite import normalize
+from linlog.sexpr import parse_proof
 
 import _semref
 from linlog.semantics import (
+    Closure,
     Scalar,
     _asg_key,
     SemanticsError,
     Suspended,
     UnsupportedSpace,
+    _bang_in,
+    _eval,
+    _materialize,
+    _support,
     _collect,
     _matrix_times,
     _tensor,
@@ -1294,3 +1302,73 @@ def test_the_jet_kernels_match_the_reference_arithmetic(data):
     for got, want in cases:
         assert got == want
         assert all(any(z) for _k, z in got)  # no pair all zero
+
+
+# ---------------------------------------------------------------------------
+# Seeded materialization against the per-column reference in
+# `tests/_semref.py`: one evaluation on Σⱼ uⱼeⱼ gives every column.  The
+# closures' contexts hold seeded dense entries, and in the last cases
+# the t-variables of a ket, which the column variables must stay above.
+
+
+def _dense_jet(rng, n):
+    """A constant jet of ``n`` coordinates, none zero."""
+    return ((0, tuple(rng.choice([1, -1, 2, -3, Fraction(1, 2)]) for _ in range(n))),)
+
+
+_MATRIX_ON_ARG = "(lolli-r (lolli-l 0 (ax A) (ax A)))"
+_SWAP = "(lolli-r (tensor-l 0 (ex 0 (tensor-r (ax A) (ax {})))))"
+_UNIT_ARG = "(lolli-r (one-l 0 (ax A)))"
+_NESTED = "(lolli-r (lolli-r (lolli-r (lolli-l 0 (lolli-l 0 (ax A) (ax A)) (ax A)))))"
+
+#: (proof text, assignment, widths of the context's constant jets): the
+#: argument a base space of dimension 1 to 4 applied to a matrix; a
+#: tensor split by tensor-l, on square and non-square factors; the unit,
+#: taken by one-l; a hom space whose values are abstractions, nested once
+_SEEDED = {
+    **{f"base-{d}": (_MATRIX_ON_ARG, {"A": d}, (d * d,)) for d in (1, 2, 3, 4)},
+    **{f"tensor-{d}": (_SWAP.format("A"), {"A": d}, ()) for d in (1, 2, 3)},
+    "tensor-2x3": (_SWAP.format("B"), {"A": 2, "B": 3}, ()),
+    **{f"unit-{d}": (_UNIT_ARG, {"A": d}, (d,)) for d in (1, 3)},
+    **{f"hom-{d}": (_NESTED, {"A": d}, ()) for d in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("text, asg, widths", _SEEDED.values(), ids=_SEEDED)
+def test_seeded_materialization_matches_one_evaluation_per_column(text, asg, widths):
+    p = parse_proof(text)
+    assert validate(p) == []
+    rng = random.Random(text + repr(asg))
+    env = tuple(_dense_jet(rng, n) for n in widths)
+    v = _eval(p, env, _asg_key(asg))
+    assert type(v) is Suspended
+    want = _semref.materialize_per_column(v)
+    assert dict(_materialize(v)) == dict(want)
+    assert want and all(any(y) for _k, y in want)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_seeded_materialization_stays_above_a_kets_variables(n, dim):
+    # a numeral's body on the group-like element of a two-argument ket:
+    # its closures hold the ket's t-variables
+    asg = {"A": dim}
+    space = den_formula(endo(A), asg)
+    rng = random.Random(n * 10 + dim)
+    point = [rng.choice([1, -1, 2, Fraction(1, 3)]) for _ in range(dim * dim)]
+    x = ket(Vect(space, tuple(point)), [basis_vec(space, 0), basis_vec(space, dim * dim - 1)])
+    g, top = _bang_in(x, space, 0)
+    v = _eval(church_body(n, A), (g,), _asg_key(asg))
+    assert top and _support(v) & top
+    want = _semref.materialize_per_column(v)
+    assert dict(_materialize(v)) == dict(want)
+    assert any(k & top for k, _y in want)
+
+
+def test_a_body_that_drops_its_argument_is_refused():
+    # a forged, unvalidated abstraction ⊢ A ⊸ 1 whose body is (one-r):
+    # its output carries no column variable, so no column is written
+    node = Proof(LolliR(), (mk_one_r(),), Sequent((), Lolli(A, One())))
+    space = HomSp(BaseSp("A", 2), UnitSp())
+    forged = Suspended(space, ((Closure(node, (), _asg_key(ASG)), ((0, (1,)),)),))
+    with pytest.raises(SemanticsError, match="does not use its argument exactly once"):
+        force(forged, space)

@@ -22,7 +22,8 @@ none;
 cuts ``hypexp_cut(0..3)``, the sixteen add/mult cuts of `GRID_CUTS`
 and `ROOT_REDEX`; ``check`` on the numeral 421, about 840 rules deep;
 ``nl`` on the numeral 400 at A = 2, one evaluation about 800 rules deep;
-and ``check`` on each of the `MALFORMED` texts.
+``check`` on each of the `MALFORMED` texts; and ``check``, and
+``denote`` at A = 1, 2 and 3, on each of the `ABSTRACTIONS`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,19 @@ MALFORMED = {
 }
 
 
+#: Abstractions whose argument is a tensor (split by tensor-l), the unit
+#: (taken by one-l), a hom space, and a hom space whose values are
+#: abstractions themselves: ``denote`` materializes each.
+ABSTRACTIONS = {
+    "tensor-arg.llp": "(lolli-r (tensor-l 0 (ex 0 (tensor-r (ax A) (ax A)))))",
+    "unit-arg.llp": "(lolli-r (one-l 0 (ax A)))",
+    "hom-arg.llp": "(lolli-r (lolli-r (lolli-l 0 (ax A) (ax A))))",
+    "nested-hom-arg.llp": (
+        "(lolli-r (lolli-r (lolli-r (lolli-l 0 (lolli-l 0 (ax A) (ax A)) (ax A)))))"
+    ),
+}
+
+
 def proofs() -> dict[str, str]:
     """The grid's proofs as text, by file name."""
     lib = library()
@@ -188,6 +202,9 @@ def main() -> None:
         deep = save("church-400.llp", print_proof(church(400, a)))
         grid.append(["nl", deep, "--assign", "A=2", "--point", "[[1,1],[0,1]]"])
         grid += [["check", save(name, text, end="")] for name, text in MALFORMED.items()]
+        for f in [save(name, text) for name, text in ABSTRACTIONS.items()]:
+            grid.append(["check", f])
+            grid += [["denote", f, "--assign", f"A={dim}"] for dim in (1, 2, 3)]
         records = []
         for argv in grid:
             code, out, err = run(argv)
