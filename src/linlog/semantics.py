@@ -38,7 +38,12 @@ into one list of running coordinates per monomial, and a monomial whose
 sum comes to zero is dropped.  Zero coordinates and zero matrix entries
 are skipped, which the probe kets make common: a dereliction yields
 P + Σ tᵢνᵢ with sparse νᵢ, and a materialization's seed Σⱼ uⱼeⱼ has
-one nonzero coordinate per monomial.
+one nonzero coordinate per monomial.  A matrix jet's nonzero entries
+are listed once, as (row, column, entry) triples, and its products
+walk those (the sparse forward mode: Griewank and Walther, ch. 7).
+Contraction hands the same point to every copy, so a chain of ⊸L
+nodes multiplies by one jet again and again: the last matrix jet's
+list is kept, with the jet itself, and found again by identity.
 
 Inside the interpreter a value's representation is fixed by its space:
 
@@ -54,8 +59,9 @@ Inside the interpreter a value's representation is fixed by its space:
                point x (a jet) and a coefficient c (a scalar jet)
   Suspended    element of a hom space as unapplied abstractions: Σ c·f
                over pairs of a `Closure` f (a ⊸R node, its captured
-               context and the assignment) and a coefficient c (a
-               scalar jet), the zero having no pairs.
+               context, the assignment and the variables that context
+               holds) and a coefficient c (a scalar jet), the zero
+               having no pairs.
                In a finite hom space it is materialized to a jet when
                it is scaled, added or read as coordinates; a space with
                no matrix keeps sums and multiples unapplied
@@ -244,11 +250,15 @@ class BangJet(NamedTuple):
 class Closure(NamedTuple):
     """λa.body(a, env), unapplied: `_call` evaluates the node's premise
     on a and the captured context.  Two closures over the same node and
-    context differ when their assignments do."""
+    context differ when their assignments do.  ``support`` is the mask of
+    the variables the captured context holds, nested closures included:
+    ⊸R computes it once, from the context's values (`_holds`), and
+    `_shifted` renames it with the context."""
 
     node: Proof  # a validated abstraction (⊸R) node
     env: tuple["Value", ...]  # the captured context, in interpreter representation
     asg: AsgKey
+    support: int = 0
 
 
 class Suspended(NamedTuple):
@@ -346,17 +356,36 @@ def _times(c: Jet, v: Jet) -> Jet:
     return v if c == _ONE else _tensor(c, v)
 
 
+#: The last matrix jet `_matrix_times` was given, the width of its rows
+#: (its entries' columns depend on it), and its entries.  One slot, and
+#: it holds the jet itself, so that an identity hit is never stale.
+_LAST_MATRIX: list = [None, 0, ()]
+
+
+def _entries(m: Jet, d: int) -> tuple:
+    """Each term of a matrix jet m with rows of d entries, as its
+    monomial, its number of rows and the (row, column, entry) triples of
+    its nonzero entries; the last jet's are kept."""
+    last = _LAST_MATRIX
+    if last[0] is m and last[1] == d:
+        return last[2]
+    terms = tuple(
+        (ma, len(a) // d, [(*divmod(j, d), aij) for j, aij in enumerate(a) if aij])
+        for ma, a in m
+    )
+    last[:] = m, d, terms
+    return terms
+
+
 def _matrix_times(m: Jet, x: Jet) -> Jet:
     """m·x for a jet m of a hom space (flat, rows first) and a jet x of
     its domain.  Only terms whose monomials share no variable meet, and
-    their products are summed in place, column by column: over the
-    nonzero coordinates of x and the nonzero entries of m."""
+    their products are summed in place: over the nonzero entries of m,
+    listed once by `_entries`, and the nonzero coordinates of x."""
     if not x:
         return ()
-    d = len(x[0][1])
     acc: Sums = {}
-    for ma, a in m:
-        n = len(a) // d
+    for ma, n, triples in _entries(m, len(x[0][1])):
         for mb, y in x:
             if ma & mb:
                 continue
@@ -364,13 +393,10 @@ def _matrix_times(m: Jet, x: Jet) -> Jet:
             z = acc.get(k)
             if z is None:
                 z = acc[k] = [0] * n
-            for j, yj in enumerate(y):
+            for i, j, aij in triples:
+                yj = y[j]
                 if yj:
-                    i = 0
-                    for aij in a[j::d]:
-                        if aij:
-                            z[i] += aij * yj
-                        i += 1
+                    z[i] += aij * yj
     return _jet(acc)
 
 
@@ -498,7 +524,10 @@ def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
         return _zero(_den_formula(p.conclusion.conclusion, asg)) if out is None else out
     if kind is LolliR:
         cs = _den_formula(p.conclusion.conclusion, asg)
-        return Suspended(cs, ((Closure(p, env, asg), _ONE),))
+        support = 0
+        for x in env:
+            support |= _holds(x)
+        return Suspended(cs, ((Closure(p, env, asg, support), _ONE),))
     if kind is Cut:
         at = rule.at
         left, right = p.premises
@@ -627,7 +656,7 @@ def _shifted(v: Value, k: int) -> Value:
     if type(v) is tuple:
         return tuple([(m << k, y) for m, y in v])
     if type(v) is Closure:
-        return v._replace(env=tuple(_shifted(x, k) for x in v.env))
+        return v._replace(env=tuple(_shifted(x, k) for x in v.env), support=v.support << k)
     v = v._replace(terms=tuple((_shifted(x, k), _shifted(c, k)) for x, c in v.terms))
     return v._replace(top=v.top << k) if type(v) is Suspended else v
 
@@ -660,17 +689,26 @@ def _enter(v: SemValue, space: Space, top: int) -> tuple[Value, int]:
 
 
 def _support(v: Suspended) -> int:
-    """The variables the closures' captured contexts and coefficients hold."""
-    mask, stack = 0, [v]
-    while stack:
-        x = stack.pop()
-        if type(x) is tuple:
-            for m, _y in x:
-                mask |= m
-        elif type(x) is Closure:
-            stack.extend(x.env)
-        else:  # an R-combination
-            stack.extend(j for term in x.terms for j in term)
+    """The variables the closures' captured contexts and coefficients
+    hold: each closure carries its context's, so no context is walked."""
+    mask = 0
+    for g, c in v.terms:
+        mask |= g.support | _holds(c)
+    return mask
+
+
+def _holds(x: Value) -> int:
+    """The variables a value in a captured context holds: a jet's
+    monomials, a BangJet's points and coefficients, a Suspended's
+    support.  `_promote`'s BangJet over a sum of spaces, whose points are
+    tuples of jets, goes only to `lift`, and no context captures it."""
+    if type(x) is Suspended:
+        return _support(x)
+    jets = (j for term in x.terms for j in term) if type(x) is BangJet else (x,)
+    mask = 0
+    for jet in jets:
+        for m, _y in jet:
+            mask |= m
     return mask
 
 

@@ -21,6 +21,13 @@ sum of (monomial, coordinates) pairs.
 `materialize_per_column` is the jet evaluator's materialization before
 it seeded every column at once: the body of a `linlog.semantics`
 abstraction evaluated once per basis vector of its domain.
+
+`matrix_times_by_column` is the jet evaluator's ⊸L product before it
+listed each matrix jet's nonzero entries once: it slices a column of
+the matrix per coordinate of the vector and tests every entry for zero.
+`support_walk` is its `_support` before each closure carried the
+variables of its captured context: a walk over every captured context,
+nested closures included.
 """
 
 from __future__ import annotations
@@ -375,3 +382,46 @@ def materialize_per_column(v: semantics.Suspended) -> tuple:
                 row = rows[k] = [0] * (len(y) * dd)
             row[j::dd] = y
     return tuple([(k, tuple(row)) for k, row in rows.items()])
+
+
+def matrix_times_by_column(m: tuple, x: tuple) -> tuple:
+    """m·x for a jet m of a hom space (flat, rows first) and a jet x of
+    its domain.  Only terms whose monomials share no variable meet, and
+    their products are summed in place, column by column: over the
+    nonzero coordinates of x and the nonzero entries of m."""
+    if not x:
+        return ()
+    d = len(x[0][1])
+    acc: dict[int, list] = {}
+    for ma, a in m:
+        n = len(a) // d
+        for mb, y in x:
+            if ma & mb:
+                continue
+            k = ma | mb
+            z = acc.get(k)
+            if z is None:
+                z = acc[k] = [0] * n
+            for j, yj in enumerate(y):
+                if yj:
+                    i = 0
+                    for aij in a[j::d]:
+                        if aij:
+                            z[i] += aij * yj
+                        i += 1
+    return semantics._jet(acc)
+
+
+def support_walk(v: semantics.Suspended) -> int:
+    """The variables the closures' captured contexts and coefficients hold."""
+    mask, stack = 0, [v]
+    while stack:
+        x = stack.pop()
+        if type(x) is tuple:
+            for m, _y in x:
+                mask |= m
+        elif type(x) is semantics.Closure:
+            stack.extend(x.env)
+        else:  # an R-combination
+            stack.extend(j for term in x.terms for j in term)
+    return mask

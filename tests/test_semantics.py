@@ -77,6 +77,7 @@ from linlog.sexpr import parse_proof
 
 import _semref
 from linlog.semantics import (
+    BangJet,
     Closure,
     Scalar,
     _asg_key,
@@ -84,9 +85,12 @@ from linlog.semantics import (
     Suspended,
     UnsupportedSpace,
     _bang_in,
+    _call,
+    _entries,
     _eval,
     _materialize,
     _support,
+    _shifted,
     _collect,
     _matrix_times,
     _tensor,
@@ -1372,3 +1376,174 @@ def test_a_body_that_drops_its_argument_is_refused():
     forged = Suspended(space, ((Closure(node, (), _asg_key(ASG)), ((0, (1,)),)),))
     with pytest.raises(SemanticsError, match="does not use its argument exactly once"):
         force(forged, space)
+
+
+# ---------------------------------------------------------------------------
+# The ⊸L product against the column-slicing kernel it replaced, kept in
+# `tests/_semref.py`, on seeded jets.  `_matrix_times` lists a matrix
+# jet's nonzero entries once and keeps the last jet's list, by identity.
+
+#: (rows, columns) of the hom spaces the seeded jets live in
+_HOM_SHAPES = [(1, 1), (1, 3), (3, 1), (2, 2), (4, 4), (8, 8)]
+
+
+def _seeded_jet(rng, monomials, width):
+    """A jet over ``monomials`` of ``width`` coordinates: about half of
+    them zero, the rest small ints and Fractions of both signs; a term
+    that comes out all zero is left out."""
+    values = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    terms = ((k, tuple(rng.choice(values) for _ in range(width))) for k in monomials)
+    return tuple((k, y) for k, y in terms if any(y))
+
+
+def _cancelling(rng, n, d):
+    """A matrix jet and a vector jet whose products on monomial t₁ cancel:
+    a·y from (1, t₁) and (-a)·y from (t₁, 1)."""
+    a = tuple(rng.choice([1, -2, Fraction(3, 4)]) for _ in range(n * d))
+    y = tuple(rng.choice([1, -1, Fraction(-1, 3)]) for _ in range(d))
+    return ((0, a), (1, tuple(-e for e in a))), ((1, y), (0, y))
+
+
+@pytest.mark.parametrize("n, d", _HOM_SHAPES)
+def test_the_matrix_kernel_matches_the_column_reference(n, d):
+    rng = random.Random(f"matrix-times-{n}x{d}")
+    # monomials over t₁…t₄: some pairs share a variable, some do not;
+    # one matrix after another, most with as many terms as the last
+    cases = [
+        (_seeded_jet(rng, rng.sample(range(16), 3), n * d),
+         _seeded_jet(rng, rng.sample(range(16), 3), d))
+        for _ in range(8)
+    ]
+    cases += [(cases[0][0], ()), ((), cases[0][1])]
+    m, x = _cancelling(rng, n, d)
+    cases.append((m, x))
+    for m, x in cases:
+        got = _matrix_times(m, x)
+        assert got == _semref.matrix_times_by_column(m, x)
+        assert all(any(z) for _k, z in got)
+    # the two products on t₁ cancel, so t₁ is dropped
+    assert 1 not in dict(_matrix_times(m, x))
+    assert _matrix_times(m, ()) == ()
+
+
+def test_the_matrix_kernel_keeps_only_the_last_matrix_by_identity():
+    rng = random.Random("matrix-times-cache")
+    m1 = ((0, (1, 0, 2, -3)), (2, (0, Fraction(1, 2), 0, 1)))
+    m2 = ((0, (0, 5, -1, 1)), (2, (Fraction(-2, 3), 0, 4, 0)))
+    x = ((0, (1, 2)), (1, (0, -1)), (2, (3, 0)))
+    ref = _semref.matrix_times_by_column
+    # the same number of terms and entries, interleaved
+    for m in (m1, m2, m1, m2):
+        assert _matrix_times(m, x) == ref(m, x)
+    # equal but distinct jets, and a hit returns the listed entries
+    twin = tuple(list(m1))
+    assert twin == m1 and twin is not m1
+    assert _matrix_times(m1, x) == _matrix_times(twin, x) == ref(m1, x)
+    assert _entries(twin, 2) is _entries(twin, 2)
+    # one jet against vector jets of other supports: disjoint from m1's
+    # monomials, overlapping them, and all of them taken
+    for monomials in ([4, 8], [1, 2, 3], [2], [15, 0]):
+        y = _seeded_jet(rng, monomials, 2) or ((monomials[0], (1, 1)),)
+        assert _matrix_times(m1, y) == ref(m1, y)
+    assert _matrix_times(m1, ((2, (1, 1)),)) == ((2, (1, -1)),)
+    # the same jet read as a 2×2 and as a 1×4 matrix
+    x4 = ((1, (1, 1, 1, 1)),)
+    for m, v in ((m1, x), (m1, x4), (m1, x)):
+        assert _matrix_times(m, v) == ref(m, v)
+
+
+# ---------------------------------------------------------------------------
+# Closures carry the variables of their captured contexts; `_support`
+# ORs them with the coefficients' monomials instead of walking every
+# context.  Each value's support must equal the walk kept in
+# `tests/_semref.py`, and so must each shifted copy's.
+
+E = endo(A)
+
+
+def _seeded_ket(rng, dim, n_args):
+    space = den_formula(E, {"A": dim})
+    point = Vect(space, tuple(Fraction(rng.choice([1, -1, 2, 3])) for _ in range(dim * dim)))
+    args = [basis_vec(space, rng.randrange(dim * dim)) for _ in range(n_args)]
+    return ket(point, args)
+
+
+def _assert_support_is_the_walk(v):
+    assert type(v) is Suspended
+    assert _support(v) == _semref.support_walk(v)
+    for k in (1, 5):
+        w = _shifted(v, k)
+        assert _support(w) == _semref.support_walk(w) == _support(v) << k
+
+
+def _support_values():
+    """Suspended values whose captured contexts hold every kind of value,
+    by name."""
+    rng = random.Random("closure-support")
+    key = _asg_key(ASG)
+    g, top = _bang_in(_seeded_ket(rng, 2, 2), den_formula(E, ASG), 0)
+    h = _eval(church_body(2, A), (g,), key)  # contexts of derelicted jets
+    # λh₂.λh₁.λx. h₂(h₁(x)) applied twice: nested closures in a context
+    nested = _eval(parse_proof(_NESTED), (), key)
+    g2, _top = _bang_in(_seeded_ket(rng, 2, 1), den_formula(E, ASG), top)
+    h2 = _eval(church_body(1, A), (g2,), key)
+    once = _call(nested, h)
+    out = {"numeral": h, "closed": nested, "once": once, "twice": _call(once, h2)}
+    # a λ over a context of one of each value: a jet, the empty jet, a
+    # BangJet whose points and coefficients hold variables, a Suspended,
+    # an empty Suspended.  The ⊸R branch captures its context as it is.
+    lam = parse_proof("(lolli-r (ax A))")
+    bang = BangJet(g.space, g.terms + ((((0, (1, 2, 3, 4)),), ((64, (2,)),)),))
+    ctx = {
+        "jet": ((8, (1, 0)), (0, (0, 3))),
+        "empty-jet": (),
+        "bang": bang,
+        "suspended": h2,
+        "empty-suspended": Suspended(E_SPACE, ()),
+    }
+    out["all"] = _eval(lam, tuple(ctx.values()), key)
+    out["none"] = _eval(lam, (), key)
+    for name, x in ctx.items():
+        out[name] = _eval(lam, (x,), key)
+    return out
+
+
+def test_a_closure_carries_the_support_of_its_captured_context():
+    values = _support_values()
+    for v in values.values():
+        _assert_support_is_the_walk(v)
+    empty = {"closed", "none", "empty-jet", "empty-suspended"}
+    assert {name for name, v in values.items() if not _support(v)} == empty
+
+
+def test_closures_entered_above_a_nonzero_top_carry_shifted_supports():
+    # ψ = λh. f∘h at the one-argument ket |ν⟩_P is λh. ν∘h; its argument
+    # α at |μ⟩_Q is μ, entered above ψ's variables
+    rng = random.Random("shifted-support")
+    psi_proof = mk_der(mk_lolli_r(comp(A)), 0)
+    alpha_proof = church_body(1, A)
+    assert validate(psi_proof) == [] and validate(alpha_proof) == []
+    k1, k2 = _seeded_ket(rng, 2, 1), _seeded_ket(rng, 2, 1)
+    psi, alpha = den_apply(psi_proof, k1, ASG), den_apply(alpha_proof, k2, ASG)
+    assert psi.top and alpha.top
+    _assert_support_is_the_walk(psi)
+    _assert_support_is_the_walk(alpha)
+    out = apply_hom(psi, alpha)
+    _assert_support_is_the_walk(out)
+    nu, mu = (_as_rows(dereliction(k)) for k in (k1, k2))
+    assert _as_rows(out) == _matmul(nu, mu)
+
+
+def test_multi_branch_abstractions_carry_each_branchs_support():
+    # λg. f₂∘f₁ with g dropped, on two ket pairs: the value of an infinite
+    # hom space keeps both branches' closures unapplied
+    p = mk_lolli_r(mk_weak(mk_der(mk_der(comp(A), 0), 1), 0, Bang(E)))
+    assert validate(p) == []
+    rng = random.Random("branch-support")
+    space = den_formula(Bang(E), ASG)
+    descs = [_seeded_ket(rng, 2, s).terms[0][0] for s in (1, 2, 0, 1)]
+    x = tensor_from_terms((space, space), {tuple(descs[:2]): Fraction(1), tuple(descs[2:]): 2})
+    v = den_apply(p, x, ASG)
+    assert type(v) is Suspended and len(v.terms) == 2
+    _assert_support_is_the_walk(v)
+    assert v.top and not v.top & ~_support(v)
