@@ -60,106 +60,121 @@ partitions of S whose blocks B₁ … B_l are all monomials of n.  The
 ket-level maps above (`coproduct`, `lift`, `merge`, `split`) are what
 the tests check it against.
 
-Spaces are hash-consed as formulas are (`formula._Interned`), so their
+Spaces are hash-consed as formulas are (`formula._Interning`), so their
 ``==`` and ``hash`` are identity.  Those hashes differ between runs, so
 nothing that reaches output may iterate over a set or dict of spaces.
+`space_dim` and `space_label` walk a space's `space_children` on the
+explicit stacks of `formula.fold` and `formula.emit`, and `space_dim`
+remembers each space's dimension weakly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
-from .formula import _Interned
+from .formula import _Interned, emit, field_values, fold
 
 
 # ---------------------------------------------------------------------------
 # Spaces
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class BaseSp(_Interned):
-    __slots__ = ("label", "dim")
     label: str
     dim: int
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class UnitSp(_Interned):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class TensorSp(_Interned):
-    __slots__ = ("left", "right")
-    left: "Space"
-    right: "Space"
+    left: Space
+    right: Space
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class HomSp(_Interned):
-    __slots__ = ("dom", "cod")
-    dom: "Space"
-    cod: "Space"
+    dom: Space
+    cod: Space
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class BangSp(_Interned):
-    __slots__ = ("inner",)
-    inner: "Space"
+    inner: Space
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class SumSp(_Interned):
-    __slots__ = ("parts",)
-    parts: tuple["Space", ...]
+    parts: tuple[Space, ...]
 
 
 Space = BaseSp | UnitSp | TensorSp | HomSp | BangSp | SumSp
 
 
-@lru_cache(maxsize=None)
+def space_children(s: Space) -> tuple[Space, ...]:
+    """The spaces ``s`` is built from, left to right: what ``formula.fold``
+    and ``formula.emit`` walk, as ``formula.children`` is for formulas."""
+    kind = type(s)
+    if kind is TensorSp or kind is HomSp or kind is BangSp:
+        return field_values(s)  # every field of theirs is a space
+    if kind is SumSp:
+        return s.parts
+    if kind is BaseSp or kind is UnitSp:
+        return ()
+    raise TypeError(f"not a space: {s!r}")
+
+
+#: Space -> its dimension, for as long as the space is alive.
+_DIMS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def space_dim(s: Space) -> int | None:
     """Dimension of a finite space, None where infinite (under !)."""
-    if isinstance(s, BaseSp):
+    try:
+        return _DIMS[s]
+    except (KeyError, TypeError):  # TypeError: not weakly referable, so no space
+        # a ! space is infinite whatever it is over, so the walk stops there
+        d = _DIMS[s] = fold(s, _dim_node, lambda t: () if type(t) is BangSp else space_children(t))
+        return d
+
+
+def _dim_node(s: Space, dims: list[int | None]) -> int | None:
+    kind = type(s)
+    if kind is BaseSp:
         return s.dim
-    if isinstance(s, UnitSp):
-        return 1
-    if isinstance(s, TensorSp):
-        l, r = space_dim(s.left), space_dim(s.right)
-        return None if l is None or r is None else l * r
-    if isinstance(s, HomSp):
-        d, c = space_dim(s.dom), space_dim(s.cod)
-        return None if d is None or c is None else d * c
-    if isinstance(s, BangSp):
+    if kind is BangSp or None in dims:
         return None
-    if isinstance(s, SumSp):
-        dims = [space_dim(p) for p in s.parts]
-        return None if None in dims else sum(dims)
-    raise TypeError(f"not a space: {s!r}")
+    return sum(dims) if kind is SumSp else prod(dims)  # the unit space: the empty product
 
 
 def is_finite(s: Space) -> bool:
     return space_dim(s) is not None
 
 
+#: The text of a compound space's label before, between and after its parts'.
+_LABELS = {
+    UnitSp: ("k", "", ""),
+    TensorSp: ("(", " (x) ", ")"),
+    HomSp: ("Hom(", ", ", ")"),
+    BangSp: ("!", "", ""),
+    SumSp: ("(", " (+) ", ")"),
+}
+
+
 def space_label(s: Space) -> str:
-    if isinstance(s, BaseSp):
-        return s.label
-    if isinstance(s, UnitSp):
-        return "k"
-    if isinstance(s, TensorSp):
-        return f"({space_label(s.left)} (x) {space_label(s.right)})"
-    if isinstance(s, HomSp):
-        return f"Hom({space_label(s.dom)}, {space_label(s.cod)})"
-    if isinstance(s, BangSp):
-        return f"!{space_label(s.inner)}"
-    if isinstance(s, SumSp):
-        return "(" + " (+) ".join(map(space_label, s.parts)) + ")"
-    raise TypeError(f"not a space: {s!r}")
+    return "".join(emit((s,), _label))
+
+
+def _label(s: Space) -> list:
+    """Expands ``s`` for ``formula.emit`` into its text around its parts."""
+    parts = space_children(s)
+    if type(s) is BaseSp:
+        return [s.label]
+    head, between, tail = _LABELS[type(s)]
+    return [head, *[x for part in parts for x in (between, (part,))][1:], tail]
 
 
 # ---------------------------------------------------------------------------

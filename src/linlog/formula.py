@@ -11,9 +11,11 @@ a formula recurses: :func:`fold`, the one bottom-up walk over proofs and
 formulas, and :func:`emit`, the formula printers' top-down walk, keep
 their nodes on explicit stacks.
 
-Formulas are hash-consed: the constructors look each (class, children)
-key up in a weak intern table, so structurally equal formulas are one
-object for as long as any of them is alive.  Plain ``==`` is therefore
+Formulas are hash-consed, as the ``coalgebra`` spaces and the ``proof``
+rule tags are, all by one metaclass: a class states its fields as
+annotations, and calling it looks its fields up in the class's weak
+table of live nodes, so structurally equal formulas are one object for
+as long as any of them is alive.  Plain ``==`` is therefore
 structural *by identity*, and ``==`` and ``hash`` cost O(1) whatever the
 size of the formula.  It still distinguishes ``(all x. x -o x)`` from
 ``(all y. y -o y)``; comparison up to renaming of bound variables goes
@@ -27,73 +29,100 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter, eq
 from typing import Callable, Iterable, Iterator, TypeVar
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from weakref import KeyedRef, WeakKeyDictionary
 
 T = TypeVar("T")
 
-#: (class, *fields) -> the one live node with those fields.  The key
-#: holds the children, which the node holds anyway; the entry goes away
-#: with the node.
-_INTERNED: WeakValueDictionary = WeakValueDictionary()
+# What a node table gives for a missing key: like a dead reference, it
+# returns None when called.
+_dead = type(None)
 
 
-class _Interned:
-    """A hash-consed formula or `coalgebra` space: identity equality and
-    hashing; copies and pickles re-intern.  A node's constructor takes
-    its fields, its ``__slots__``, positionally, in slot order."""
+class _Interning(type):
+    """The metaclass of every hash-consed class: formulas, the ``coalgebra``
+    spaces and the ``proof`` rule tags.  A class states only its fields, as
+    annotations: they become its ``__slots__``, and the class a frozen
+    dataclass (repr, ``fields``, ``replace``) with identity ``==`` and
+    ``hash``.  Calling it returns the one live node with those fields,
+    given in order or by name: each class maps its fields to a weak
+    reference to its node, whose callback drops the entry, so a hit is one
+    dict lookup.  ``True == 1.0 == 1``: so a field annotated ``int`` takes
+    exactly an ``int``, or ``Exchange(True)`` would answer for
+    ``Exchange(1)``.  ``isinstance`` against an interned class is slow for
+    a non-instance (it asks the metaclass), so hot paths test ``type(x) is C``."""
 
-    __slots__ = ("__weakref__",)
+    def __new__(meta, name, bases, namespace):
+        kinds = namespace.get("__annotations__", {})
+        namespace.setdefault("__slots__", tuple(kinds))
+        # else dataclass would build a docstring from our __call__'s signature
+        namespace.setdefault("__doc__", f"{name}({', '.join(kinds)})")
+        cls = super().__new__(meta, name, bases, namespace)
+        dataclass(frozen=True, eq=False, init=False)(cls)
+        cls._names = tuple(kinds)
+        cls._ints = tuple(i for i, kind in enumerate(kinds.values()) if kind in ("int", int))
+        cls._live = {}
+        # one callback per class: it drops a dead node's entry, unless a
+        # new node already holds that key
+        cls._drop = lambda r: cls._live.pop(r.key) if cls._live.get(r.key) is r else None
+        return cls
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        node = _INTERNED.get(key)
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # dataclasses.replace passes every field by name
+            args += tuple([kwargs.pop(name) for name in cls._names[len(args) :] if name in kwargs])
+            if kwargs:
+                raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r} left to set")
+        for i in cls._ints:  # True == 1.0 == 1, so they must not reach the lookup
+            if len(args) > i and type(args[i]) is not int:
+                kind = type(args[i]).__name__
+                raise TypeError(f"{cls.__name__}'s {cls._names[i]} must be an int, not {kind}")
+        node = cls._live.get(args, _dead)()
         if node is None:  # a key of the wrong length is never stored
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+            if len(args) != len(cls._names):
+                raise TypeError(f"{cls.__name__} takes the fields ({', '.join(cls._names)})")
             node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
+            for name, value in zip(cls._names, args):
                 object.__setattr__(node, name, value)
-            _INTERNED[key] = node
+            object.__setattr__(node, "_key", args)
+            cls._live[args] = KeyedRef(node, cls._drop, args)
         return node
 
+
+class _Interned(metaclass=_Interning):
+    """A hash-consed node; its copies and pickles are the interned node."""
+
+    __slots__ = ("__weakref__", "_key")
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._key
 
 
-@dataclass(frozen=True, eq=False, init=False)
+#: The fields of an interned node, in order: what its class was called with.
+field_values: Callable[[_Interned], tuple] = attrgetter("_key")
+
+
 class Var(_Interned):
-    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class One(_Interned):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Tensor(_Interned):
-    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Lolli(_Interned):
-    __slots__ = ("ante", "cons")
     ante: Formula
     cons: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Bang(_Interned):
-    __slots__ = ("body",)
     body: Formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Forall(_Interned):
-    __slots__ = ("binder", "body")
     binder: str
     body: Formula
 
@@ -101,20 +130,13 @@ class Forall(_Interned):
 Formula = Var | One | Tensor | Lolli | Bang | Forall
 
 
-_CHILDREN = {
-    Var: lambda a: (),
-    One: lambda a: (),
-    Tensor: attrgetter("left", "right"),
-    Lolli: attrgetter("ante", "cons"),
-    Bang: lambda a: (a.body,),
-    Forall: lambda a: (a.body,),
-}
-
-
 def children(a: Formula) -> tuple[Formula, ...]:
     """The formula-valued fields of ``a``, left to right: the accessor
     :func:`fold` walks formulas with."""
-    return _CHILDREN[type(a)](a)
+    kind = type(a)
+    if kind is Var or kind is One:
+        return ()
+    return (a.body,) if kind is Forall else field_values(a)
 
 
 def fold(

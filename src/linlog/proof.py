@@ -21,12 +21,12 @@ into a node, and only to set ``checked``.
 A rule tag carries the rule's parameters in ``.llp`` argument order
 (see ``sexpr``): the ``at`` index, and the data the premises do not
 determine (the axiom's formula, the weakened formula, the all-r binder,
-the all-l quantified formula and witness).  Tags are interned, as
-formulas are: one live tag exists per class and fields, so a proof's
-many ``Dereliction(0)`` are one object, and ``==`` and ``hash`` on tags
-are identity.  One table, keyed by tag class, gives each rule its
-keyword, its number of premises and its schema; :func:`_make` builds
-any node from its tag and premises through that table.
+the all-l quantified formula and witness).  Tags are interned as
+formulas are, by one metaclass: one live tag exists per class and
+fields, so a proof's many ``Dereliction(0)`` are one object, and ``==``
+and ``hash`` on tags are identity.  One table, keyed by tag class, gives
+each rule its keyword, its number of premises and its schema;
+:func:`_make` builds any node from its tag and premises through it.
 ``formula.fold`` (bottom-up, as over a formula) and :func:`preorder`
 (top-down) are the two walks over a proof: the walkers that map or
 summarize a tree (here, in ``rewrite``, ``sexpr`` and ``semantics``) are
@@ -56,9 +56,8 @@ so validity is stable under renaming of bound type variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
-from weakref import ref
 
 from .formula import (
     Bang,
@@ -69,8 +68,10 @@ from .formula import (
     Sequent,
     Tensor,
     Var,
+    _Interned,
     _alpha,
     alpha_eq,
+    field_values,
     fold,
     format_formula,
     format_sequent,
@@ -89,159 +90,78 @@ class ProofError(Exception):
 # Rule tags
 
 
-# What a tag table gives for a missing key: like a dead reference, it
-# returns None when called.
-_dead = type(None)
-
-
-class _Interned(type):
-    """The metaclass of the rule tags: calling a tag class returns the one
-    live tag with those fields, so ``==`` and ``hash`` (the classes are
-    dataclasses with ``eq=False``) are identity.  Each class maps its
-    fields, in order, to a weak reference to its tag, whose callback
-    drops the entry: a tag holds its formulas only while it lives.  A hit
-    is one dict lookup, with no ``__new__`` or ``__init__`` call.  An
-    ``isinstance`` test against a tag class is slow for a non-instance
-    (it asks the metaclass), so the kernel tests ``type(rule) is Cut``.
-    Fields are compared with ``==``, and ``True == 1``: so an ``at`` that is
-    not exactly an ``int`` is refused before the lookup, or ``Exchange(True)``
-    would answer for ``Exchange(1)``."""
-
-    def __init__(cls, name, bases, namespace):
-        super().__init__(name, bases, namespace)
-        cls._names = tuple(namespace.get("__annotations__", ()))
-        cls._indexed = cls._names[:1] == ("at",)
-        cls._live = {}
-
-    def __call__(cls, *args, **kwargs):
-        if kwargs:  # dataclasses.replace passes every field by name
-            args += tuple([kwargs.pop(name) for name in cls._names[len(args) :] if name in kwargs])
-            if kwargs:
-                raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r} left to set")
-        if args and type(args[0]) is not int and cls._indexed:
-            raise TypeError(f"{cls.__name__}'s at must be an int, not {type(args[0]).__name__}")
-        tag = cls._live.get(args, _dead)()
-        if tag is None:  # a key of the wrong length is never stored
-            if len(args) != len(cls._names):
-                raise TypeError(f"{cls.__name__} takes the fields ({', '.join(cls._names)})")
-            tag = object.__new__(cls)
-            tag.__dict__.update(zip(cls._names, args))
-            live = cls._live
-            live[args] = ref(tag, lambda r: live.pop(args) if live.get(args) is r else None)
-        return tag
-
-
-class _Tag(metaclass=_Interned):
-    """A rule tag; its copies and pickles are the interned tag."""
-
-    def __reduce__(self):
-        return type(self), tuple(vars(self).values())
-
-
 def _moved(rule: RuleTag, at: int) -> RuleTag:
     """``rule`` with the index ``at`` and its other fields: what
     ``dataclasses.replace(rule, at=at)`` gives, at about half the cost."""
-    _, *rest = rule.__dict__.values()
-    return type(rule)(at, *rest)
+    return type(rule)(at, *field_values(rule)[1:])
 
 
-_tag = dataclass(frozen=True, eq=False, init=False)
-
-
-@_tag
-class Axiom(_Tag):
+class Axiom(_Interned):
     formula: Formula
 
 
-@_tag
-class Exchange(_Tag):
+class Exchange(_Interned):
     at: int
 
 
-@_tag
-class Cut(_Tag):
+class Cut(_Interned):
     at: int
 
 
-@_tag
-class TensorR(_Tag):
+class TensorR(_Interned):
     pass
 
 
-@_tag
-class TensorL(_Tag):
+class TensorL(_Interned):
     at: int
 
 
-@_tag
-class LolliR(_Tag):
+class LolliR(_Interned):
     pass
 
 
-@_tag
-class LolliL(_Tag):
+class LolliL(_Interned):
     at: int
 
 
-@_tag
-class Promotion(_Tag):
+class Promotion(_Interned):
     pass
 
 
-@_tag
-class Dereliction(_Tag):
+class Dereliction(_Interned):
     at: int
 
 
-@_tag
-class Contraction(_Tag):
+class Contraction(_Interned):
     at: int
 
 
-@_tag
-class Weakening(_Tag):
+class Weakening(_Interned):
     at: int
     formula: Formula
 
 
-@_tag
-class OneL(_Tag):
+class OneL(_Interned):
     at: int
 
 
-@_tag
-class OneR(_Tag):
+class OneR(_Interned):
     pass
 
 
-@_tag
-class ForallR(_Tag):
+class ForallR(_Interned):
     binder: str
 
 
-@_tag
-class ForallL(_Tag):
+class ForallL(_Interned):
     at: int
     quantified: Formula
     witness: Formula
 
 
 RuleTag = (
-    Axiom
-    | Exchange
-    | Cut
-    | TensorR
-    | TensorL
-    | LolliR
-    | LolliL
-    | Promotion
-    | Dereliction
-    | Contraction
-    | Weakening
-    | OneL
-    | OneR
-    | ForallR
-    | ForallL
+    Axiom | Exchange | Cut | TensorR | TensorL | LolliR | LolliL | Promotion | Dereliction
+    | Contraction | Weakening | OneL | OneR | ForallR | ForallL
 )
 
 
@@ -683,7 +603,7 @@ def proof_eq(p: Proof, q: Proof) -> bool:
         p, q, envp, envq, depth = stack.pop()
         if type(p.rule) is not type(q.rule) or len(p.premises) != len(q.premises):
             return False
-        for u, v in zip(vars(p.rule).values(), vars(q.rule).values()):
+        for u, v in zip(field_values(p.rule), field_values(q.rule)):
             # an all-r binder, a name, is compared through the environments below
             if isinstance(u, Formula) and not _alpha(u, v, envp, envq, depth):
                 return False
@@ -752,9 +672,7 @@ def subst_proof(p: Proof, x: str, b: Formula) -> Proof:
             fresh = fresh_name(rule.binder, free_vars_proof(q) | fv_b | {x})
             renamed = subst_proof(q.premises[0], rule.binder, Var(fresh))
             return mk_forall_r(fold(renamed, node, premises), fresh)
-        formulas = {
-            k: substitute(v, x, b) for k, v in vars(rule).items() if isinstance(v, Formula)
-        }
-        return _make(replace(rule, **formulas), *subs)
+        fields = [substitute(v, x, b) if isinstance(v, Formula) else v for v in field_values(rule)]
+        return _make(type(rule)(*fields), *subs)
 
     return fold(p, node, premises)

@@ -161,6 +161,11 @@ AsgKey = tuple[tuple[str, int], ...]
 
 
 def _asg_key(asg: Mapping[str, int]) -> AsgKey:
+    """``asg`` sorted; a dimension that is not an ``int`` of at least 1 is
+    a SemanticsError that names its variable."""
+    for name, dim in asg.items():
+        if type(dim) is not int or dim < 1:
+            raise SemanticsError(f"the dimension of {name} must be an int >= 1, not {dim!r}")
     return tuple(sorted(asg.items()))
 
 
@@ -278,9 +283,14 @@ SemValue = Vect | BangElem | TensorElem | Suspended
 Value = tuple | BangJet | Suspended
 
 
+#: The ground field's space, held for good: spaces are interned weakly,
+#: and a caller's scalars would otherwise each build it anew.
+_UNIT = UnitSp()
+
+
 def Scalar(q: Rational) -> Vect:
     """``q`` as an element of the ground field."""
-    return Vect(UnitSp(), (q,))
+    return Vect(_UNIT, (q,))
 
 
 def matrix(space: HomSp, rows: Sequence[Sequence]) -> Vect:

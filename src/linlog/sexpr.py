@@ -52,6 +52,7 @@ from .formula import (
     Sequent,
     Tensor,
     Var,
+    field_values,
     format_formula,
 )
 from .proof import (
@@ -353,7 +354,7 @@ _WIDTH = 72
 
 def _node_args(p: Proof, text: Callable[[Formula], str]) -> list[str]:
     """The arguments of ``p``'s node as printed, its formulas by ``text``."""
-    return [text(v) if isinstance(v, Formula) else str(v) for v in vars(p.rule).values()]
+    return [text(v) if isinstance(v, Formula) else str(v) for v in field_values(p.rule)]
 
 
 def print_proof(p: Proof) -> str:

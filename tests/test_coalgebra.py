@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -596,3 +597,29 @@ def test_a_space_constructor_takes_exactly_its_fields():
     ):
         with pytest.raises(TypeError):
             make()
+
+
+def test_a_dimension_must_be_exactly_an_int():
+    # interning compares fields with ==, and 2.0 == 2 and True == 1: a
+    # dimension of another type is refused whether or not an equal space is alive
+    alive = [BaseSp("A", 2), BaseSp("A", 1)]
+    for dim in (2.0, True, Fraction(2), 7919.0):
+        with pytest.raises(TypeError, match="BaseSp's dim must be an int, not"):
+            BaseSp("A", dim)
+    assert BaseSp("A", 2) is alive[0] and space_dim(alive[1]) == 1
+
+
+def test_space_dim_and_space_label_take_deep_spaces():
+    # both walk a space on an explicit stack, under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    a = BaseSp("A", 2)
+    tower, chain, sums = a, a, a
+    for _ in range(3000):
+        tower, chain, sums = BangSp(tower), TensorSp(chain, a), SumSp((a, sums))
+    assert space_dim(tower) is None and space_label(tower) == "!" * 3000 + "A"
+    assert space_dim(chain) == 2**3001
+    assert space_label(chain) == "(" * 3000 + "A" + " (x) A)" * 3000
+    assert space_dim(sums) == 2 * 3001
+    assert space_dim(HomSp(UnitSp(), tower)) is None
+    assert space_label(HomSp(UnitSp(), SumSp(()))) == "Hom(k, ())"
+

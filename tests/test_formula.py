@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _kernelref
-from linlog import formula, proof
+from linlog import coalgebra, formula, proof
 from linlog.coalgebra import BaseSp
 from linlog.encodings import church
 from linlog.formula import (
@@ -205,20 +206,88 @@ def test_intern_table_holds_formulas_weakly():
 def test_a_denoted_formula_is_still_held_weakly():
     # den_formula remembers the space, but neither the formula nor its parts
     gc.collect()
-    before = len(formula._INTERNED)
-    tower = Var("A")
+    before = len(Bang._live)
+    tower = Var("only_in_this_tower")
     for _ in range(10_000):
         tower = Bang(tower)
-    assert den_formula(tower, {"A": 1}) is den_formula(tower, {"A": 1})
+    asg = {"only_in_this_tower": 1}
+    assert den_formula(tower, asg) is den_formula(tower, asg)
+    assert len(Bang._live) == before + 10_000
     del tower
     gc.collect()
-    assert len(formula._INTERNED) <= before
+    assert len(Bang._live) <= before
 
 
 def test_copies_and_pickles_are_the_interned_formula():
     assert copy.copy(INT) is INT
     assert copy.deepcopy(INT) is INT
     assert pickle.loads(pickle.dumps(INT)) is INT
+
+
+_SP = BaseSp("A", 2)
+
+#: Every hash-consed class, with fields that build one of its nodes.
+_NODES = [
+    (Var, ("x",)),
+    (One, ()),
+    (Tensor, (A, X)),
+    (Lolli, (A, X)),
+    (Bang, (A,)),
+    (Forall, ("x", X)),
+    (BaseSp, ("A", 2)),
+    (coalgebra.UnitSp, ()),
+    (coalgebra.TensorSp, (_SP, _SP)),
+    (coalgebra.HomSp, (_SP, _SP)),
+    (coalgebra.BangSp, (_SP,)),
+    (coalgebra.SumSp, ((_SP, _SP),)),
+    (proof.Axiom, (A,)),
+    (proof.Exchange, (0,)),
+    (proof.Cut, (1,)),
+    (proof.TensorR, ()),
+    (proof.TensorL, (0,)),
+    (proof.LolliR, ()),
+    (proof.LolliL, (2,)),
+    (proof.Promotion, ()),
+    (proof.Dereliction, (0,)),
+    (proof.Contraction, (0,)),
+    (proof.Weakening, (1, Bang(A))),
+    (proof.OneL, (0,)),
+    (proof.OneR, ()),
+    (proof.ForallR, ("x",)),
+    (proof.ForallL, (0, INT, A)),
+]
+
+
+def test_every_interned_class_is_listed():
+    assert len(_NODES) == 27
+    assert {cls for cls, _ in _NODES} == set(formula._Interned.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, fields", _NODES, ids=[cls.__name__ for cls, _ in _NODES])
+def test_an_interned_class_makes_one_frozen_node_per_fields(cls, fields, monkeypatch):
+    # an empty table of its own, so that no other test holds the node
+    monkeypatch.setattr(cls, "_live", {})
+    node = cls(*fields)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert cls(*fields) is node and cls(**dict(zip(names, fields))) is node
+    assert dataclasses.replace(node) is node and formula.field_values(node) == fields
+    assert node == cls(*fields) and hash(node) == object.__hash__(node)
+    with pytest.raises(TypeError):
+        cls(*fields, fields[-1] if fields else 0)
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
+    for name in names or ["anything"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields))
+    assert repr(node) == f"{cls.__name__}({shown})"
+    assert copy.copy(node) is node and copy.deepcopy(node) is node
+    assert pickle.loads(pickle.dumps(node)) is node
+    held = weakref.ref(node)
+    del node
+    gc.collect()
+    assert held() is None and cls._live == {}
 
 
 def test_a_constructor_takes_exactly_its_fields():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 import sys
@@ -441,6 +442,50 @@ def test_float_inputs_are_refused_at_the_boundary():
     for call in calls:
         with pytest.raises(SemanticsError, match="is not an exact rational"):
             call()
+
+
+def test_a_dimension_must_be_an_int_of_at_least_one():
+    # a float dimension once made a float space that answered for the int
+    # one, through the interned spaces and the formula's space memo
+    Q = Var("Q")
+    for dim in (2.0, True, 0, -1, Fraction(2)):
+        for call in (
+            lambda: den_formula(Q, {"Q": dim}),
+            lambda: den_matrix(mk_axiom(Q), {"Q": dim, "A": 2}),
+            lambda: den_apply(mk_axiom(A), Vect(BaseSp("A", 2), (1, 0)), {"A": 2, "Q": dim}),
+            lambda: nl(church(2, A), [[1, 0], [0, 1]], {"A": dim}),
+        ):
+            with pytest.raises(SemanticsError, match="the dimension of [QA] must be an int >= 1"):
+                call()
+    assert den_formula(Q, {"Q": 2}) is BaseSp("Q", 2)
+    assert den_matrix(mk_axiom(Q), {"Q": 2}) == [[1, 0], [0, 1]]
+
+
+def test_den_matrix_takes_deep_spaces():
+    # the spaces of deep formulas are walked on explicit stacks
+    assert sys.getrecursionlimit() <= 1000
+    tower, chain = A, A
+    for _ in range(3000):
+        tower, chain = Bang(tower), Tensor(chain, A)
+    with pytest.raises(UnsupportedSpace, match="needs a finite space, got !!!"):
+        den_matrix(mk_axiom(tower), {"A": 2})
+    assert den_matrix(mk_axiom(chain), {"A": 1}) == [[1]]
+
+
+def test_the_spaces_of_a_denoted_tower_go_with_it():
+    # den_formula keeps a formula's space only while the formula lives,
+    # and space_dim remembers dimensions without holding the spaces
+    gc.collect()
+    before = len(BangSp._live)
+    tower = Var("only_in_this_tower")
+    for _ in range(2000):
+        tower = Bang(tower)
+    space = den_formula(tower, {"only_in_this_tower": 2})
+    assert space_dim(space) is None and space_dim(space.inner) is None
+    assert len(BangSp._live) == before + 2000
+    del tower, space
+    gc.collect()
+    assert len(BangSp._live) == before
 
 
 def test_tangent_of_identity_numeral_is_identity():
