@@ -71,10 +71,9 @@ remembers each space's dimension weakly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from .formula import _Interned, emit, field_values, fold
@@ -194,20 +193,19 @@ def coordinates(n: int) -> str:
     return f"{n} coordinate" if n == 1 else f"{n} coordinates"
 
 
-@dataclass(frozen=True)
-class Vect:
+class Vect(NamedTuple("Vect", [("space", Space), ("coords", tuple[Rational, ...])])):
     """An element of a finite space, flat over its standard basis; an
     element of a hom space is its matrix, rows first (see `rows`)."""
 
-    space: Space
-    coords: tuple[Rational, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = space_dim(self.space)
+    def __new__(cls, space: Space, coords: tuple[Rational, ...]) -> Vect:
+        d = space_dim(space)
         if d is None:
-            raise ValueError(f"vectors need a finite space, got {space_label(self.space)}")
-        if len(self.coords) != d:
-            raise ValueError(f"{coordinates(len(self.coords))} for a {d}-dimensional space")
+            raise ValueError(f"vectors need a finite space, got {space_label(space)}")
+        if len(coords) != d:
+            raise ValueError(f"{coordinates(len(coords))} for a {d}-dimensional space")
+        return tuple.__new__(cls, (space, coords))
 
     @property
     def rows(self) -> tuple[tuple[Rational, ...], ...]:
@@ -250,8 +248,7 @@ def vec_is_zero(a: Vect) -> bool:
 BangKey = tuple[tuple[Rational, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class BangElem:
+class BangElem(NamedTuple):
     """A finite linear combination of basis kets over !space."""
 
     space: Space  # the underlying V, not !V
@@ -319,8 +316,7 @@ def bang_scale(c: Rational, a: BangElem) -> BangElem:
 Descriptor = int | BangKey
 
 
-@dataclass(frozen=True)
-class TensorElem:
+class TensorElem(NamedTuple):
     factors: tuple[Space, ...]
     terms: tuple[tuple[tuple[Descriptor, ...], Rational], ...]
 

@@ -26,7 +26,6 @@ formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter, eq
 from typing import Callable, Iterable, Iterator, TypeVar
 from weakref import KeyedRef, WeakKeyDictionary
@@ -41,10 +40,10 @@ _dead = type(None)
 class _Interning(type):
     """The metaclass of every hash-consed class: formulas, the ``coalgebra``
     spaces and the ``proof`` rule tags.  A class states only its fields, as
-    annotations: they become its ``__slots__``, and the class a frozen
-    dataclass (repr, ``fields``, ``replace``) with identity ``==`` and
-    ``hash``.  Calling it returns the one live node with those fields,
-    given in order or by name: each class maps its fields to a weak
+    annotations: they become its ``__slots__`` and its ``_names``, and
+    :class:`_Interned` gives it a frozen record's behaviour, with identity
+    ``==`` and ``hash``.  Calling it returns the one live node with those
+    fields, given in order or by name: each class maps its fields to a weak
     reference to its node, whose callback drops the entry, so a hit is one
     dict lookup.  ``True == 1.0 == 1``: so a field annotated ``int`` takes
     exactly an ``int``, or ``Exchange(True)`` would answer for
@@ -54,10 +53,7 @@ class _Interning(type):
     def __new__(meta, name, bases, namespace):
         kinds = namespace.get("__annotations__", {})
         namespace.setdefault("__slots__", tuple(kinds))
-        # else dataclass would build a docstring from our __call__'s signature
-        namespace.setdefault("__doc__", f"{name}({', '.join(kinds)})")
         cls = super().__new__(meta, name, bases, namespace)
-        dataclass(frozen=True, eq=False, init=False)(cls)
         cls._names = tuple(kinds)
         cls._ints = tuple(i for i, kind in enumerate(kinds.values()) if kind in ("int", int))
         cls._live = {}
@@ -67,7 +63,7 @@ class _Interning(type):
         return cls
 
     def __call__(cls, *args, **kwargs):
-        if kwargs:  # dataclasses.replace passes every field by name
+        if kwargs:  # fields given by name follow those given in order
             args += tuple([kwargs.pop(name) for name in cls._names[len(args) :] if name in kwargs])
             if kwargs:
                 raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r} left to set")
@@ -88,12 +84,39 @@ class _Interning(type):
 
 
 class _Interned(metaclass=_Interning):
-    """A hash-consed node; its copies and pickles are the interned node."""
+    """A hash-consed node, frozen.  Its ``repr``, ``Lolli(ante=…, cons=…)``,
+    is written by :func:`emit`; its copies and pickles are the node."""
 
     __slots__ = ("__weakref__", "_key")
 
+    def __setattr__(self, name: str, *value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return "".join(emit((self,), _shown))
+
+    def __deepcopy__(self, memo: dict) -> _Interned:
+        return self
+
     def __reduce__(self):
         return type(self), self._key
+
+
+def _shown(v: object, names: tuple[str, ...] = ()) -> list:
+    """Expands a value for :func:`emit` into its ``repr``: an interned node
+    as its class's name and fields (named by ``names``), a tuple as Python shows it."""
+    if type(type(v)) is _Interning:
+        return [type(v).__name__, (v._key, v._names)]
+    if type(v) is not tuple:
+        return [repr(v)]
+    shown = ["("]
+    for i, x in enumerate(v):
+        shown += [", " * (i > 0) + (f"{names[i]}=" if names else ""), (x,)]
+    return shown + [",)" if len(v) == 1 and not names else ")"]
 
 
 #: The fields of an interned node, in order: what its class was called with.
@@ -318,21 +341,21 @@ def _surface(a: Formula, top: bool) -> list:
     return infix if top else ["(", *infix, ")"]
 
 
-@dataclass(slots=True, init=False, eq=False)
 class Sequent:
     """An ordered hypothesis list and a single conclusion formula.  ``==``
     compares the interned conclusions by identity, then the contexts; the
     hash is kept from the first ``hash()``.  Immutable by contract, as
     ``proof.Proof`` is: not frozen, so the constructor makes plain stores."""
 
-    context: tuple[Formula, ...]
-    conclusion: Formula
-    _hash: int | None = field(default=None, init=False, repr=False)
+    __slots__ = ("context", "conclusion", "_hash")
 
     def __init__(self, context: tuple[Formula, ...], conclusion: Formula) -> None:
         self.context = context
         self.conclusion = conclusion
         self._hash = None
+
+    def __repr__(self) -> str:
+        return f"Sequent(context={self.context!r}, conclusion={self.conclusion!r})"
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Sequent:

@@ -8,8 +8,8 @@ validates.  Such a tree carries a certificate, as a theorem does in
 LCF (Gordon, Milner and Wadsworth, *Edinburgh LCF*, 1979): a node's
 ``checked`` flag says that every node of its subtree has been derived
 by the schemas, so no one derives it again.  A node built any other
-way (the parser's lenient nodes, a direct ``Proof(...)``,
-``dataclasses.replace``) starts unchecked, and :func:`validate`
+way (the parser's lenient nodes, a direct ``Proof(rule, premises,
+conclusion)``) starts unchecked, and :func:`validate`
 recomputes the conclusion of each unchecked node from the schemas,
 reports the nodes whose cache does not match, and certifies the tree
 when none does.  Each node is thus derived once, wherever it was built.
@@ -56,7 +56,6 @@ so validity is stable under renaming of bound type variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .formula import (
@@ -91,8 +90,8 @@ class ProofError(Exception):
 
 
 def _moved(rule: RuleTag, at: int) -> RuleTag:
-    """``rule`` with the index ``at`` and its other fields: what
-    ``dataclasses.replace(rule, at=at)`` gives, at about half the cost."""
+    """``rule`` with its index changed to ``at``: its class called with
+    ``at`` and the rest of its fields, whatever those are."""
     return type(rule)(at, *field_values(rule)[1:])
 
 
@@ -169,7 +168,6 @@ RuleTag = (
 # Proof nodes
 
 
-@dataclass(slots=True, init=False, repr=False, eq=False)
 class Proof:
     """One rule application; ``conclusion`` is cached.
 
@@ -187,13 +185,7 @@ class Proof:
     then), which nothing on the rewrite path asks for.
     """
 
-    rule: RuleTag
-    premises: tuple[Proof, ...]
-    conclusion: Sequent
-    size: int = field(init=False)
-    cut_count: int = field(init=False)
-    checked: bool = field(init=False)
-    _hash: int | None = field(init=False)
+    __slots__ = ("rule", "premises", "conclusion", "size", "cut_count", "checked", "_hash")
 
     def __init__(self, rule: RuleTag, premises: tuple[Proof, ...], conclusion: Sequent) -> None:
         self.rule = rule

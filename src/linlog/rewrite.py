@@ -50,7 +50,7 @@ root, and rebuilds an ancestor only when it climbs past it;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import Var, free_vars, fresh_name, sequent_alpha_eq
 from .proof import (
@@ -101,11 +101,8 @@ class RewriteError(Exception):
     conclusion) — this is a bug guard, not a user-facing condition."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class StepInfo:
-    """One step of a trace, immutable by contract, as ``Proof`` is:
-    :func:`normalize` makes one per step, and a class that is not frozen
-    gets a constructor of plain slot stores."""
+class StepInfo(NamedTuple):
+    """One step of a trace: :func:`normalize` makes one per step."""
 
     rule_id: str
     path: tuple[int, ...]
@@ -113,14 +110,12 @@ class StepInfo:
     size_after: int
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     steps: tuple[StepInfo, ...]
     terminal: Proof
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
+class NormalizeResult(NamedTuple):
     proof: Proof
     trace: Trace
     exhausted: bool

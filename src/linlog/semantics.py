@@ -216,20 +216,23 @@ def _require_finite(space: Space, what: str) -> int:
     return d
 
 
-@lru_cache(maxsize=1024)
 def _basis(space: Space) -> tuple[tuple[int, ...], ...]:
     """The standard basis of a finite space, as flat coordinate tuples."""
-    d = _require_finite(space, "basis enumeration")
+    return _identity(_require_finite(space, "basis enumeration"))
+
+
+@lru_cache(maxsize=64)
+def _identity(d: int) -> tuple[tuple[int, ...], ...]:
+    """The d × d identity, cached by d: a cache keyed by space would keep the space alive."""
     return tuple(tuple(int(i == k) for i in range(d)) for k in range(d))
 
 
-@lru_cache(maxsize=1024)
 def _zero(space: Space) -> Value:
-    if isinstance(space, BangSp):
+    if type(space) is BangSp:
         return BangJet(space.inner, ())
     if is_finite(space):
         return ()
-    if isinstance(space, HomSp):
+    if type(space) is HomSp:
         return Suspended(space, ())
     raise UnsupportedSpace(f"zero value needs a finite space, got {space_label(space)}")
 

@@ -37,11 +37,9 @@ ket sums ``2/1 * ket([1/1,0/1]; [0/1,1/1])`` of ``!V``, written only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cache
 from string import ascii_letters
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .formula import (
     Bang,
@@ -70,8 +68,7 @@ from . import proof as _proof
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     start: int
     end: int
 
@@ -314,7 +311,7 @@ _FALLBACKS = {
 _RULES = {
     kw: (
         tag,
-        "".join({"at": "i", "binder": "x"}.get(f.name, "f") for f in fields(tag)),
+        "".join({"at": "i", "binder": "x"}.get(name, "f") for name in tag._names),
         rule_arity(tag),
     )
     for tag, kw in RULE_KEYWORDS.items()
@@ -414,7 +411,10 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or a bare integer."""
+    """Parse ``p/q`` or a bare integer.  Only here is ``fractions``
+    imported: the proof commands read no rational, and never load it."""
+    from fractions import Fraction
+
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -423,8 +423,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}: {err}") from None
 
 
-@dataclass(frozen=True)
-class CoordsLit:
+class CoordsLit(NamedTuple):
     """A vector ``[a, b, …]`` or matrix ``[[…], […]]`` of exact rationals."""
 
     rows: tuple
@@ -489,7 +488,7 @@ def format_ket(coeff: Fraction, base: tuple, args: tuple[int, ...]) -> str:
     standard basis vector of its index; a coefficient of 1 is left out."""
     text = format_coords(base)
     if args:
-        units = [tuple(Fraction(int(i == a)) for i in range(len(base))) for a in args]
+        units = [tuple(int(i == a) for i in range(len(base))) for a in args]
         text += "; " + ", ".join(map(format_coords, units))
     return f"ket({text})" if coeff == 1 else f"{format_fraction(coeff)} * ket({text})"
 

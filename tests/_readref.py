@@ -15,7 +15,6 @@ The tests check that both readers return equal proofs with the same
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from typing import Callable, TypeVar
 
 from linlog.formula import Bang, Forall, Formula, Lolli, One, Tensor, Var
@@ -172,7 +171,7 @@ def _lenient(tag, fallback):
     """The builder for a rule whose arguments are its tag's fields, then
     its premises; ``fallback(rule, premises)`` gives the conclusion of a
     node that does not fit the schema."""
-    n = len(fields(tag))
+    n = len(tag.__annotations__)
 
     def build(*args):
         rule, premises = tag(*args[:n]), args[n:]
@@ -186,7 +185,7 @@ def _lenient(tag, fallback):
 
 _RULES = {
     kw: (
-        "".join({"at": "i", "binder": "x"}.get(f.name, "f") for f in fields(tag))
+        "".join({"at": "i", "binder": "x"}.get(name, "f") for name in tag.__annotations__)
         + "p" * rule_arity(tag),
         _lenient(tag, _FALLBACKS.get(tag, _keep)),
     )

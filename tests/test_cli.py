@@ -79,6 +79,28 @@ def test_proof_commands_start_without_the_evaluator(church2_file):
     assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
+def test_the_cli_starts_without_dataclasses_or_fractions(church2_file):
+    # the proof commands read no rational, and neither the CLI nor the
+    # evaluator builds a dataclass, so neither module is imported
+    script = (
+        "import sys; from linlog import cli\n"
+        f"codes = [cli.main(argv) for argv in (['check', {church2_file!r}], "
+        f"['normalize', {church2_file!r}], ['encode', 'church-2'])]\n"
+        "print(codes, [m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+        "import linlog.semantics\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0] []", "[]"]
+
+
 def test_check_prints_the_conclusion_as_json(church2_file, capsys):
     assert main(["check", church2_file]) == 0
     out = capsys.readouterr().out

@@ -268,9 +268,9 @@ def test_an_interned_class_makes_one_frozen_node_per_fields(cls, fields, monkeyp
     # an empty table of its own, so that no other test holds the node
     monkeypatch.setattr(cls, "_live", {})
     node = cls(*fields)
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = list(cls.__annotations__)
     assert cls(*fields) is node and cls(**dict(zip(names, fields))) is node
-    assert dataclasses.replace(node) is node and formula.field_values(node) == fields
+    assert formula.field_values(node) == fields
     assert node == cls(*fields) and hash(node) == object.__hash__(node)
     with pytest.raises(TypeError):
         cls(*fields, fields[-1] if fields else 0)
@@ -280,6 +280,8 @@ def test_an_interned_class_makes_one_frozen_node_per_fields(cls, fields, monkeyp
     for name in names or ["anything"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(node, name)
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields))
     assert repr(node) == f"{cls.__name__}({shown})"
     assert copy.copy(node) is node and copy.deepcopy(node) is node
@@ -288,6 +290,27 @@ def test_an_interned_class_makes_one_frozen_node_per_fields(cls, fields, monkeyp
     del node
     gc.collect()
     assert held() is None and cls._live == {}
+
+
+def test_repr_and_deepcopy_take_deep_nodes():
+    # repr walks with emit and deepcopy returns the node: neither recurses
+    assert sys.getrecursionlimit() <= 1000
+    tower, space = A, BaseSp("A", 2)
+    for _ in range(3000):
+        tower, space = Bang(tower), coalgebra.BangSp(space)
+    assert repr(tower) == "Bang(body=" * 3000 + "Var(name='A')" + ")" * 3000
+    assert repr(space) == "BangSp(inner=" * 3000 + "BaseSp(label='A', dim=2)" + ")" * 3000
+    assert len(repr(tower)) == 33013 and len(repr(space)) == 42024
+    assert copy.deepcopy(tower) is tower and copy.deepcopy(space) is space
+
+
+def test_a_sequent_shows_its_fields():
+    s = Sequent((A, Bang(X)), Lolli(A, X))
+    assert repr(s) == (
+        "Sequent(context=(Var(name='A'), Bang(body=Var(name='x'))), "
+        "conclusion=Lolli(ante=Var(name='A'), cons=Var(name='x')))"
+    )
+    assert repr(Sequent((), One())) == "Sequent(context=(), conclusion=One())"
 
 
 def test_a_constructor_takes_exactly_its_fields():

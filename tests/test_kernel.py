@@ -3,7 +3,7 @@ import gc
 import pickle
 import sys
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +49,7 @@ from linlog.proof import (
     TensorL,
     TensorR,
     Weakening,
+    _moved,
     _rule_conclusion,
     fold,
     free_vars_proof,
@@ -431,7 +432,7 @@ def test_a_tag_with_a_keyword_but_no_schema_is_an_unknown_rule(monkeypatch):
 
 def test_rule_tags_are_interned():
     assert Cut(3) is Cut(3)
-    assert replace(Cut(3), at=4) is Cut(4)
+    assert Cut(at=4) is Cut(4)
     assert Weakening(1, Bang(A)) is Weakening(at=1, formula=Bang(A))
     assert Weakening(1, Bang(A)) is Weakening(1, formula=Bang(A))
     assert TensorR() is TensorR() and Cut(3) is not Cut(4)
@@ -470,7 +471,7 @@ def test_a_tag_index_that_is_not_an_int_is_refused():
             lambda: Exchange(at=at),
             lambda: Weakening(at, Bang(A)),
             lambda: ForallL(at, INT, A),
-            lambda: replace(Cut(0), at=at),
+            lambda: Cut(at=at),
         ):
             with pytest.raises(TypeError, match="at must be an int"):
                 make()
@@ -755,7 +756,7 @@ def _applications(draw, tag):
     formulas; the test tries every index in -1..len+1."""
     arity = draw(st.sampled_from([rule_arity(tag)] * 6 + [0, 1, 2, 3]))
     premises = tuple(draw(st.lists(_SEQUENTS, min_size=arity, max_size=arity)))
-    formulas = {f.name: draw(_FIELDS[f.name]) for f in fields(tag) if f.name != "at"}
+    formulas = {name: draw(_FIELDS[name]) for name in tag.__annotations__ if name != "at"}
     return premises, formulas
 
 
@@ -768,7 +769,7 @@ def _outcome(schema, rule, premises):
 
 @pytest.mark.parametrize("tag", list(RULE_KEYWORDS), ids=list(RULE_KEYWORDS.values()))
 def test_rule_schema_matches_the_per_rule_reference(tag):
-    indexed = any(f.name == "at" for f in fields(tag))
+    indexed = "at" in tag.__annotations__
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(_applications(tag))
@@ -819,7 +820,7 @@ def _forge(node, kind):
     """A node built past the schemas, to stand where ``node`` stood."""
     s = node.conclusion
     if kind == "at" and hasattr(node.rule, "at"):
-        return Proof(replace(node.rule, at=node.rule.at + 1), node.premises, s)
+        return Proof(_moved(node.rule, node.rule.at + 1), node.premises, s)
     if kind == "promotion":
         # a box over a premise with the unbanged hypothesis A
         body = mk_tensor_r(node, mk_axiom(A))
@@ -864,15 +865,15 @@ def test_only_the_strict_constructors_certify_a_node():
     assert p.checked and all(q.checked for _, q in preorder(p))
     with pytest.raises(TypeError):
         Proof(p.rule, p.premises, p.conclusion, checked=True)
-    bad = replace(p, conclusion=Sequent((), Lolli(Bang(A), B)))
+    bad = Proof(p.rule, p.premises, Sequent((), Lolli(Bang(A), B)))
     assert not bad.checked and bad.premises[0].checked
     assert validate(bad) == _kernelref.validate(bad) == [
         ((), "cached conclusion ⊢ !A -o B differs from rule result ⊢ !A -o A")
     ]
     assert not bad.checked
-    for raw in (replace(p), Proof(p.rule, p.premises, p.conclusion)):
-        assert not raw.checked and raw == p
-        assert validate(raw) == [] and raw.checked
+    raw = Proof(p.rule, p.premises, p.conclusion)
+    assert not raw.checked and raw == p
+    assert validate(raw) == [] and raw.checked
     # a strict node over an unchecked premise is unchecked
     over = mk_prom(mk_lolli_r(Proof(Axiom(A), (), Sequent((A,), A))))
     assert not over.checked

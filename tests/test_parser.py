@@ -433,6 +433,15 @@ def test_the_reader_matches_the_tuple_reader_on_every_encoding():
         _reads_like_the_reference(text)
 
 
+def test_an_all_r_binder_must_be_a_name():
+    # a missing or numeric binder, reported at its place by both readers;
+    # the mutation test below reaches this only on some of its examples
+    for text, found in (("(all-r (ax A))", "("), ("(all-r 0 (ax A))", "0")):
+        message, span = _reads_like_the_reference(text)
+        assert message == f"expected 'a binder name', found '{found}'"
+        assert (span.start, span.end) == (7, 8)
+
+
 # Mutations of a token (kind, text, start) of a text: cut the text
 # before or after it, delete it, double it, put a stray character or a
 # comment before it, or put a 5000-digit index in its place.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -289,8 +288,8 @@ def test_replay_rejects_a_foreign_trace():
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda s: replace(s, size_after=s.size_after + 1),
-        lambda s: replace(s, path=s.path + (0,)),
+        lambda s: s._replace(size_after=s.size_after + 1),
+        lambda s: s._replace(path=s.path + (0,)),
     ],
     ids=["size_after", "path"],
 )

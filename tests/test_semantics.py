@@ -488,6 +488,21 @@ def test_the_spaces_of_a_denoted_tower_go_with_it():
     assert len(BangSp._live) == before
 
 
+def test_the_spaces_of_a_denoted_axiom_go_with_it():
+    # the evaluator's basis and zero caches hold no space: the identity
+    # rows are cached by dimension
+    gc.collect()
+    before = len(TensorSp._live)
+    chain = Var("only_in_this_chain")
+    for _ in range(3000):
+        chain = Tensor(chain, Var("only_in_this_chain"))
+    assert den_matrix(mk_axiom(chain), {"only_in_this_chain": 1}) == [[1]]
+    assert len(TensorSp._live) == before + 3000
+    del chain
+    gc.collect()
+    assert len(TensorSp._live) == before
+
+
 def test_tangent_of_identity_numeral_is_identity():
     rng = random.Random(23)
     al, nu = _rand_mat(rng), _rand_mat(rng)
