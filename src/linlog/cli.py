@@ -166,24 +166,18 @@ def _cmd_denote(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_nl(args: argparse.Namespace) -> int:
-    from .semantics import nl, value_literal
+def _cmd_nonlinear(args: argparse.Namespace) -> int:
+    """``nl`` at the point, or ``tangent`` at the point in the direction."""
+    from .semantics import nl, tangent, value_literal
 
     asg = _parse_assignment(args.assign)
     p = _load_proof(args.file)
     point = _parse_point(args.point)
-    print(json.dumps(value_literal(nl(p, point, asg))))
-    return 0
-
-
-def _cmd_tangent(args: argparse.Namespace) -> int:
-    from .semantics import tangent, value_literal
-
-    asg = _parse_assignment(args.assign)
-    p = _load_proof(args.file)
-    base = _parse_point(args.point)
-    direction = _parse_point(args.direction)
-    print(json.dumps(value_literal(tangent(p, base, direction, asg))))
+    if args.command == "tangent":
+        out = tangent(p, point, _parse_point(args.direction), asg)
+    else:
+        out = nl(p, point, asg)
+    print(json.dumps(value_literal(out)))
     return 0
 
 
@@ -201,8 +195,8 @@ _COMMANDS = {
     "check": _cmd_check,
     "normalize": _cmd_normalize,
     "denote": _cmd_denote,
-    "nl": _cmd_nl,
-    "tangent": _cmd_tangent,
+    "nl": _cmd_nonlinear,
+    "tangent": _cmd_nonlinear,
     "encode": _cmd_encode,
 }
 

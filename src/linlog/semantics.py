@@ -18,13 +18,17 @@ The interpreter computes over R = ℚ[t₁, t₂, …]/(t₁², t₂², …), on
 elements (see `coalgebra`).  A ket |ν₁…ν_s⟩_P is the t₁⋯t_s coefficient
 of the group-like element g(P + Σ tᵢνᵢ), so `den_apply` enters it as
 that element, with fresh variables, evaluates once and reads off the
-coefficient of the top monomial.  On group-like elements contraction
-hands the same element to both slots, dereliction returns its point,
-weakening scales by the sum of the coefficients, and promotion maps
-g(x) to g(φ(g(x))): no rule branches over kets.  Tensor-left still
-branches over coordinates, and `den_apply` over the pure terms of a
-`TensorElem`.  A zero slot value makes the result zero, so those
-branches are pruned.
+coefficient of the top monomial.  `nl` and `tangent` enter one
+group-like element themselves: g(P), or g(P + t·Q) with one variable t
+for the direction whatever its support, read off at 1 or at t
+(forward-mode Taylor propagation: Griewank and Walther, "Evaluating
+Derivatives", 2nd ed., 2008, ch. 13).  On group-like elements
+contraction hands the same element to both slots, dereliction returns
+its point, weakening scales by the sum of the coefficients, and
+promotion maps g(x) to g(φ(g(x))): no rule branches over kets.
+Tensor-left still branches over coordinates, and `den_apply` over the
+pure terms of a `TensorElem`.  A zero slot value makes the result zero,
+so those branches are pruned.
 
 An abstraction in a finite hom space is materialized by one evaluation
 on Σⱼ uⱼeⱼ, one fresh variable per column (vector-mode forward seeding:
@@ -116,12 +120,10 @@ from .coalgebra import (
     exact,
     grouplike_kets,
     is_finite,
-    ket,
     space_dim,
     space_label,
     tensor_from_terms,
     TensorElem,
-    vacuum,
 )
 
 # The evaluator no longer calls these; they stay bound here because the
@@ -424,11 +426,11 @@ def _coords(v: Jet, top: int, d: int) -> tuple[Rational, ...]:
 def _call(f: Suspended, a: Value) -> Value:
     """f(a) = Σ c·body(a, env) over f's terms: each closure's body
     evaluated on a and its captured context, scaled."""
-    cod, out = f.space.cod, None
+    out = None
     for g, c in f.terms:
-        r = _scale(c, _eval(g.node.premises[0], (a,) + g.env, g.asg), cod)
-        out = r if out is None else _add(out, r, cod)
-    return _zero(cod) if out is None else out
+        r = _scale(c, _eval(g.node.premises[0], (a,) + g.env, g.asg))
+        out = r if out is None else _add(out, r)
+    return _zero(f.space.cod) if out is None else out
 
 
 def _materialize(v: Suspended) -> Jet:
@@ -442,7 +444,7 @@ def _materialize(v: Suspended) -> Jet:
     lo = _support(v).bit_length()
     seed = tuple([(1 << j << lo, e) for j, e in enumerate(_basis(space.dom))])
     rows: dict[int, list] = {}
-    for k, y in _flat(_call(v, seed), space.cod):
+    for k, y in _flat(_call(v, seed)):
         col = k >> lo  # uⱼ alone, shifted down to 1 << j
         if not col or col & (col - 1):
             raise SemanticsError("an abstraction's body does not use its argument exactly once")
@@ -450,29 +452,30 @@ def _materialize(v: Suspended) -> Jet:
     return tuple([(k, tuple(row)) for k, row in rows.items()])
 
 
-def _flat(v: Value, space: Space) -> Jet:
-    """An interpreter value of a finite ``space`` as a jet."""
+def _flat(v: Value) -> Jet:
+    """An interpreter value of a finite space as a jet."""
     if type(v) is tuple:
         return v
-    if type(v) is Suspended and (v.terms or is_finite(space)):
+    if type(v) is Suspended and (v.terms or is_finite(v.space)):
         return _materialize(v)
+    space = BangSp(v.space) if type(v) is BangJet else v.space
     raise UnsupportedSpace(f"no coordinates over {space_label(space)}")
 
 
-def _scale(c: Jet, v: Value, space: Space) -> Value:
+def _scale(c: Jet, v: Value) -> Value:
     """c·v for a scalar jet c; an R-combination scales its coefficients."""
     if c == _ONE:
         return v
-    if type(v) is BangJet or type(v) is Suspended and not is_finite(space):
+    if type(v) is BangJet or type(v) is Suspended and not is_finite(v.space):
         terms = ((x, _times(c, k)) for x, k in v.terms)
         return v._replace(terms=tuple([(x, k) for x, k in terms if k]))
-    return _times(c, _flat(v, space))
+    return _times(c, _flat(v))
 
 
-def _add(a: Value, b: Value, space: Space) -> Value:
-    if type(a) is BangJet or type(a) is Suspended and not is_finite(space):
+def _add(a: Value, b: Value) -> Value:
+    if type(a) is BangJet or type(a) is Suspended and not is_finite(a.space):
         return a._replace(terms=a.terms + b.terms)
-    return _collect(_flat(a, space) + _flat(b, space))
+    return _collect(_flat(a) + _flat(b))
 
 
 def lift(phi: Callable[[BangJet], Jet], x: BangJet, out_space: Space) -> BangJet:
@@ -484,11 +487,6 @@ def lift(phi: Callable[[BangJet], Jet], x: BangJet, out_space: Space) -> BangJet
 
 # ---------------------------------------------------------------------------
 # The interpreter
-
-
-def _finite(space: Space, what: str) -> Space:
-    _require_finite(space, what)
-    return space
 
 
 def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
@@ -508,12 +506,7 @@ def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
             n = len(left.conclusion.context)
             a = _eval(left, env[at : at + n], asg)
         psi = env[at + n]
-        if type(psi) is Suspended:
-            b = _call(psi, a)
-        elif type(a) is tuple:
-            b = _matrix_times(psi, a)
-        else:
-            b = _matrix_times(psi, _flat(a, _den_formula(left.conclusion.conclusion, asg)))
+        b = _call(psi, a) if type(psi) is Suspended else _matrix_times(psi, _flat(a))
         if b == ():
             return _zero(_den_formula(p.conclusion.conclusion, asg))
         return _eval(right, env[:at] + (b,) + env[at + n + 1 :], asg)
@@ -533,7 +526,7 @@ def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
         for point, c in x.terms:
             pair = (BangJet(x.space, ((point, c),)), BangJet(x.space, ((point, _ONE),)))
             r = _eval(p.premises[0], head + pair + tail, asg)
-            out = r if out is None else _add(out, r, _den_formula(p.conclusion.conclusion, asg))
+            out = r if out is None else _add(out, r)
         return _zero(_den_formula(p.conclusion.conclusion, asg)) if out is None else out
     if kind is LolliR:
         cs = _den_formula(p.conclusion.conclusion, asg)
@@ -558,20 +551,19 @@ def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
         # the counit of a ! slot, ε(Σ c·g(x)) = Σ c; a unit slot's scalar
         c = _total(k for _x, k in v.terms) if kind is Weakening else v
         r = _eval(p.premises[0], env[:at] + env[at + 1 :], asg)
-        cs = _den_formula(p.conclusion.conclusion, asg)
-        return _scale(c, r, cs) if c else _zero(cs)
+        return _scale(c, r) if c else _zero(_den_formula(p.conclusion.conclusion, asg))
     if kind is OneR:
         return _ONE
     if kind is TensorR:
         left, right = p.premises
         n = len(left.conclusion.context)
         a = _eval(left, env[:n], asg)
-        space = _finite(_den_formula(p.conclusion.conclusion, asg), "a tensor-pairing value")
-        return _tensor(_flat(a, space.left), _flat(_eval(right, env[n:], asg), space.right))
+        _require_finite(_den_formula(p.conclusion.conclusion, asg), "a tensor-pairing value")
+        return _tensor(_flat(a), _flat(_eval(right, env[n:], asg)))
     if kind is TensorL:
         at = rule.at
         space = _den_formula(p.conclusion.context[at], asg)
-        space = _finite(space, "splitting a tensor hypothesis")
+        _require_finite(space, "splitting a tensor hypothesis")
         left, right = _basis(space.left), _basis(space.right)
         head, tail = env[:at], env[at + 1 :]
         out = None
@@ -580,10 +572,8 @@ def _eval(p: Proof, env: tuple, asg: AsgKey) -> Value:
                 if c:
                     i, j = divmod(idx, len(right))
                     pair = (((0, left[i]),), ((0, right[j]),))
-                    r = _eval(p.premises[0], head + pair + tail, asg)
-                    cs = _den_formula(p.conclusion.conclusion, asg)
-                    r = _scale(((k, (c,)),), r, cs)
-                    out = r if out is None else _add(out, r, cs)
+                    r = _scale(((k, (c,)),), _eval(p.premises[0], head + pair + tail, asg))
+                    out = r if out is None else _add(out, r)
         return _zero(_den_formula(p.conclusion.conclusion, asg)) if out is None else out
     if kind is ForallR or kind is ForallL:
         raise UnsupportedSpace("second-order proofs have no finite denotation")
@@ -600,13 +590,14 @@ def _promote(p: Proof, env: tuple, asg: AsgKey) -> BangJet:
         products = ((ps + (q,), _times(c, k)) for ps, c in terms for q, k in x.terms)
         terms = [(ps, c) for ps, c in products if c]
     whole = BangJet(SumSp(tuple(x.space for x in env)), tuple(terms))
-    inner = _finite(_den_formula(body.conclusion.conclusion, asg), "boxing a proof")
+    inner = _den_formula(body.conclusion.conclusion, asg)
+    _require_finite(inner, "boxing a proof")
 
     def phi(x: BangJet) -> Jet:
         # one group-like element of the context's sum: a point per slot
         ((points, _c),) = x.terms
         ctx = tuple(BangJet(s, ((q, _ONE),)) for s, q in zip(x.space.parts, points))
-        return _flat(_eval(body, ctx, asg), inner)
+        return _flat(_eval(body, ctx, asg))
 
     return lift(phi, whole, out_space=inner)
 
@@ -769,13 +760,13 @@ def force(v: SemValue, space: Space) -> SemValue:
     Suspended abstraction; in an infinite hom space that raises
     UnsupportedSpace."""
     x, top = _enter(v, space, 0)
-    return _extract(x if type(x) is BangJet else _flat(x, space), top, lambda: space)
+    return _extract(x if type(x) is BangJet else _flat(x), top, lambda: space)
 
 
 def flatten(v: SemValue, space: Space) -> tuple[Fraction, ...]:
     """Coordinates of a value over the standard basis of a finite space."""
     x, top = _enter(v, space, 0)
-    return tuple(map(Fraction, _coords(_flat(x, space), top, space_dim(space))))
+    return tuple(map(Fraction, _coords(_flat(x), top, space_dim(space))))
 
 
 def apply_hom(psi: SemValue, a: SemValue) -> SemValue:
@@ -783,7 +774,7 @@ def apply_hom(psi: SemValue, a: SemValue) -> SemValue:
     hom = _hom_space(psi)
     f, top = _enter(psi, hom, 0)
     x, top = _enter(a, hom.dom, top)
-    y = _call(f, x) if type(f) is Suspended else _matrix_times(f, _flat(x, hom.dom))
+    y = _call(f, x) if type(f) is Suspended else _matrix_times(f, _flat(x))
     return _extract(y, top, lambda: hom.cod)
 
 
@@ -837,9 +828,8 @@ def den_apply(p: Proof, input: SemValue, asg: Mapping[str, int]) -> SemValue:
     for c, env, own in branches:
         r = _den_env(p, env, key)
         k = ((top ^ own, (c,)),)
-        if k != _ONE:
-            r = _scale(k, r, cs())
-        out = r if out is None else _add(out, r, cs())
+        r = _scale(k, r)
+        out = r if out is None else _add(out, r)
     return _extract(_zero(cs()) if out is None else out, top, cs)
 
 
@@ -861,38 +851,10 @@ def den_matrix(p: Proof, asg: Mapping[str, int]) -> list[list[Fraction]]:
     _require_finite(cspace, "materializing a denotation")
     d = space_dim(cspace)
     cols = [
-        _coords(_flat(_den_env(p, env, key), cspace), 0, d)
+        _coords(_flat(_den_env(p, env, key)), 0, d)
         for env in itertools.product(*[[((0, e),) for e in _basis(s)] for s in spaces])
     ]
     return [list(map(Fraction, row)) for row in zip(*cols)]
-
-
-def _bang_hypothesis_space(p: Proof, asg: Mapping[str, int]) -> tuple[Space, bool]:
-    """The !-hypothesis space of a proof shaped !B ⊢ C or ⊢ !B ⊸ C.
-
-    Returns (⟦B⟧, curried?).
-    """
-    seq = p.conclusion
-    if len(seq.context) == 1 and isinstance(seq.context[0], BangF):
-        return den_formula(seq.context[0].body, asg), False
-    if (
-        len(seq.context) == 0
-        and isinstance(seq.conclusion, Lolli)
-        and isinstance(seq.conclusion.ante, BangF)
-    ):
-        return den_formula(seq.conclusion.ante.body, asg), True
-    raise SemanticsError("expected a proof of !B ⊢ C or of ⊢ !B -o C")
-
-
-def _apply_bang(p: Proof, x: BangElem, asg: Mapping[str, int], curried: bool) -> SemValue:
-    if curried:
-        h = den_apply(p, Scalar(Fraction(1)), asg)
-        out = apply_hom(h, x)
-        space = den_formula(p.conclusion.conclusion.cons, asg)
-    else:
-        out = den_apply(p, x, asg)
-        space = den_formula(p.conclusion.conclusion, asg)
-    return force(out, space)
 
 
 def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
@@ -921,20 +883,39 @@ def _point_coords(point: object, space: Space) -> tuple[Fraction, ...]:
     return coords
 
 
+def _nonlinear(p: Proof, points: Sequence[object], asg: Mapping[str, int]) -> SemValue:
+    """⟦p⟧, for p a proof of !B ⊢ C or of ⊢ !B ⊸ C, on one group-like
+    element: g(P) for the points (P,), the vacuum at P, and g(P + t·Q)
+    for (P, Q), read off at t, which is the one-argument ket |Q⟩_P."""
+    ctx, c = p.conclusion.context, p.conclusion.conclusion
+    if len(ctx) == 1 and isinstance(ctx[0], BangF):
+        bang, cons = ctx[0], c
+    elif not ctx and isinstance(c, Lolli) and isinstance(c.ante, BangF):
+        bang, cons = c.ante, c.cons
+    else:
+        raise SemanticsError("expected a proof of !B ⊢ C or of ⊢ !B -o C")
+    key = _asg_key(asg)
+    space = _den_formula(bang.body, key)
+    # P is the constant term, at monomial 0; Q is t's, at monomial 1
+    coords = [tuple(map(exact, _point_coords(pt, space))) for pt in points]
+    x = BangJet(space, ((tuple([(k, y) for k, y in enumerate(coords) if any(y)]), _ONE),))
+    v = _eval(p, (x,), key) if ctx else _call(_eval(p, (), key), x)
+    cs = partial(_den_formula, cons, key)
+    return force(_extract(v, len(points) - 1, cs), cs())
+
+
 def nl(p: Proof, point: object, asg: Mapping[str, int]) -> SemValue:
-    """The nonlinear denotation: evaluate ⟦p⟧ on the vacuum at a point."""
-    space, curried = _bang_hypothesis_space(p, asg)
-    base = Vect(space, _point_coords(point, space))
-    return _apply_bang(p, vacuum(base), asg, curried)
+    """The nonlinear denotation: ⟦p⟧ on the vacuum at a point, which is
+    the group-like element g(point)."""
+    return _nonlinear(p, (point,), asg)
 
 
 def tangent(rho: Proof, base: object, q: object, asg: Mapping[str, int]) -> SemValue:
     """The differential of the nonlinear denotation at ``base`` in the
-    direction ``q``: evaluate ⟦rho⟧ on the one-argument ket |q⟩_base."""
-    space, curried = _bang_hypothesis_space(rho, asg)
-    b = Vect(space, _point_coords(base, space))
-    v = Vect(space, _point_coords(q, space))
-    return _apply_bang(rho, ket(b, [v]), asg, curried)
+    direction ``q``: ⟦rho⟧ on the one-argument ket |q⟩_base, which is
+    the t coefficient of g(base + t·q), one variable t whatever the
+    support of ``q``."""
+    return _nonlinear(rho, (base, q), asg)
 
 
 # ---------------------------------------------------------------------------

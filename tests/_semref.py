@@ -28,6 +28,11 @@ the matrix per coordinate of the vector and tests every entry for zero.
 `support_walk` is its `_support` before each closure carried the
 variables of its captured context: a walk over every captured context,
 nested closures included.
+
+`nonlinear_by_kets` is `nl` and `tangent` before they entered the
+group-like element g(P + t·Q) directly: the direction expanded by
+`coalgebra.ket` into one basis ket per nonzero entry, each its own
+variable, through the public `den_apply`, `apply_hom` and `force`.
 """
 
 from __future__ import annotations
@@ -49,13 +54,14 @@ from linlog.coalgebra import (
     coproduct,
     counit,
     exact,
+    ket,
     lift,
     merge,
     space_dim,
     split,
     zero_bang,
 )
-from linlog.formula import fold
+from linlog.formula import Bang, Lolli, fold
 from linlog.proof import (
     Axiom,
     Contraction,
@@ -370,7 +376,7 @@ def materialize_per_column(v: semantics.Suspended) -> tuple:
     output monomial's row interleaves its columns."""
     space = v.space
     cols = [
-        semantics._flat(semantics._call(v, ((0, e),)), space.cod)
+        semantics._flat(semantics._call(v, ((0, e),)))
         for e in semantics._basis(space.dom)
     ]
     dd = len(cols)
@@ -425,3 +431,27 @@ def support_walk(v: semantics.Suspended) -> int:
         else:  # an R-combination
             stack.extend(j for term in x.terms for j in term)
     return mask
+
+
+def nonlinear_by_kets(p, points, asg):
+    """``nl(p, P, asg)`` for the points (P,), ``tangent(p, P, Q, asg)``
+    for (P, Q): ⟦p⟧ on ``ket(P, [Q])``, or on the vacuum ``ket(P, [])``,
+    through `den_apply` (and `apply_hom` for a proof of ⊢ !B ⊸ C), then
+    `force` over C."""
+    seq = p.conclusion
+    if len(seq.context) == 1 and isinstance(seq.context[0], Bang):
+        body, cons = seq.context[0].body, seq.conclusion
+    elif not seq.context and isinstance(seq.conclusion, Lolli) and isinstance(
+        seq.conclusion.ante, Bang
+    ):
+        body, cons = seq.conclusion.ante.body, seq.conclusion.cons
+    else:
+        raise SemanticsError("expected a proof of !B ⊢ C or of ⊢ !B -o C")
+    space = semantics.den_formula(body, asg)
+    base, *args = (Vect(space, semantics._point_coords(x, space)) for x in points)
+    x = ket(base, args)
+    if seq.context:
+        out = semantics.den_apply(p, x, asg)
+    else:
+        out = semantics.apply_hom(semantics.den_apply(p, semantics.Scalar(Fraction(1)), asg), x)
+    return semantics.force(out, semantics.den_formula(cons, asg))

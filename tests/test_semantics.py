@@ -1607,3 +1607,124 @@ def test_multi_branch_abstractions_carry_each_branchs_support():
     assert type(v) is Suspended and len(v.terms) == 2
     _assert_support_is_the_walk(v)
     assert v.top and not v.top & ~_support(v)
+
+
+# ---------------------------------------------------------------------------
+# nl and tangent on one group-like element: g(P), or g(P + t·Q) read off at
+# t, evaluated once.  `tests/_semref.py` keeps the path they replaced, the
+# direction expanded into one basis ket per nonzero entry, as the reference.
+
+
+def _drawn_matrix(rng, rows, cols, density, fractions):
+    """A seeded matrix (a list when ``rows`` is None) whose entries are
+    nonzero with probability ``density``, non-integral about half the
+    time when ``fractions``."""
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if fractions and rng.random() < 0.5:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 5))
+        return rng.choice((-1, 1)) * rng.randint(1, 4)
+
+    if rows is None:
+        return [entry() for _ in range(cols)]
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_a_dense_tangent_multiplies_once_per_composition(k, monkeypatch):
+    # Q rides in one variable whatever its support, so each of the k
+    # compositions of the numeral is one matrix product
+    rng = random.Random(f"dense-tangent-{k}")
+    P, Q = (_drawn_matrix(rng, 8, 8, 1, fractions=False) for _ in range(2))
+    calls = []
+
+    def counted(m, x):
+        calls.append(m)
+        return _matrix_times(m, x)
+
+    monkeypatch.setattr("linlog.semantics._matrix_times", counted)
+    got = tangent(church(k, A), P, Q, {"A": 8})
+    assert len(calls) == k
+    # d/dt (P + tQ)^k at t = 0 is the sum of P^i Q P^(k−1−i)
+    powers = [[[Fraction(int(i == j)) for j in range(8)] for i in range(8)]]
+    for _ in range(k):
+        powers.append(_matmul(powers[-1], P))
+    slope = [[Fraction(0)] * 8 for _ in range(8)]
+    for i in range(k):
+        slope = _mat_add(slope, _matmul(_matmul(powers[i], Q), powers[k - 1 - i]))
+    assert [list(r) for r in got.rows] == slope
+
+
+def _nonlinear_cases():
+    """(proof, assignment, points) for the differential of `nl` and
+    `tangent`, drawn from a seeded generator: curried numerals, numeral
+    bodies, a mult cut before and after normalization, the weakened
+    numeral; A = 1..3; int and non-integral entries, sparse, dense and
+    zero directions, and now and then a malformed point or direction."""
+    rng = random.Random("nonlinear-by-kets")
+    proofs = [church(n, A) for n in range(6)] + [church_body(n, A) for n in range(1, 5)]
+    proofs += [mult_cut(2, 2, A), normalize(mult_cut(2, 2, A)).proof]
+    proofs.append(mk_weak(church(2, A), 0, Bang(A)))  # !A ⊢ int_A
+    cases = []
+    for p in proofs:
+        matrix_point = p.conclusion.context != (Bang(A),)
+        for d in (1, 2, 3):
+            for _ in range(6):
+                fractions = rng.random() < 0.5
+                rows = d if matrix_point else None
+                P = _drawn_matrix(rng, rows, d, rng.choice((1, 0.4)), fractions)
+                Q = _drawn_matrix(rng, rows, d, rng.choice((1, 0.4, 0)), fractions)
+                if rng.random() < 0.1:
+                    P = P + P[:1]  # one entry or row too many
+                if rng.random() < 0.1:
+                    Q = [0.5] * d  # a float
+                cases.append((p, {"A": d}, (P,)))
+                cases.append((p, {"A": d}, (P, Q)))
+    # the shape is refused before the assignment, the assignment before
+    # the point, and the point before the direction
+    cases.append((mk_axiom(A), {}, ([1], [1])))
+    cases.append((church(2, A), {"A": 0}, ([[1]], [1.5])))
+    cases.append((church(2, A), {}, ([[1]], [[1]])))
+    cases.append((church(2, A), {"A": 2}, ([[1, 2]], [0.5])))
+    return cases
+
+
+def _answer(call):
+    """What ``call`` returns, or the type and message of the
+    SemanticsError it raises."""
+    try:
+        return call()
+    except SemanticsError as e:
+        return type(e), str(e)
+
+
+def test_nl_and_tangent_match_the_ket_expansion():
+    # One answer differs, and only in its message.  The weakened numeral's
+    # tangent is ε(|Q⟩_P)·2 = 0, the zero of int_A, which has no
+    # coordinates.  The expansion gives each nonzero entry of Q its own
+    # variable and each ket the monomial of the others as coefficient;
+    # with two or more, the counit's jet holds every variable, though not
+    # in the read-off monomial, so the zero stayed an unapplied numeral
+    # and `force` failed to materialize it instead.
+    zero_map = (UnsupportedSpace, "no coordinates over Hom(!Hom(A, A), Hom(A, A))")
+    unapplied = (
+        UnsupportedSpace,
+        "materializing an abstraction needs a finite space, got !Hom(A, A)",
+    )
+    kinds, diverged = set(), 0
+    for p, asg, points in _nonlinear_cases():
+        want = _answer(lambda: _semref.nonlinear_by_kets(p, points, asg))
+        one = nl if len(points) == 1 else tangent
+        got = _answer(lambda: one(p, *points, asg))
+        if got != want and want == unapplied and one is tangent:
+            assert p.conclusion.context == (Bang(A),) and len([q for q in points[1] if q]) > 1
+            want, diverged = zero_map, diverged + 1
+        assert got == want, (p.conclusion, asg, points)
+        if type(got) is tuple:
+            kinds.add(got[0].__name__)
+        elif any(got.coords):
+            kinds.add(one.__name__)
+    assert kinds == {"nl", "tangent", "SemanticsError", "UnsupportedSpace"}
+    assert diverged

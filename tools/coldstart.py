@@ -4,7 +4,9 @@
 
 writes the numeral ``church-2`` (as ``linlog encode church-2`` prints
 it with the first tree) to a temporary directory, then times ``python
--m linlog.cli`` on it: ``check``, ``normalize`` and ``nl`` at A = 2.
+-m linlog.cli`` on it: ``check``, ``normalize`` and ``nl`` at A = 2,
+and ``tangent`` at A = 8 on a dense point and direction, 8 × 8 matrices
+with no zero entry.
 Each timing is the wall time of one fresh process whose PYTHONPATH is
 one tree.  Processes run one at a time, and the trees take turns within
 each round, so that a drift of the host's speed falls on all of them
@@ -24,10 +26,20 @@ import sys
 import tempfile
 import time
 
+
+def dense(shift: int) -> str:
+    """The literal of an 8 × 8 matrix with entries 1..9, none zero."""
+    rows = (",".join(str((8 * i + j + shift) % 9 + 1) for j in range(8)) for i in range(8))
+    return "[" + ",".join(f"[{row}]" for row in rows) + "]"
+
+
 COMMANDS = {
     "check": ["check", "{file}"],
     "normalize": ["normalize", "{file}"],
     "nl": ["nl", "{file}", "--assign", "A=2", "--point", "[[1,1],[0,1]]"],
+    "tangent": [
+        "tangent", "{file}", "--assign", "A=8", "--point", dense(0), "--direction", dense(4)
+    ],
 }
 
 
